@@ -247,8 +247,10 @@ def _triangulate_source(args):
 def cmd_triangulate(args) -> int:
     name, dirs, labels = _triangulate_source(args)
     query = normalize_direction(args.az, args.el)
-    p = plan_over_directions(dirs, query, InterpolationMode.THREE_POINT)
     tri = build_triangulation(dirs)
+    p = plan_over_directions(
+        dirs, query, InterpolationMode.THREE_POINT, triangulation=tri
+    )
 
     raz = rel = False
     if len(p.entries) == 3:

@@ -19,7 +19,7 @@ from pathlib import Path
 from .dsp import AudioBuffer, load_audio, load_reverbs
 from .errors import FormatError, InvalidArgumentError
 from .ir_store import IRType, load_ir_set
-from .mixer import MixConfig, TrackObject, mix_tracks_binaural
+from .mixer import MixConfig, TrackObject, _track_source, mix_tracks_binaural
 from .wavio import write_wav
 
 AXIS_ORDER = (
@@ -153,6 +153,24 @@ def _cached_audio(path: str) -> AudioBuffer:
     return load_audio(path)
 
 
+@lru_cache(maxsize=8)
+def _cached_track_audio(
+    path: str, data_root: str, rate: int, reverb_type: int,
+    level: float, reverb: float,
+) -> AudioBuffer:
+    """A job's source after level gain and reverb.
+
+    It does not depend on direction, layout or mode, so jobs that differ
+    only in those share one reverb instead of each recomputing it. level and
+    reverb must already be clamped to [0, 1]. The buffer is read-only
+    because every caller gets the same object.
+    """
+    track = TrackObject("source", _cached_audio(path), level, reverb)
+    sig = _track_source(track, rate, reverb_type, _cached_reverbs(data_root, rate))
+    sig.samples.flags.writeable = False
+    return sig
+
+
 def _render_job(args) -> dict:
     """One grid job; returns a manifest row. Runs in worker processes."""
     index, values, source_path, data_root, out_dir, seed, encoding = args
@@ -177,6 +195,7 @@ def _render_job(args) -> dict:
             IRType.parse(values["ir_type"]).value, rate,
         )
         audio = _cached_audio(source_path)
+        # validates and clamps level and reverb, warning when out of range
         track = TrackObject(
             "source",
             audio,
@@ -192,6 +211,15 @@ def _render_job(args) -> dict:
             speaker_layout=values["layout"],
             interpolation_mode=values["mode"],
             reverb_type=int(values["reverb_type"]),
+        )
+        prepared = _cached_track_audio(
+            source_path, str(data_root), rate, cfg.reverb_type,
+            track.level, track.reverb,
+        )
+        # level 1 and reverb 0 pass the prepared source through unchanged
+        # (keep_tail is on, so the longer input length trims nothing)
+        track = TrackObject(
+            "source", prepared, 1.0, 0.0, track.azimuth_deg, track.elevation_deg
         )
         result = mix_tracks_binaural(
             [track], cfg, ir_set, _cached_reverbs(str(data_root), rate)
@@ -239,11 +267,18 @@ def run_dataset(
         args.append((index, values, str(src), str(data_root), str(out_dir),
                      grid.seed, encoding))
 
+    # Jobs that share everything but layout, mode and direction share one
+    # levelled, reverbed source. Running them back to back lets each worker
+    # compute it once however many such sources the grid has.
+    shared = [a for a in AXIS_ORDER
+              if a not in ("layout", "mode", "azimuth", "elevation")]
+    args.sort(key=lambda a: [str(a[1][name]) for name in shared])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_render_job, args))
     else:
         rows = [_render_job(a) for a in args]
+    rows.sort(key=lambda row: int(row["index"]))
 
     mpath = out_dir / "manifest.tsv"
     lines = [f"# schema={GRID_SCHEMA}\tseed={grid.seed}\tjobs={count}"]

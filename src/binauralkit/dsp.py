@@ -63,31 +63,78 @@ def load_audio(path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
-def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Full linear convolution via FFT overlap-add.
+# Each batch of blocks is transformed at once; the cap keeps a batch's
+# spectra near this many samples, so a long signal never holds every block
+# spectrum in memory at the same time.
+_BATCH_SAMPLES = 1 << 15
 
-    Output length is len(x) + len(h) - 1. The FFT size is the next power of
-    two at or above four times the shorter sequence, trading a little memory
-    for throughput on long signals.
+
+def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Full linear convolution by uniformly partitioned FFT overlap-add.
+
+    ``x`` is a 1-D signal. ``h`` is one IR ``(taps,)``, giving an output of
+    shape ``(n_out,)``, or a stack ``(taps, k)`` with one IR per column (e.g.
+    left and right ear), giving ``(n_out, k)`` whose column j is x convolved
+    with ``h[:, j]``; x is transformed once for the whole stack. n_out is
+    len(x) + len(h) - 1.
+
+    The shorter operand is the filter. The FFT size is the next power of
+    two at or above four times the filter length, trading a little memory
+    for throughput on long signals. The longer operand is cut into blocks
+    of nfft - len(filter) + 1 samples, which are transformed in batches and
+    overlap-added. Every output sample sums at most two block outputs, so
+    the result is the same however the blocks are batched.
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if x.ndim != 1 or h.ndim != 1 or len(x) == 0 or len(h) == 0:
-        raise InvalidArgumentError("convolution operands must be non-empty 1-D")
-    if len(h) > len(x):
-        x, h = h, x
-    if len(h) == 1:
-        return x * h[0]
-    n_out = len(x) + len(h) - 1
-    nfft = 1 << max(2, (4 * len(h) - 1).bit_length())
-    block = nfft - len(h) + 1
-    hf = np.fft.rfft(h, nfft)
-    y = np.zeros(n_out)
-    for start in range(0, len(x), block):
-        seg = x[start:start + block]
-        yf = np.fft.irfft(np.fft.rfft(seg, nfft) * hf, nfft)
-        stop = min(start + len(seg) + len(h) - 1, n_out)
-        y[start:stop] += yf[:stop - start]
+    if x.ndim != 1 or h.ndim not in (1, 2) or x.size == 0 or h.size == 0:
+        raise InvalidArgumentError(
+            "convolution operands must be a non-empty 1-D signal and a "
+            "non-empty (taps,) IR or (taps, k) IR stack"
+        )
+    stack = h if h.ndim == 2 else h[:, None]
+    if len(stack) > len(x):
+        y = _overlap_add(stack, x[:, None])
+    else:
+        y = _overlap_add(x[:, None], stack)
+    return y if h.ndim == 2 else y[:, 0]
+
+
+def _overlap_add(long: np.ndarray, short: np.ndarray) -> np.ndarray:
+    """Convolve the columns of ``long`` (n, a) with the columns of ``short``
+    (m, b), m <= n, where a and b are equal or one of them is 1.
+
+    Returns (n + m - 1, max(a, b)).
+    """
+    n, m = len(long), len(short)
+    if m == 1:
+        return long * short[0]
+    k = max(long.shape[1], short.shape[1])
+    n_out = n + m - 1
+    nfft = 1 << max(2, (4 * m - 1).bit_length())
+    block = nfft - m + 1
+    spectra = np.fft.rfft(short, nfft, axis=0)
+    y = np.zeros((n_out, k))
+    n_full = n // block
+    per_batch = max(1, _BATCH_SAMPLES // nfft)
+    for first in range(0, n_full, per_batch):
+        nb = min(per_batch, n_full - first)
+        start, end = first * block, (first + nb) * block
+        seg = long[start:end].reshape(nb, block, long.shape[1])
+        out = np.fft.irfft(np.fft.rfft(seg, nfft, axis=1) * spectra, nfft, axis=1)
+        heads = y[start:end].reshape(nb, block, k)
+        heads += out[:, :block]
+        # block j's tail lands on the head of block j + 1
+        tails = y[start + block:end].reshape(nb - 1, block, k)[:, :m - 1]
+        tails += out[:-1, block:]
+        y[end:end + m - 1] += out[-1, block:]
+    start = n_full * block
+    if start < n:
+        # the last, partial block; rfft zero-pads it to nfft
+        out = np.fft.irfft(
+            np.fft.rfft(long[start:], nfft, axis=0) * spectra, nfft, axis=0
+        )
+        y[start:] += out[:n_out - start]
     return y
 
 
@@ -294,10 +341,9 @@ def render_source_binaural(
         ir = blend(speaker_set, p)
         labels = tuple(c.label for c in layout.channels if not c.is_lfe)
 
-    left = fft_convolve(source.samples, ir.left)
-    right = fft_convolve(source.samples, ir.right)
+    stereo = fft_convolve(source.samples, np.column_stack([ir.left, ir.right]))
     return RenderedSource(
-        AudioBuffer(np.column_stack([left, right]), source.sample_rate_hz),
+        AudioBuffer(stereo, source.sample_rate_hz),
         p,
         labels,
     )

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientPointsError, InvalidArgumentError
+from .errors import BinauralKitError, InsufficientPointsError, InvalidArgumentError
 from .geometry import (
     Direction,
     Triangulation,
@@ -253,7 +253,7 @@ def plan_over_directions(
     ):
         try:
             candidates.append((concrete, run(concrete)))
-        except Exception:
+        except BinauralKitError:
             continue
     best = min(
         candidates,

@@ -119,17 +119,19 @@ def _check_ir_set(cfg: MixConfig, ir_set: IRSet):
         )
 
 
-def _track_source(track: TrackObject, cfg: MixConfig, reverbs) -> AudioBuffer:
+def _track_source(
+    track: TrackObject, sample_rate_hz: int, reverb_type: int, reverbs
+) -> AudioBuffer:
     """Level gain then reverb. Reverb at amount 0 is skipped entirely so
     dry tracks keep their natural length (no silent multi-second tails)."""
-    if track.audio.sample_rate_hz != cfg.sample_rate_hz:
+    if track.audio.sample_rate_hz != sample_rate_hz:
         raise InvalidArgumentError(
             f"track {track.name!r}: sample rate {track.audio.sample_rate_hz} "
-            f"!= config rate {cfg.sample_rate_hz}"
+            f"!= config rate {sample_rate_hz}"
         )
-    sig = AudioBuffer(track.audio.samples * track.level, cfg.sample_rate_hz)
+    sig = AudioBuffer(track.audio.samples * track.level, sample_rate_hz)
     if track.reverb > 0.0:
-        sig = apply_reverb(sig, reverbs[cfg.reverb_type], track.reverb)
+        sig = apply_reverb(sig, reverbs[reverb_type], track.reverb)
     return sig
 
 
@@ -188,7 +190,7 @@ def mix_tracks_binaural(
 
     rendered, plans, input_lengths = [], [], []
     for track in tracks:
-        sig = _track_source(track, cfg, reverbs)
+        sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
         r = render_source_binaural(
             sig, track.direction, ir_set, cfg.interpolation_mode, layout
         )
@@ -222,7 +224,7 @@ def mix_tracks_stereo(
 
     rendered, input_lengths = [], []
     for track in tracks:
-        sig = _track_source(track, cfg, reverbs)
+        sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
         gl, gr = pan_constant_power(pan_map[track.name])
         rendered.append(np.column_stack([sig.samples * gl, sig.samples * gr]))
         input_lengths.append(track.audio.n_samples)
@@ -283,9 +285,7 @@ def render_surround_to_binaural(
                 )
             point = ir_set.points[idx]
             rendered.append(
-                np.column_stack(
-                    [fft_convolve(chan, point.left), fft_convolve(chan, point.right)]
-                )
+                fft_convolve(chan, np.column_stack([point.left, point.right]))
             )
         else:
             r = render_source_binaural(

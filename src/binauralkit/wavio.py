@@ -45,6 +45,11 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     while pos + 8 <= len(raw):
         cid = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
+        if pos + 8 + size > len(raw):
+            raise FormatError(
+                f"{path}: chunk {cid!r} declares {size} bytes but only "
+                f"{len(raw) - pos - 8} remain (truncated file?)"
+            )
         body = raw[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             fmt = body

@@ -175,6 +175,24 @@ def test_triangulate_distribution_with_plot(tmp_path, capsys):
     assert "enclosing" in classes and "query" in classes
 
 
+def test_triangulate_builds_the_triangulation_once(monkeypatch, capsys):
+    import binauralkit.cli as cli
+    import binauralkit.geometry as geometry
+    import binauralkit.interpolation as interpolation
+
+    calls = []
+
+    def counting(dirs):
+        calls.append(len(dirs))
+        return geometry.build_triangulation(dirs)
+
+    monkeypatch.setattr(cli, "build_triangulation", counting)
+    monkeypatch.setattr(interpolation, "build_triangulation", counting)
+    rc = main(["triangulate", "--az", "101", "--el", "8", "--distribution", "lebedev50"])
+    assert rc == 0, capsys.readouterr().err
+    assert calls == [50]
+
+
 def test_triangulate_layout_snaps_to_speaker(capsys):
     rc = main(["triangulate", "--az", "30", "--el", "0", "--layout", "7.1.4"])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -242,6 +243,69 @@ def test_manifest_rows_re_render_byte_exactly(tmp_path, data_root, noise_wav):
     again = tmp_path / "again.wav"
     write_wav(again, rate, result.audio.samples, "pcm24")
     assert again.read_bytes() == (out / row["file"]).read_bytes()
+
+
+def test_shared_reverb_renders_match_direct_mixes(tmp_path, data_root, noise_wav,
+                                                  monkeypatch):
+    # jobs that differ only in direction share one levelled, reverbed source;
+    # every WAV must still equal a direct mix of its row with nothing cached
+    import binauralkit.dataset as dataset
+    import binauralkit.mixer as mixer
+    from binauralkit.dsp import load_audio, load_reverbs
+    from binauralkit.ir_store import load_ir_set
+    from binauralkit.mixer import MixConfig, TrackObject, mix_tracks_binaural
+    from binauralkit.wavio import read_wav, write_wav
+
+    mixer_apply_reverb = mixer.apply_reverb
+    reverb_calls = []
+
+    def counting_reverb(signal, model, amount):
+        reverb_calls.append((model.id, amount))
+        return mixer_apply_reverb(signal, model, amount)
+
+    monkeypatch.setattr(mixer, "apply_reverb", counting_reverb)
+    dataset._cached_track_audio.cache_clear()
+    # 9 distinct (level, amount) sources, more than the cache holds, and
+    # grid order iterates them inside each direction
+    axes = _grid_axes(
+        source=[str(noise_wav)], azimuth=[0.0, 90.0], level=[0.25, 0.5, 1.0, 1.5],
+        reverb_amount=[0.0, 0.3, 0.6], reverb_type=[2, 9],
+    )
+    with pytest.warns(UserWarning, match="level 1.5 outside"):
+        grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert [r["index"] for r in report.rows] == [str(i) for i in range(48)]
+    # level 1.5 clamps to 1.0: 3 levels x 2 wet amounts of Office, once each
+    assert sorted(reverb_calls) == [(2, 0.3)] * 3 + [(2, 0.6)] * 3
+
+    monkeypatch.setattr(mixer, "apply_reverb", mixer_apply_reverb)
+    ir_set = load_ir_set(data_root, "SYN1", "HRIR", 48000)
+    n_ok = 0
+    for row in report.rows:
+        if row["reverb_type"] == "9":
+            assert row["status"] == "failed"
+            assert row["error"] == "reverb_type must be one of [1, 2, 3, 4], got 9"
+            continue
+        assert row["status"] == "ok", row["error"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the level 1.5 clamp
+            track = TrackObject(
+                "source", load_audio(row["source"]), float(row["level"]),
+                float(row["reverb_amount"]), float(row["azimuth"]),
+                float(row["elevation"]),
+            )
+        cfg = MixConfig(subject_id="SYN1", sample_rate_hz=48000,
+                        reverb_type=int(row["reverb_type"]))
+        result = mix_tracks_binaural([track], cfg, ir_set, load_reverbs(data_root, 48000))
+        direct = tmp_path / "direct.wav"
+        write_wav(direct, 48000, result.audio.samples, "pcm24")
+        assert direct.read_bytes() == (out / row["file"]).read_bytes(), row["file"]
+        if row["reverb_amount"] == "0.0":
+            # dry jobs keep their natural length: source plus HRIR tail only
+            _, samples = read_wav(out / row["file"])
+            n = load_audio(row["source"]).n_samples + ir_set.points[0].ir_length - 1
+            assert len(samples) == n
+        n_ok += 1
+    assert n_ok == 24
 
 
 def test_grid_job_count_property():

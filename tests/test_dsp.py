@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binauralkit.dsp import (
     AudioBuffer,
@@ -56,6 +58,93 @@ def test_fft_convolve_matches_numpy():
         out = fft_convolve(x, h)
         assert out.shape == ref.shape
         assert np.allclose(out, ref, atol=1e-9)
+
+
+def _block_loop_convolve(x, h):
+    """The per-block overlap-add loop fft_convolve used to run, one rfft and
+    one irfft per block: the bit-exact reference for the batched engine."""
+    if len(h) > len(x):
+        x, h = h, x
+    if len(h) == 1:
+        return x * h[0]
+    n_out = len(x) + len(h) - 1
+    nfft = 1 << max(2, (4 * len(h) - 1).bit_length())
+    block = nfft - len(h) + 1
+    hf = np.fft.rfft(h, nfft)
+    y = np.zeros(n_out)
+    for start in range(0, len(x), block):
+        seg = x[start:start + block]
+        yf = np.fft.irfft(np.fft.rfft(seg, nfft) * hf, nfft)
+        stop = min(start + len(seg) + len(h) - 1, n_out)
+        y[start:stop] += yf[:stop - start]
+    return y
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _edge_lengths(nh):
+    """Signal lengths around the block and FFT sizes used for an nh-tap IR,
+    plus lengths that fill several batches of blocks."""
+    nfft = 1 << max(2, (4 * nh - 1).bit_length())
+    block = nfft - nh + 1
+    lengths = {1, 2, nh - 1, nh, nh + 1, block - 1, block, block + 1,
+               nfft - 1, nfft, nfft + 1, 2 * block, 2 * block + 1,
+               64 * block - 1, 64 * block + 5, 130 * block + 3}
+    return sorted(n for n in lengths if n >= 1)
+
+
+@pytest.mark.parametrize("nh", [1, 2, 3, 7, 64, 256])
+def test_fft_convolve_bit_identical_to_block_loop(nh):
+    rng = np.random.default_rng(nh)
+    for nx in _edge_lengths(nh):
+        x = rng.standard_normal(nx)
+        x[::5] = 0.0  # exact zeros keep their sign through the sums
+        hs = rng.standard_normal((nh, 2))
+        # mono IR, with the operands in both orders (len(h) > len(x) too)
+        assert _same_bits(fft_convolve(x, hs[:, 0]), _block_loop_convolve(x, hs[:, 0]))
+        assert _same_bits(fft_convolve(hs[:, 0], x), _block_loop_convolve(hs[:, 0], x))
+        # stacks of one and two IRs: each column matches its own mono loop
+        for k in (1, 2):
+            out = fft_convolve(x, hs[:, :k])
+            assert out.shape == (nx + nh - 1, k)
+            for j in range(k):
+                assert _same_bits(out[:, j], _block_loop_convolve(x, hs[:, j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 3000),
+    nh=st.integers(1, 300),
+    k=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_convolve_matches_direct_convolution(nx, nh, k, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(nx)
+    h = rng.standard_normal(nh if k is None else (nh, k))
+    out = fft_convolve(x, h)
+    cols = [h] if k is None else [h[:, j] for j in range(k)]
+    ref = np.column_stack([np.convolve(x, c) for c in cols])
+    if k is None:
+        ref = ref[:, 0]
+    assert out.shape == ref.shape
+    # float64 FFT round-off grows with the norms of the operands
+    tol = 1e-12 * np.linalg.norm(x) * np.max(np.linalg.norm(np.atleast_2d(h.T), axis=1))
+    assert np.max(np.abs(out - ref)) <= max(tol, 1e-15)
+
+
+def test_fft_convolve_rejects_bad_shapes():
+    for x, h in (
+        (np.ones((4, 2)), np.ones(3)),
+        (np.ones(4), np.ones((3, 2, 1))),
+        (np.ones(0), np.ones(3)),
+        (np.ones(4), np.ones((0, 2))),
+        (np.ones(4), np.ones((3, 0))),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            fft_convolve(x, h)
 
 
 def test_fft_convolve_length_one_is_exact_scale():

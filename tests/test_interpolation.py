@@ -189,6 +189,18 @@ def test_auto_skips_failed_modes():
     assert sum(w for _, w in p.entries) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_auto_propagates_internal_errors(monkeypatch):
+    # auto skips modes that fail with a package error; a bug is not one
+    import binauralkit.interpolation as interpolation
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(interpolation, "find_enclosing_triangle", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        plan_over_directions(lebedev50_directions(), Direction(77.0, 33.0), "auto")
+
+
 def test_plan_determinism(lebedev_set):
     rng = np.random.default_rng(25)
     qs = _sphere_directions(rng, 50)

@@ -112,6 +112,17 @@ def test_read_rejects_bad_files(tmp_path):
         read_wav(p)
 
 
+@pytest.mark.parametrize("encoding,channels,frame_bytes",
+                         [("pcm16", 2, 4), ("pcm24", 1, 3), ("float32", 1, 4)])
+def test_read_rejects_truncated_data_chunk(tmp_path, encoding, channels, frame_bytes):
+    # cut 100 whole frames, so the shortened data still parses as frames
+    path = tmp_path / "cut.wav"
+    write_wav(path, 48000, np.zeros((1000, channels)), encoding)
+    path.write_bytes(path.read_bytes()[:-100 * frame_bytes])
+    with pytest.raises(FormatError, match="cut.wav.*declares"):
+        read_wav(path)
+
+
 def test_write_rejects_unknown_encoding(tmp_path):
     with pytest.raises(FormatError):
         write_wav(tmp_path / "x.wav", 48000, np.zeros(4), "pcm8")
