@@ -7,7 +7,6 @@ from .dsp import (
     RenderedSource,
     ReverbModel,
     apply_reverb,
-    convolve,
     default_reverbs,
     fft_convolve,
     load_audio,

@@ -248,6 +248,8 @@ def cmd_triangulate(args) -> int:
     name, dirs, labels = _triangulate_source(args)
     query = normalize_direction(args.az, args.el)
     tri = build_triangulation(dirs)
+    # without merged near-duplicates, plan, printout and plot share indices
+    dirs = list(tri.vertices)
     p = plan_over_directions(
         dirs, query, InterpolationMode.THREE_POINT, triangulation=tri
     )

@@ -44,7 +44,10 @@ def lebedev50_directions() -> list[Direction]:
 
 
 def ring_grid_directions(step_deg: float, elevations: Sequence[float]) -> list[Direction]:
-    """Full azimuth rings at the given elevations, sampled every step_deg."""
+    """Full azimuth rings at the given elevations, sampled every step_deg.
+
+    A ring at +-90 degrees elevation is the pole, emitted once.
+    """
     if not (0.0 < step_deg <= 180.0):
         raise InvalidArgumentError(f"azimuth step must be in (0, 180], got {step_deg}")
     if not len(elevations):
@@ -52,5 +55,5 @@ def ring_grid_directions(step_deg: float, elevations: Sequence[float]) -> list[D
     return [
         normalize_direction(float(az), float(el))
         for el in elevations
-        for az in np.arange(0.0, 360.0, step_deg)
+        for az in ([0.0] if float(el) % 180.0 == 90.0 else np.arange(0.0, 360.0, step_deg))
     ]

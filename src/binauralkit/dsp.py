@@ -15,7 +15,7 @@ from . import interpolation
 from .errors import FormatError, InvalidArgumentError
 from .geometry import Direction, normalize_direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
-from .ir_store import IRPoint, IRSet, nearest_point
+from .ir_store import IRPoint, IRSet
 from .layouts import SpeakerLayout
 from .wavio import read_wav
 
@@ -136,18 +136,6 @@ def _overlap_add(long: np.ndarray, short: np.ndarray) -> np.ndarray:
         )
         y[start:] += out[:n_out - start]
     return y
-
-
-def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
-    """Convolve two mono buffers of the same sample rate."""
-    if signal.sample_rate_hz != ir.sample_rate_hz:
-        raise InvalidArgumentError(
-            f"sample rate mismatch: signal {signal.sample_rate_hz} != "
-            f"ir {ir.sample_rate_hz}"
-        )
-    if signal.n_channels != 1 or ir.n_channels != 1:
-        raise InvalidArgumentError("convolve expects mono buffers")
-    return AudioBuffer(fft_convolve(signal.samples, ir.samples), signal.sample_rate_hz)
 
 
 def pan_constant_power(pan: float) -> tuple[float, float]:
@@ -274,8 +262,6 @@ class RenderedSource:
 
     audio: AudioBuffer
     plan: InterpolationPlan
-    # labels for plan entry indices when a layout restricted the candidates
-    point_labels: tuple[str, ...] | None = None
 
 
 def resolve_speaker_ir_set(
@@ -286,17 +272,13 @@ def resolve_speaker_ir_set(
 ) -> IRSet:
     """An IR set holding one IR per layout speaker, at the speaker directions.
 
-    Each speaker direction is resolved to a stored point when one lies
-    within the snap threshold; otherwise the speaker IR is interpolated
-    from the full set with the requested mode.
+    Each speaker IR is planned over the full set with the requested mode,
+    so a speaker within the snap threshold of a stored point takes that
+    point's IR unchanged.
     """
     points = []
     for d in layout.speaker_directions():
-        idx, dist = nearest_point(ir_set, d)
-        if dist <= snap_threshold_deg:
-            src = ir_set.points[idx]
-        else:
-            src = blend(ir_set, plan(ir_set, d, mode, snap_threshold_deg))
+        src = blend(ir_set, plan(ir_set, d, mode, snap_threshold_deg))
         points.append(IRPoint(d, src.left, src.right))
     return IRSet(
         f"{ir_set.subject_id}:{layout.name}",
@@ -331,7 +313,6 @@ def render_source_binaural(
         )
     direction = normalize_direction(direction.azimuth_deg, direction.elevation_deg)
 
-    labels: tuple[str, ...] | None = None
     if layout is None:
         p = plan(ir_set, direction, mode, snap_threshold_deg)
         ir = blend(ir_set, p)
@@ -339,11 +320,6 @@ def render_source_binaural(
         speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
         p = plan(speaker_set, direction, mode, snap_threshold_deg)
         ir = blend(speaker_set, p)
-        labels = tuple(c.label for c in layout.channels if not c.is_lfe)
 
     stereo = fft_convolve(source.samples, np.column_stack([ir.left, ir.right]))
-    return RenderedSource(
-        AudioBuffer(stereo, source.sample_rate_hz),
-        p,
-        labels,
-    )
+    return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ from .errors import (
 
 # Directions closer than this (great-circle degrees) count as the same point.
 MERGE_TOLERANCE_DEG = 0.01
+
+# Two stored angles within this tolerance belong to the same ring or column.
+_PLANE_TOLERANCE_DEG = 0.01
 
 # Slack on barycentric coordinates when testing point-in-triangle. Keeps
 # queries that sit exactly on an edge or vertex from being rejected by
@@ -432,3 +436,89 @@ def find_enclosing_triangle(t: Triangulation, query: Direction) -> EnclosingTria
         f"no enclosing triangle for direction "
         f"({q0.azimuth_deg:.4f}, {q0.elevation_deg:.4f}) in any projection frame"
     )
+
+
+def _cluster(values: Sequence[float], circular: bool) -> list[tuple[float, list[int]]]:
+    """Group indices whose value matches within _PLANE_TOLERANCE_DEG.
+
+    Returns (representative value, member indices) pairs. With ``circular``
+    the values wrap at 360.
+    """
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    groups: list[tuple[float, list[int]]] = []
+    for i in order:
+        v = values[i]
+        if groups and abs(v - groups[-1][0]) <= _PLANE_TOLERANCE_DEG:
+            groups[-1][1].append(i)
+            continue
+        groups.append((v, [i]))
+    if circular and len(groups) > 1:
+        first_v, first_members = groups[0]
+        last_v, _ = groups[-1]
+        if (360.0 - last_v) + first_v <= _PLANE_TOLERANCE_DEG:
+            groups[-1][1].extend(first_members)
+            groups.pop(0)
+    return groups
+
+
+class PointIndex:
+    """Facts about a fixed list of directions, each computed on first use
+    and kept. Indices refer to ``directions`` as given; ``triangulation`` may
+    be passed in when the caller already built it from them."""
+
+    def __init__(self, directions: Sequence[Direction],
+                 triangulation: Triangulation | None = None):
+        self.directions: tuple[Direction, ...] = tuple(directions)
+        if triangulation is not None:
+            self.triangulation = triangulation
+
+    @cached_property
+    def cartesians(self) -> np.ndarray:
+        m = np.array([to_cartesian(d) for d in self.directions])
+        m.flags.writeable = False
+        return m
+
+    def nearest(self, direction: Direction) -> tuple[int, float]:
+        """Index and angular distance (degrees) of the nearest point; ties
+        resolve to the lowest index."""
+        dots = self.cartesians @ to_cartesian(direction)
+        idx = int(np.argmax(dots))
+        return idx, math.degrees(math.acos(max(-1.0, min(1.0, float(dots[idx])))))
+
+    @cached_property
+    def rings(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """(elevation, members) for each elevation cluster with at least two
+        members, the members sorted by azimuth."""
+        dirs = self.directions
+        return tuple(
+            (el, tuple(sorted(members, key=lambda i: dirs[i].azimuth_deg)))
+            for el, members in _cluster([d.elevation_deg for d in dirs], circular=False)
+            if len(members) >= 2
+        )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """(azimuth, members) for each azimuth cluster with at least two
+        members, the members sorted by elevation."""
+        dirs = self.directions
+        return tuple(
+            (az, tuple(sorted(members, key=lambda i: dirs[i].elevation_deg)))
+            for az, members in _cluster([d.azimuth_deg for d in dirs], circular=True)
+            if len(members) >= 2
+        )
+
+    @cached_property
+    def triangulation(self) -> Triangulation:
+        return build_triangulation(self.directions)
+
+    @cached_property
+    def vertex_indices(self) -> tuple[int, ...]:
+        """Index into ``directions`` of each triangulation vertex.
+
+        Near-duplicates are merged when triangulating, so vertex k need not
+        be direction k; each vertex is the first occurrence it was kept from.
+        """
+        first: dict[Direction, int] = {}
+        for i, d in enumerate(self.directions):
+            first.setdefault(normalize_direction(d.azimuth_deg, d.elevation_deg), i)
+        return tuple(first[v] for v in self.triangulation.vertices)

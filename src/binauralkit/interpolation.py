@@ -9,31 +9,25 @@ to that single point regardless of the requested mode.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BinauralKitError, InsufficientPointsError, InvalidArgumentError
+from .errors import BinauralKitError, InvalidArgumentError
 from .geometry import (
     Direction,
+    PointIndex,
     Triangulation,
     angular_distance,
-    apply_frame,
-    build_triangulation,
     find_enclosing_triangle,
     from_cartesian,
     normalize_direction,
-    rotated_frame,
     to_cartesian,
 )
 
 SNAP_THRESHOLD_DEG = 2.0
-
-# Two stored angles within this tolerance belong to the same ring or column.
-_PLANE_TOLERANCE_DEG = 0.01
 
 # Below this chord distance the request coincides with a stored point.
 _COINCIDENT_CHORD = 1e-9
@@ -79,17 +73,17 @@ class InterpolationPlan:
 
 
 def _finish(mode: InterpolationMode, indices: Sequence[int], weights: Sequence[float],
-            dirs: Sequence[Direction], requested: Direction) -> InterpolationPlan:
+            index: PointIndex, requested: Direction) -> InterpolationPlan:
     """Assemble a plan: normalize weights, derive achieved direction/error."""
     weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
     centroid = np.zeros(3)
     for i, w in zip(indices, weights):
-        centroid += w * to_cartesian(dirs[i])
+        centroid += w * index.cartesians[i]
     norm = float(np.linalg.norm(centroid))
     if norm < 1e-12:
         # antipodal degenerate blend; fall back to the heaviest point
-        achieved = dirs[indices[int(np.argmax(weights))]]
+        achieved = index.directions[indices[int(np.argmax(weights))]]
     else:
         achieved = from_cartesian(centroid)
     err = angular_distance(requested, achieved)
@@ -98,57 +92,28 @@ def _finish(mode: InterpolationMode, indices: Sequence[int], weights: Sequence[f
 
 
 def _weighted(mode: InterpolationMode, indices: Sequence[int],
-              dirs: Sequence[Direction], requested: Direction) -> InterpolationPlan:
+              index: PointIndex, requested: Direction) -> InterpolationPlan:
     """Inverse-chord-distance weights for the given stored points."""
     q = to_cartesian(requested)
-    chords = [float(np.linalg.norm(to_cartesian(dirs[i]) - q)) for i in indices]
+    chords = [float(np.linalg.norm(index.cartesians[i] - q)) for i in indices]
     for i, c in zip(indices, chords):
         if c < _COINCIDENT_CHORD:
-            return _finish(mode, [i], [1.0], dirs, requested)
-    return _finish(mode, indices, [1.0 / c for c in chords], dirs, requested)
-
-
-def _cluster(values: Sequence[float], circular: bool) -> list[tuple[float, list[int]]]:
-    """Group indices whose value matches within _PLANE_TOLERANCE_DEG.
-
-    Returns (representative value, member indices) pairs. With ``circular``
-    the values wrap at 360.
-    """
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    groups: list[tuple[float, list[int]]] = []
-    for i in order:
-        v = values[i]
-        if groups and abs(v - groups[-1][0]) <= _PLANE_TOLERANCE_DEG:
-            groups[-1][1].append(i)
-            continue
-        groups.append((v, [i]))
-    if circular and len(groups) > 1:
-        first_v, first_members = groups[0]
-        last_v, _ = groups[-1]
-        if (360.0 - last_v) + first_v <= _PLANE_TOLERANCE_DEG:
-            groups[-1][1].extend(first_members)
-            groups.pop(0)
-    return groups
+            return _finish(mode, [i], [1.0], index, requested)
+    return _finish(mode, indices, [1.0 / c for c in chords], index, requested)
 
 
 def _circular_diff(a: float, b: float) -> float:
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
-def _ring_pair(dirs: Sequence[Direction], requested: Direction) -> list[int] | None:
+def _ring_pair(index: PointIndex, requested: Direction) -> list[int] | None:
     """Azimuth-bracketing pair on the usable ring nearest in elevation."""
-    rings = [
-        (el, members)
-        for el, members in _cluster([d.elevation_deg for d in dirs], circular=False)
-        if len(members) >= 2
-    ]
-    if not rings:
+    if not index.rings:
         return None
     el, members = min(
-        rings, key=lambda r: (abs(r[0] - requested.elevation_deg), r[0])
+        index.rings, key=lambda r: (abs(r[0] - requested.elevation_deg), r[0])
     )
-    members = sorted(members, key=lambda i: dirs[i].azimuth_deg)
-    azs = [dirs[i].azimuth_deg for i in members]
+    azs = [index.directions[i].azimuth_deg for i in members]
     qaz = requested.azimuth_deg
     # cyclic bracket: consecutive pair whose azimuth interval holds qaz
     for k in range(len(members)):
@@ -160,40 +125,27 @@ def _ring_pair(dirs: Sequence[Direction], requested: Direction) -> list[int] | N
     return [members[-1], members[0]]
 
 
-def _column_pair(dirs: Sequence[Direction], requested: Direction) -> list[int] | None:
+def _column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
     """Elevation-bracketing pair on the usable column nearest in azimuth."""
-    columns = [
-        (az, members)
-        for az, members in _cluster([d.azimuth_deg for d in dirs], circular=True)
-        if len(members) >= 2
-    ]
-    if not columns:
+    if not index.columns:
         return None
     az, members = min(
-        columns,
+        index.columns,
         key=lambda c: (_circular_diff(c[0], requested.azimuth_deg), c[0]),
     )
-    members = sorted(members, key=lambda i: dirs[i].elevation_deg)
+    els = [index.directions[i].elevation_deg for i in members]
     qel = requested.elevation_deg
     for k in range(len(members) - 1):
-        if dirs[members[k]].elevation_deg <= qel <= dirs[members[k + 1]].elevation_deg:
+        if els[k] <= qel <= els[k + 1]:
             return [members[k], members[k + 1]]
     # outside the column's span: nearest end pair
-    if qel < dirs[members[0]].elevation_deg:
+    if qel < els[0]:
         return [members[0], members[1]]
     return [members[-2], members[-1]]
 
 
-def plan_over_directions(
-    dirs: Sequence[Direction],
-    requested: Direction,
-    mode,
-    snap_threshold_deg: float = SNAP_THRESHOLD_DEG,
-    *,
-    triangulation: Triangulation | None = None,
-    barycentric: bool = False,
-) -> InterpolationPlan:
-    """Plan an interpolation over bare directions (no IR buffers needed)."""
+def _plan(index: PointIndex, requested: Direction, mode,
+          snap_threshold_deg: float) -> InterpolationPlan:
     mode = InterpolationMode.parse(mode)
     requested = normalize_direction(requested.azimuth_deg, requested.elevation_deg)
     if snap_threshold_deg < 0.0:
@@ -201,45 +153,41 @@ def plan_over_directions(
             f"snap threshold must be >= 0, got {snap_threshold_deg}"
         )
 
-    carts = np.array([to_cartesian(d) for d in dirs])
-    dots = carts @ to_cartesian(requested)
-    nearest = int(np.argmax(dots))
-    nearest_dist = math.degrees(math.acos(max(-1.0, min(1.0, float(dots[nearest])))))
+    nearest, nearest_dist = index.nearest(requested)
     if nearest_dist <= snap_threshold_deg:
-        return _finish(InterpolationMode.NEAREST, [nearest], [1.0], dirs, requested)
+        return _finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested)
 
+    # fallback warnings skip run, _plan and plan / plan_over_directions
     def run(concrete: InterpolationMode) -> InterpolationPlan:
         if concrete is InterpolationMode.NEAREST:
-            return _finish(concrete, [nearest], [1.0], dirs, requested)
+            return _finish(concrete, [nearest], [1.0], index, requested)
         if concrete is InterpolationMode.TWO_POINT:
             candidates = []
-            for pair in (_ring_pair(dirs, requested), _column_pair(dirs, requested)):
+            for pair in (_ring_pair(index, requested), _column_pair(index, requested)):
                 if pair is not None:
-                    candidates.append(_weighted(concrete, pair, dirs, requested))
+                    candidates.append(_weighted(concrete, pair, index, requested))
             if not candidates:
                 warnings.warn(
                     "two_point: no usable ring or column; falling back to "
                     "three_point",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
                 return run(InterpolationMode.THREE_POINT)
             return min(candidates, key=lambda p: p.achieved_error_deg)
         if concrete is InterpolationMode.PLANAR:
-            pair = _ring_pair(dirs, requested)
+            pair = _ring_pair(index, requested)
             if pair is None:
                 warnings.warn(
                     "planar: no elevation ring with two points; falling back "
                     "to three_point",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
                 return run(InterpolationMode.THREE_POINT)
-            return _weighted(concrete, pair, dirs, requested)
+            return _weighted(concrete, pair, index, requested)
         # three_point
-        tri = triangulation if triangulation is not None else build_triangulation(dirs)
-        enc = find_enclosing_triangle(tri, requested)
-        if barycentric:
-            return _barycentric_plan(tri, enc, dirs, requested)
-        return _weighted(concrete, list(enc.vertex_indices), dirs, requested)
+        enc = find_enclosing_triangle(index.triangulation, requested)
+        vertices = [index.vertex_indices[i] for i in enc.vertex_indices]
+        return _weighted(concrete, vertices, index, requested)
 
     if mode is not InterpolationMode.AUTO:
         return run(mode)
@@ -266,17 +214,19 @@ def plan_over_directions(
     return best[1]
 
 
-def _barycentric_plan(tri: Triangulation, enc, dirs, requested) -> InterpolationPlan:
-    """Optional weight law: planar barycentric coordinates in the frame used."""
-    frame = rotated_frame(tri, enc.rotated_azimuth, enc.rotated_elevation)
-    q = apply_frame(requested, enc.rotated_azimuth, enc.rotated_elevation)
-    i, j, k = enc.vertex_indices
-    a, b, c = (frame.frame_coords[n] for n in (i, j, k))
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-    u = ((q.azimuth_deg - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (q.elevation_deg - a[1])) / det
-    v = ((b[0] - a[0]) * (q.elevation_deg - a[1]) - (q.azimuth_deg - a[0]) * (b[1] - a[1])) / det
-    w = np.clip([1.0 - u - v, u, v], 0.0, None)
-    return _finish(InterpolationMode.THREE_POINT, [i, j, k], w, dirs, requested)
+def plan_over_directions(
+    dirs: Sequence[Direction],
+    requested: Direction,
+    mode,
+    snap_threshold_deg: float = SNAP_THRESHOLD_DEG,
+    *,
+    triangulation: Triangulation | None = None,
+) -> InterpolationPlan:
+    """Plan an interpolation over bare directions (no IR buffers needed).
+
+    ``triangulation``, when given, must be ``build_triangulation(dirs)``.
+    """
+    return _plan(PointIndex(dirs, triangulation), requested, mode, snap_threshold_deg)
 
 
 def plan(
@@ -284,27 +234,9 @@ def plan(
     requested: Direction,
     mode,
     snap_threshold_deg: float = SNAP_THRESHOLD_DEG,
-    *,
-    barycentric: bool = False,
 ) -> InterpolationPlan:
     """Plan an interpolation over an IR set's stored directions."""
-    tri = None
-    if InterpolationMode.parse(mode) in (InterpolationMode.THREE_POINT,
-                                         InterpolationMode.AUTO):
-        try:
-            tri = ir_set.triangulation
-        except InsufficientPointsError:
-            # degenerate projection: three_point will raise on its own,
-            # auto will skip it
-            tri = None
-    return plan_over_directions(
-        ir_set.directions,
-        requested,
-        mode,
-        snap_threshold_deg,
-        triangulation=tri,
-        barycentric=barycentric,
-    )
+    return _plan(ir_set.index, requested, mode, snap_threshold_deg)
 
 
 def blend(ir_set, plan: InterpolationPlan):

@@ -34,11 +34,10 @@ from .errors import (
 from .geometry import (
     MERGE_TOLERANCE_DEG,
     Direction,
+    PointIndex,
     Triangulation,
     angular_distance,
-    build_triangulation,
     normalize_direction,
-    to_cartesian,
 )
 
 SAMPLE_RATES = (44100, 48000, 96000)
@@ -130,7 +129,7 @@ class IRSet:
                     f"{p.ir_length} != {n}"
                 )
         # pairwise distinctness within the merge tolerance
-        carts = self.cartesians
+        carts = self.index.cartesians
         cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
         for i in range(1, len(carts)):
             dots = carts[:i] @ carts[i]
@@ -153,15 +152,15 @@ class IRSet:
         return tuple(p.direction for p in self.points)
 
     @cached_property
-    def cartesians(self) -> np.ndarray:
-        m = np.array([to_cartesian(p.direction) for p in self.points])
-        m.flags.writeable = False
-        return m
+    def index(self) -> PointIndex:
+        """Cartesians, nearest lookup, rings, columns and triangulation of
+        the point directions, each built on first use."""
+        return PointIndex(self.directions)
 
-    @cached_property
+    @property
     def triangulation(self) -> Triangulation:
         """Triangulation over the point directions, built on first use."""
-        return build_triangulation(self.directions)
+        return self.index.triangulation
 
 
 @dataclass(frozen=True)
@@ -289,10 +288,7 @@ def nearest_point(ir_set: IRSet, direction: Direction) -> tuple[int, float]:
 
     Ties resolve to the lowest index.
     """
-    dots = ir_set.cartesians @ to_cartesian(direction)
-    idx = int(np.argmax(dots))
-    dist = math.degrees(math.acos(max(-1.0, min(1.0, float(dots[idx])))))
-    return idx, dist
+    return ir_set.index.nearest(direction)
 
 
 def import_sadie(

@@ -85,8 +85,3 @@ def get_layout(name: str) -> SpeakerLayout:
         for label, az, el in _LAYOUT_TABLE[name]
     )
     return SpeakerLayout(name, channels)
-
-
-def speaker_directions(name: str) -> list[Direction]:
-    """Directions of all non-LFE channels of the named layout."""
-    return get_layout(name).speaker_directions()

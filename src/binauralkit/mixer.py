@@ -30,9 +30,10 @@ NORMALIZE_MODES = ("off", "peak")
 
 def _clamp01(value: float, what: str, track: str) -> float:
     if not (0.0 <= value <= 1.0):
+        # names the caller of the dataclass-generated TrackObject.__init__
         warnings.warn(
             f"track {track!r}: {what} {value} outside [0, 1]; clamping",
-            stacklevel=3,
+            stacklevel=4,
         )
         value = max(0.0, min(1.0, value))
     return float(value)

@@ -122,8 +122,8 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     elif encoding == "pcm24":
         full = float(1 << 23)
         q = np.clip(np.round(x * full), -full, full - 1).astype("<i4")
-        b4 = q.tobytes()
-        payload = np.frombuffer(b4, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        # the low three bytes of each little-endian int32
+        payload = q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
         tag, bits = _FMT_PCM, 24
     else:
         payload = x.astype("<f4").tobytes()

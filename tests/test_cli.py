@@ -178,16 +178,17 @@ def test_triangulate_distribution_with_plot(tmp_path, capsys):
 def test_triangulate_builds_the_triangulation_once(monkeypatch, capsys):
     import binauralkit.cli as cli
     import binauralkit.geometry as geometry
-    import binauralkit.interpolation as interpolation
 
     calls = []
+    real = geometry.build_triangulation
 
     def counting(dirs):
         calls.append(len(dirs))
-        return geometry.build_triangulation(dirs)
+        return real(dirs)
 
+    # the CLI's own binding, and the one PointIndex looks up
     monkeypatch.setattr(cli, "build_triangulation", counting)
-    monkeypatch.setattr(interpolation, "build_triangulation", counting)
+    monkeypatch.setattr(geometry, "build_triangulation", counting)
     rc = main(["triangulate", "--az", "101", "--el", "8", "--distribution", "lebedev50"])
     assert rc == 0, capsys.readouterr().err
     assert calls == [50]
@@ -242,6 +243,27 @@ def test_synth_irs_then_loadable(tmp_path, capsys):
     assert "synthesized 50 IRs ->" in captured.out
     ir_set = load_ir_set(tmp_path, "CLI1", "HRIR", 48000)
     assert len(ir_set.points) == 50
+
+
+def test_synth_irs_ring_with_pole_then_loadable(tmp_path, capsys):
+    rc = main(["synth-irs", "--dest", str(tmp_path), "--length", "64",
+               "--distribution", "ring_az_step", "--step", "30",
+               "--elevations", "0,45,90", "--subject", "POLE"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    ir_set = load_ir_set(tmp_path, "POLE", "HRIR", 48000)
+    assert len(ir_set.points) == 25
+
+
+def test_triangulate_pole_ring_names_distinct_points(capsys, recwarn):
+    rc = main(["triangulate", "--az", "100", "--el", "20", "--distribution", "ring",
+               "--step", "45", "--elevations=90,0,-45"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert not [w for w in recwarn if "merged" in str(w.message)]
+    points = [line for line in captured.out.splitlines() if line.startswith("  point ")]
+    assert len(points) == 3
+    assert sum("el=90" in line for line in points) <= 1
 
 
 def test_import_sadie_cli(tmp_path, capsys):

@@ -39,6 +39,15 @@ def test_ring_grid_counts():
     ]
 
 
+def test_ring_grid_pole_ring_is_one_point():
+    dirs = ring_grid_directions(45.0, [90, 0])
+    assert len(dirs) == 9
+    assert (dirs[0].azimuth_deg, dirs[0].elevation_deg) == (0.0, 90.0)
+    dirs = ring_grid_directions(30.0, [-90, 0, 90])
+    assert [d.elevation_deg for d in dirs].count(-90.0) == 1
+    assert [d.elevation_deg for d in dirs].count(90.0) == 1
+
+
 def test_ring_grid_validation():
     with pytest.raises(InvalidArgumentError):
         ring_grid_directions(0.0, [0])

@@ -7,7 +7,6 @@ from binauralkit.dsp import (
     AudioBuffer,
     ReverbModel,
     apply_reverb,
-    convolve,
     default_reverbs,
     fft_convolve,
     load_audio,
@@ -155,23 +154,6 @@ def test_fft_convolve_length_one_is_exact_scale():
     assert np.array_equal(out, x * 2.0)
 
 
-def test_convolve_identity_and_known_values():
-    x = AudioBuffer(np.array([1.0, 2.0, 3.0]), 48000)
-    out = convolve(x, AudioBuffer(np.array([1.0]), 48000))
-    assert np.array_equal(out.samples, x.samples)
-    out = convolve(x, AudioBuffer(np.array([1.0, 1.0]), 48000))
-    assert np.allclose(out.samples, [1.0, 3.0, 5.0, 3.0], atol=1e-12)
-
-
-def test_convolve_rejects_rate_mismatch_and_stereo():
-    x = AudioBuffer(np.zeros(8) + 1.0, 48000)
-    with pytest.raises(InvalidArgumentError):
-        convolve(x, AudioBuffer(np.ones(4), 44100))
-    st = AudioBuffer(np.ones((8, 2)), 48000)
-    with pytest.raises(InvalidArgumentError):
-        convolve(st, AudioBuffer(np.ones(4), 48000))
-
-
 def test_pan_constant_power():
     gl, gr = pan_constant_power(0.0)
     assert gl == pytest.approx(2 ** -0.5, abs=1e-12)
@@ -293,7 +275,6 @@ def test_render_at_stored_point_is_direct_convolution(lebedev_set):
     assert np.allclose(rendered.audio.samples[:, 0], ref_l, atol=1e-9)
     assert np.allclose(rendered.audio.samples[:, 1], ref_r, atol=1e-9)
     assert rendered.audio.n_channels == 2
-    assert rendered.point_labels is None
 
 
 def test_render_blend_equals_post_convolution_mix(lebedev_set):
@@ -348,11 +329,11 @@ def test_render_with_layout_at_speaker_is_one_hot(speaker_set):
     rendered = render_source_binaural(
         sig, Direction(30, 0), speaker_set, layout=layout
     )
-    assert rendered.point_labels
+    labels = [c.label for c in layout.channels if not c.is_lfe]
     weights = dict(rendered.plan.entries)
     assert len(weights) == 1
     (idx,) = weights
-    assert rendered.point_labels[idx] == "L"
+    assert labels[idx] == "L"
     assert weights[idx] == 1.0
 
 
@@ -363,6 +344,7 @@ def test_render_with_layout_blends_between_speakers(speaker_set):
     rendered = render_source_binaural(
         sig, Direction(15, 0), speaker_set, layout=layout, mode="two_point"
     )
-    labels = {rendered.point_labels[i] for i, _ in rendered.plan.entries}
+    names = [c.label for c in layout.channels if not c.is_lfe]
+    labels = {names[i] for i, _ in rendered.plan.entries}
     assert labels == {"L", "C"}
     assert sum(w for _, w in rendered.plan.entries) == pytest.approx(1.0, abs=1e-9)

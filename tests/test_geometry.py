@@ -247,9 +247,9 @@ def test_azimuth_seam_resolved_by_rotation():
 
 
 def test_hemisphere_cap_set_raises():
-    from binauralkit.layouts import speaker_directions
+    from binauralkit.layouts import get_layout
 
-    tri = build_triangulation(speaker_directions("7.1.4"))
+    tri = build_triangulation(get_layout("7.1.4").speaker_directions())
     with pytest.raises(NoEnclosingTriangleError):
         find_enclosing_triangle(tri, Direction(0, -85))
 

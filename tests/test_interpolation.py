@@ -7,7 +7,14 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NoEnclosingTriangleError,
 )
-from binauralkit.geometry import Direction, angular_distance, from_cartesian
+from binauralkit.geometry import (
+    Direction,
+    angular_distance,
+    build_triangulation,
+    find_enclosing_triangle,
+    from_cartesian,
+    normalize_direction,
+)
 from binauralkit.interpolation import (
     InterpolationMode,
     blend,
@@ -15,6 +22,7 @@ from binauralkit.interpolation import (
     plan_over_directions,
 )
 from binauralkit.ir_store import synthesize_ir_set
+from binauralkit.layouts import get_layout
 
 ALL_MODES = [
     InterpolationMode.NEAREST,
@@ -137,27 +145,6 @@ def test_auto_prefers_fewer_entries_on_ties(lebedev_set):
     assert len(p.entries) == 1
 
 
-def test_barycentric_flag_reconstructs_interior_queries(lebedev_set):
-    rng = np.random.default_rng(23)
-    better = 0
-    total = 0
-    for q in _sphere_directions(rng, 60):
-        try:
-            inv = plan(lebedev_set, q, "three_point", snap_threshold_deg=0.0)
-            bar = plan(
-                lebedev_set, q, "three_point", snap_threshold_deg=0.0,
-                barycentric=True,
-            )
-        except NoEnclosingTriangleError:
-            continue
-        total += 1
-        assert sum(w for _, w in bar.entries) == pytest.approx(1.0, abs=1e-9)
-        if bar.achieved_error_deg <= inv.achieved_error_deg + 1e-9:
-            better += 1
-    assert total > 40
-    assert better / total > 0.9
-
-
 def test_planar_fallback_on_degenerate_set_warns():
     # a spiral has no two points sharing an elevation ring
     rng = np.random.default_rng(24)
@@ -167,23 +154,70 @@ def test_planar_fallback_on_degenerate_set_warns():
     ]
     ir_set = synthesize_ir_set(dirs, 48000, 64, seed=3)
     q = Direction(200, 5)
-    with pytest.warns(UserWarning, match="planar"):
+    with pytest.warns(UserWarning, match="planar") as record:
         p = plan(ir_set, q, "planar")
     assert p.mode_used is InterpolationMode.THREE_POINT
+    with pytest.warns(UserWarning, match="planar") as more:
+        plan_over_directions(dirs, q, "planar")
+    with pytest.warns(UserWarning, match="two_point") as two:
+        plan_over_directions(dirs[::4], q, "two_point")
+    # each warning names the line here that asked for the plan
+    assert [w.filename for w in [*record, *more, *two]] == [__file__] * 3
+
+
+def test_three_point_names_input_points_past_a_merged_duplicate():
+    dirs = lebedev50_directions()
+    copy = Direction(dirs[0].azimuth_deg + 0.001, dirs[0].elevation_deg)
+    dirs.insert(1, copy)
+    rng = np.random.default_rng(25)
+    queries = [Direction(77.0, 33.0)] + _sphere_directions(rng, 40)
+    with pytest.warns(UserWarning, match="merged 1 duplicate"):
+        tri = build_triangulation(dirs)
+        plans = [plan_over_directions(dirs, q, "three_point", 0.0) for q in queries]
+    for q, p in zip(queries, plans):
+        assert p == plan_over_directions(dirs, q, "three_point", 0.0, triangulation=tri)
+        enc = find_enclosing_triangle(tri, q)
+        planned = {
+            normalize_direction(dirs[i].azimuth_deg, dirs[i].elevation_deg)
+            for i, _ in p.entries
+        }
+        assert planned == {tri.vertices[k] for k in enc.vertex_indices}
+    assert plans[0].achieved_error_deg < 5.0
+
+
+def test_plans_build_clusters_and_triangulation_once(monkeypatch):
+    import binauralkit.geometry as geometry
+
+    calls = {"cluster": 0, "triangulate": 0}
+    real_cluster, real_triangulate = geometry._cluster, geometry.build_triangulation
+
+    def cluster(*args, **kwargs):
+        calls["cluster"] += 1
+        return real_cluster(*args, **kwargs)
+
+    def triangulate(*args, **kwargs):
+        calls["triangulate"] += 1
+        return real_triangulate(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_cluster", cluster)
+    monkeypatch.setattr(geometry, "build_triangulation", triangulate)
+    ir_set = synthesize_ir_set("lebedev50", 48000, 64, seed=4)
+    rng = np.random.default_rng(26)
+    for q in _sphere_directions(rng, 20):
+        for mode in ALL_MODES:
+            plan(ir_set, q, mode, snap_threshold_deg=0.0)
+    # one elevation clustering (rings), one azimuth clustering (columns)
+    assert calls == {"cluster": 2, "triangulate": 1}
 
 
 def test_three_point_propagates_missing_triangle():
-    from binauralkit.layouts import speaker_directions
-
-    dirs = speaker_directions("7.1.4")
+    dirs = get_layout("7.1.4").speaker_directions()
     with pytest.raises(NoEnclosingTriangleError):
         plan_over_directions(dirs, Direction(0, -85), "three_point")
 
 
 def test_auto_skips_failed_modes():
-    from binauralkit.layouts import speaker_directions
-
-    dirs = speaker_directions("7.1.4")
+    dirs = get_layout("7.1.4").speaker_directions()
     p = plan_over_directions(dirs, Direction(0, -85), "auto")
     assert p.mode_used is not InterpolationMode.THREE_POINT
     assert sum(w for _, w in p.entries) == pytest.approx(1.0, abs=1e-9)

@@ -1,7 +1,7 @@
 import pytest
 
 from binauralkit.errors import UnsupportedLayoutError
-from binauralkit.layouts import LAYOUT_NAMES, get_layout, speaker_directions
+from binauralkit.layouts import LAYOUT_NAMES, get_layout
 
 EXPECTED_COUNTS = {
     "5.1": 6, "5.1.2": 8, "5.1.4": 10,
@@ -67,9 +67,9 @@ def test_left_right_mirror_symmetry():
 
 
 def test_speaker_directions_excludes_lfe():
-    assert len(speaker_directions("5.1")) == 5
-    assert all(d.elevation_deg == 0.0 for d in speaker_directions("9.1"))
-    above = [d for d in speaker_directions("5.1.2") if d.elevation_deg > 0]
+    assert len(get_layout("5.1").speaker_directions()) == 5
+    assert all(d.elevation_deg == 0.0 for d in get_layout("9.1").speaker_directions())
+    above = [d for d in get_layout("5.1.2").speaker_directions() if d.elevation_deg > 0]
     assert len(above) == 2
 
 

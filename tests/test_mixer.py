@@ -34,12 +34,14 @@ def _noise_track(name, n, seed, **kw):
 def test_track_object_validation():
     with pytest.raises(InvalidArgumentError):
         TrackObject("st", AudioBuffer(np.ones((8, 2)), 48000))
-    with pytest.warns(UserWarning, match="level"):
+    with pytest.warns(UserWarning, match="level") as hot:
         t = TrackObject("hot", AudioBuffer(np.ones(8), 48000), level=1.5)
     assert t.level == 1.0
-    with pytest.warns(UserWarning, match="reverb"):
+    with pytest.warns(UserWarning, match="reverb") as wet:
         t = TrackObject("wet", AudioBuffer(np.ones(8), 48000), reverb=-0.2)
     assert t.reverb == 0.0
+    # the warning names the line that built the track
+    assert [w.filename for w in [*hot, *wet]] == [__file__] * 2
     t = TrackObject("back", AudioBuffer(np.ones(8), 48000), azimuth_deg=-90.0)
     assert t.direction.azimuth_deg == 270.0
 

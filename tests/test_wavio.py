@@ -38,6 +38,23 @@ def test_pcm_clips_out_of_range(tmp_path):
     assert back[1, 0] == -1.0
 
 
+def test_pcm24_bytes_match_per_sample_packing(tmp_path):
+    full = 1 << 23
+    samples = np.array([
+        [1.0, -1.0], [(full - 1) / full, -(full - 1) / full],
+        [0.0, -0.0], [1.0 / full, -1.0 / full], [0.4 / full, -0.6 / full],
+        [1.5, -1.5], [123.0, -1e9], [0.123456789, -0.987654321],
+    ])
+    path = tmp_path / "p24.wav"
+    write_wav(path, 48000, samples, "pcm24")
+    expected = b"".join(
+        max(-full, min(full - 1, round(v * full))).to_bytes(3, "little", signed=True)
+        for v in samples.ravel()
+    )
+    assert path.read_bytes().endswith(expected)
+    assert len(path.read_bytes()) == 44 + len(expected)
+
+
 def test_multichannel_order_preserved(tmp_path):
     samples = np.zeros((10, 6))
     for c in range(6):
