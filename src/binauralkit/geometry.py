@@ -86,7 +86,8 @@ def normalize_direction(azimuth_deg: float, elevation_deg: float) -> Direction:
         el = 180.0 - el
         az += 180.0
     az %= 360.0
-    if abs(el) == 90.0:
+    # a tiny negative azimuth rounds up to 360.0, which is azimuth 0
+    if abs(el) == 90.0 or az == 360.0:
         az = 0.0
     # + 0.0 normalizes a possible -0.0
     return Direction(az + 0.0, el + 0.0)
@@ -141,12 +142,39 @@ def apply_frame(d: Direction, rotated_azimuth: bool, rotated_elevation: bool) ->
 
 
 # ---------------------------------------------------------------------------
-# exact predicates
+# predicates
 #
 # Coordinates are floats, hence exact binary rationals. Scaling every operand
 # by the largest power-of-two denominator turns the orientation and in-circle
-# determinants into exact integer arithmetic. A cheap float circumcircle test
-# prefilters candidates; every positive classification is confirmed exactly.
+# determinants into exact integer arithmetic. Each test first evaluates its
+# determinant in float64 and keeps the sign when |det| exceeds Shewchuk's
+# static error bound (ccwerrboundA and iccerrboundA of "Adaptive precision
+# floating-point arithmetic and fast robust geometric predicates", 1997); a
+# sign in doubt is decided by the exact integer path, so every sign is the
+# exact one.
+
+_EPS = 2.0 ** -53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+
+
+def _float_filter_safe(coords: np.ndarray) -> bool:
+    """True when the float bounds hold for every test over ``coords``.
+
+    The bounds assume no underflow or overflow. With every coordinate 0 or
+    of magnitude in [2**-100, 2**200], every nonzero difference is at least
+    2**-152 (a multiple of the ulp of 2**-100), so every nonzero value in
+    either determinant and its bound stays within [2**-720, 2**820]. Other
+    sets, tiny or subnormal coordinates included, take the exact path for
+    every test.
+    """
+    a = np.abs(coords)
+    nonzero = a[a != 0.0]
+    return bool(
+        np.all(np.isfinite(a))
+        and (nonzero.size == 0
+             or (nonzero.min() >= 2.0 ** -100 and nonzero.max() <= 2.0 ** 200))
+    )
 
 
 def _as_scaled_ints(values: Iterable[float]) -> list[int]:
@@ -159,6 +187,21 @@ def _orient_sign(ax, ay, bx, by, cx, cy) -> int:
     ax, ay, bx, by, cx, cy = _as_scaled_ints((ax, ay, bx, by, cx, cy))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def _orient(ax, ay, bx, by, cx, cy, fast: bool) -> int:
+    """Sign of the orientation of abc (+1 counter-clockwise); with ``fast``
+    the float determinant decides when its sign is certain."""
+    if fast:
+        detleft = (bx - ax) * (cy - ay)
+        detright = (by - ay) * (cx - ax)
+        det = detleft - detright
+        errbound = _CCW_BOUND * (abs(detleft) + abs(detright))
+        if det > errbound:
+            return 1
+        if -det > errbound:
+            return -1
+    return _orient_sign(ax, ay, bx, by, cx, cy)
 
 
 def _incircle_strict(ax, ay, bx, by, cx, cy, px, py) -> bool:
@@ -211,63 +254,98 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
     n = len(coords)
     if n < 3:
         raise InsufficientPointsError(f"need at least 3 points, got {n}")
-    x0, y0 = coords[0]
-    x1, y1 = coords[1]
+    pts = np.vstack([coords, np.array(_SUPER)])
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist()
+    fast = _float_filter_safe(pts)
     if all(
-        _orient_sign(x0, y0, x1, y1, coords[k][0], coords[k][1]) == 0
+        _orient(xs[0], ys[0], xs[1], ys[1], xs[k], ys[k], fast) == 0
         for k in range(2, n)
     ):
         raise InsufficientPointsError(
             f"all {n} points are collinear in the projection plane"
         )
 
-    pts = np.vstack([coords, np.array(_SUPER)])
+    # One slot per triangle. A slot freed by a cavity is refilled by the
+    # triangles that replace it, so the prefilter scans live triangles only.
     cap = 256
-    tris: list[tuple[int, int, int]] = [(0, 0, 0)] * cap
     ccx = np.empty(cap)
     ccy = np.empty(cap)
-    rr2 = np.empty(cap)
-    alive = np.zeros(cap, dtype=bool)
-    count = 0
+    lim = np.empty(cap)  # prefilter bound on the squared centre distance
+    tris: list[tuple[int, int, int] | None] = []
+    # corners counter-clockwise, or None when the three are collinear
+    corners: list[tuple[float, ...] | None] = []
+    free: list[int] = []
 
     def add_triangle(i: int, j: int, k: int) -> None:
-        nonlocal cap, tris, ccx, ccy, rr2, alive, count
-        if count == cap:
-            cap *= 2
-            tris = tris + [(0, 0, 0)] * (cap - count)
-            ccx = np.resize(ccx, cap)
-            ccy = np.resize(ccy, cap)
-            rr2 = np.resize(rr2, cap)
-            grown = np.zeros(cap, dtype=bool)
-            grown[:count] = alive[:count]
-            alive = grown
-        ux, uy, r2 = circumcircle(
-            pts[i][0], pts[i][1], pts[j][0], pts[j][1], pts[k][0], pts[k][1]
-        )
-        tris[count] = (i, j, k)
-        ccx[count] = ux
-        ccy[count] = uy
-        rr2[count] = r2
-        alive[count] = True
-        count += 1
+        nonlocal cap, ccx, ccy, lim
+        ax, ay, bx, by, cx, cy = xs[i], ys[i], xs[j], ys[j], xs[k], ys[k]
+        ux, uy, r2 = circumcircle(ax, ay, bx, by, cx, cy)
+        o = _orient(ax, ay, bx, by, cx, cy, fast)
+        ccw = (ax, ay, bx, by, cx, cy) if o > 0 else (ax, ay, cx, cy, bx, by)
+        if free:
+            t = free.pop()
+            tris[t] = (i, j, k)
+            corners[t] = ccw if o else None
+        else:
+            t = len(tris)
+            if t == cap:
+                cap *= 2
+                ccx = np.resize(ccx, cap)
+                ccy = np.resize(ccy, cap)
+                lim = np.resize(lim, cap)
+            tris.append((i, j, k))
+            corners.append(ccw if o else None)
+        ccx[t] = ux
+        ccy[t] = uy
+        lim[t] = r2 * 1.0001 + 1e-4
 
     add_triangle(n, n + 1, n + 2)
 
     for p in range(n):
-        px, py = float(pts[p][0]), float(pts[p][1])
+        px, py = xs[p], ys[p]
+        count = len(tris)
         d2 = (ccx[:count] - px) ** 2 + (ccy[:count] - py) ** 2
-        # generous float prefilter; exact predicate confirms each candidate
-        candidates = np.nonzero(alive[:count] & (d2 <= rr2[:count] * 1.0001 + 1e-4))[0]
+        # generous float prefilter; the in-circle test decides each candidate
         bad: list[int] = []
-        for t in candidates:
-            i, j, k = tris[t]
-            if _incircle_strict(
-                pts[i][0], pts[i][1],
-                pts[j][0], pts[j][1],
-                pts[k][0], pts[k][1],
-                px, py,
-            ):
-                bad.append(int(t))
+        for t in np.flatnonzero(d2 <= lim[:count]).tolist():
+            abc = corners[t]
+            if abc is None:
+                continue  # a zero-area triangle has no strict inside
+            ax, ay, bx, by, cx, cy = abc
+            if fast:
+                adx = ax - px
+                ady = ay - py
+                bdx = bx - px
+                bdy = by - py
+                cdx = cx - px
+                cdy = cy - py
+                bdxcdy = bdx * cdy
+                cdxbdy = cdx * bdy
+                cdxady = cdx * ady
+                adxcdy = adx * cdy
+                adxbdy = adx * bdy
+                bdxady = bdx * ady
+                alift = adx * adx + ady * ady
+                blift = bdx * bdx + bdy * bdy
+                clift = cdx * cdx + cdy * cdy
+                det = (
+                    alift * (bdxcdy - cdxbdy)
+                    + blift * (cdxady - adxcdy)
+                    + clift * (adxbdy - bdxady)
+                )
+                errbound = _ICC_BOUND * (
+                    (abs(bdxcdy) + abs(cdxbdy)) * alift
+                    + (abs(cdxady) + abs(adxcdy)) * blift
+                    + (abs(adxbdy) + abs(bdxady)) * clift
+                )
+                if det > errbound:
+                    bad.append(t)
+                    continue
+                if -det > errbound:
+                    continue
+            if _incircle_strict(ax, ay, bx, by, cx, cy, px, py):
+                bad.append(t)
         if not bad:
             raise RuntimeError(
                 f"no triangle circumcircle contains point {p}; "
@@ -275,18 +353,18 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
             )
         edge_count: dict[tuple[int, int], int] = {}
         for t in bad:
-            i, j, k = tris[t]
+            i, j, k = tris[t]  # type: ignore[misc]
             for u, v in ((i, j), (j, k), (k, i)):
                 key = (u, v) if u < v else (v, u)
                 edge_count[key] = edge_count.get(key, 0) + 1
-            alive[t] = False
+            tris[t] = None
+            lim[t] = -math.inf
+        free.extend(bad)
         for u, v in sorted(e for e, c in edge_count.items() if c == 1):
             add_triangle(p, u, v)
 
     result = sorted(
-        tuple(sorted(tris[t]))
-        for t in range(count)
-        if alive[t] and max(tris[t]) < n
+        tuple(sorted(t)) for t in tris if t is not None and max(t) < n
     )
     return result  # type: ignore[return-value]
 
@@ -314,6 +392,13 @@ def _merge_duplicates(dirs: list[Direction]) -> list[Direction]:
     return kept
 
 
+def _frame_coords(vertices: Sequence[Direction], rotated_azimuth: bool,
+                  rotated_elevation: bool) -> np.ndarray:
+    """(azimuth, elevation) rows of the vertices mapped into one frame."""
+    frame_dirs = [apply_frame(v, rotated_azimuth, rotated_elevation) for v in vertices]
+    return np.array([[d.azimuth_deg, d.elevation_deg] for d in frame_dirs])
+
+
 class Triangulation:
     """Delaunay triangulation of directions in one equirectangular frame.
 
@@ -328,6 +413,7 @@ class Triangulation:
         triangles: Sequence[tuple[int, int, int]],
         rotated_azimuth: bool = False,
         rotated_elevation: bool = False,
+        frame_coords: np.ndarray | None = None,
     ):
         self.vertices: tuple[Direction, ...] = tuple(vertices)
         self.triangles: tuple[tuple[int, int, int], ...] = tuple(
@@ -335,13 +421,12 @@ class Triangulation:
         )
         self.rotated_azimuth = bool(rotated_azimuth)
         self.rotated_elevation = bool(rotated_elevation)
-        frame_dirs = [
-            apply_frame(v, self.rotated_azimuth, self.rotated_elevation)
-            for v in self.vertices
-        ]
-        self.frame_coords = np.array(
-            [[d.azimuth_deg, d.elevation_deg] for d in frame_dirs]
-        )
+        if frame_coords is None:
+            frame_coords = _frame_coords(
+                self.vertices, self.rotated_azimuth, self.rotated_elevation
+            )
+        # (azimuth, elevation) of each vertex in this frame
+        self.frame_coords = frame_coords
         self._frames: dict[tuple[bool, bool], Triangulation | None] = {
             (self.rotated_azimuth, self.rotated_elevation): self
         }
@@ -392,9 +477,8 @@ def build_triangulation(points: Iterable[Direction]) -> Triangulation:
         raise InsufficientPointsError(
             f"need at least 3 distinct points, got {len(kept)}"
         )
-    coords = np.array([[d.azimuth_deg, d.elevation_deg] for d in kept])
-    triangles = _triangulate_plane(coords)
-    return Triangulation(kept, triangles)
+    coords = _frame_coords(kept, False, False)
+    return Triangulation(kept, _triangulate_plane(coords), frame_coords=coords)
 
 
 def rotated_frame(t: Triangulation, rotated_azimuth: bool, rotated_elevation: bool) -> Triangulation | None:
@@ -405,11 +489,11 @@ def rotated_frame(t: Triangulation, rotated_azimuth: bool, rotated_elevation: bo
     """
     key = (bool(rotated_azimuth), bool(rotated_elevation))
     if key not in t._frames:
-        dirs = [apply_frame(v, key[0], key[1]) for v in t.vertices]
-        coords = np.array([[d.azimuth_deg, d.elevation_deg] for d in dirs])
+        coords = _frame_coords(t.vertices, key[0], key[1])
         try:
-            triangles = _triangulate_plane(coords)
-            t._frames[key] = Triangulation(t.vertices, triangles, key[0], key[1])
+            t._frames[key] = Triangulation(
+                t.vertices, _triangulate_plane(coords), key[0], key[1], coords
+            )
         except InsufficientPointsError:
             t._frames[key] = None
     return t._frames[key]

@@ -141,19 +141,31 @@ def _sum_stereo(
     input_lengths: list[int],
     keep_tail: bool,
 ) -> np.ndarray:
-    """Sum stereo arrays aligned at sample 0, in list order."""
+    """Sum stereo arrays aligned at sample 0, in list order.
+
+    The arrays belong to the mixer: a first array of the output length
+    becomes the output in place.
+    """
     target = max(len(r) for r in rendered)
     if not keep_tail:
         target = min(target, max(input_lengths))
-    out = np.zeros((target, 2))
-    for r in rendered:
+    first = rendered[0]
+    if first.shape == (target, 2):
+        out = first
+        out += 0.0  # -0.0 becomes +0.0, as when summed into zeros
+        rest = rendered[1:]
+    else:
+        out = np.zeros((target, 2))
+        rest = rendered
+    for r in rest:
         n = min(len(r), target)
         out[:n] += r[:n]
     return out
 
 
 def _finalize(out: np.ndarray, cfg: MixConfig, plans) -> MixResult:
-    peak = float(np.max(np.abs(out))) if out.size else 0.0
+    # a NaN anywhere makes both extremes, and so the peak, NaN
+    peak = float(max(out.max(), -out.min())) if out.size else 0.0
     clipped = peak > 1.0
     if cfg.normalize == "peak" and peak > 0.0:
         out = out / peak

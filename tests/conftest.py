@@ -1,8 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from binauralkit.ir_store import save_ir_set, synthesize_ir_set
 from binauralkit.wavio import write_wav
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run, with no
+# per-example deadline, so property tests cannot flake on a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binauralkit import geometry
 from binauralkit.distributions import lebedev50_directions, ring_grid_directions
 from binauralkit.errors import (
     InsufficientPointsError,
@@ -21,6 +24,7 @@ from binauralkit.geometry import (
     rotated_frame,
     to_cartesian,
 )
+from binauralkit.layouts import get_layout
 
 
 def _raw_cartesian(az_deg, el_deg):
@@ -41,6 +45,8 @@ def test_normalize_anchor_cases():
     assert normalize_direction(360, 0) == Direction(0.0, 0.0)
     assert normalize_direction(0, 100) == Direction(180.0, 80.0)
     assert normalize_direction(45.5, -30) == Direction(45.5, -30.0)
+    # -1e-20 % 360.0 rounds to 360.0, which is azimuth 0
+    assert normalize_direction(-1e-20, 0) == Direction(0.0, 0.0)
 
 
 def test_normalize_pole_collapse():
@@ -67,6 +73,18 @@ def test_normalize_rejects_non_finite():
         normalize_direction(float("nan"), 0)
     with pytest.raises(InvalidArgumentError):
         normalize_direction(0, float("inf"))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, _FINITE)
+def test_normalize_idempotent_for_any_finite_input(az, el):
+    d = normalize_direction(az, el)
+    assert 0.0 <= d.azimuth_deg < 360.0
+    assert -90.0 <= d.elevation_deg <= 90.0
+    assert normalize_direction(d.azimuth_deg, d.elevation_deg) == d
 
 
 def test_to_cartesian_anchors():
@@ -190,6 +208,201 @@ def test_triangulation_deterministic():
     assert a.triangles == b.triangles
 
 
+# --- filtered predicates against the exact-only triangulation -------------
+
+
+def _exact_triangulate_plane(coords):
+    """_triangulate_plane as it was before its float filter: every
+    prefilter candidate goes through the exact in-circle test, and the
+    prefilter scans every triangle ever made. The reference the filtered
+    version must match triangle for triangle."""
+    n = len(coords)
+    if n < 3:
+        raise InsufficientPointsError(f"need at least 3 points, got {n}")
+    x0, y0 = coords[0]
+    x1, y1 = coords[1]
+    if all(
+        geometry._orient_sign(x0, y0, x1, y1, coords[k][0], coords[k][1]) == 0
+        for k in range(2, n)
+    ):
+        raise InsufficientPointsError(
+            f"all {n} points are collinear in the projection plane"
+        )
+
+    pts = np.vstack([coords, np.array(geometry._SUPER)])
+    cap = 256
+    tris: list[tuple[int, int, int]] = [(0, 0, 0)] * cap
+    ccx = np.empty(cap)
+    ccy = np.empty(cap)
+    rr2 = np.empty(cap)
+    alive = np.zeros(cap, dtype=bool)
+    count = 0
+
+    def add_triangle(i: int, j: int, k: int) -> None:
+        nonlocal cap, tris, ccx, ccy, rr2, alive, count
+        if count == cap:
+            cap *= 2
+            tris = tris + [(0, 0, 0)] * (cap - count)
+            ccx = np.resize(ccx, cap)
+            ccy = np.resize(ccy, cap)
+            rr2 = np.resize(rr2, cap)
+            grown = np.zeros(cap, dtype=bool)
+            grown[:count] = alive[:count]
+            alive = grown
+        ux, uy, r2 = circumcircle(
+            pts[i][0], pts[i][1], pts[j][0], pts[j][1], pts[k][0], pts[k][1]
+        )
+        tris[count] = (i, j, k)
+        ccx[count] = ux
+        ccy[count] = uy
+        rr2[count] = r2
+        alive[count] = True
+        count += 1
+
+    add_triangle(n, n + 1, n + 2)
+
+    for p in range(n):
+        px, py = float(pts[p][0]), float(pts[p][1])
+        d2 = (ccx[:count] - px) ** 2 + (ccy[:count] - py) ** 2
+        # generous float prefilter; exact predicate confirms each candidate
+        candidates = np.nonzero(alive[:count] & (d2 <= rr2[:count] * 1.0001 + 1e-4))[0]
+        bad: list[int] = []
+        for t in candidates:
+            i, j, k = tris[t]
+            if geometry._incircle_strict(
+                pts[i][0], pts[i][1],
+                pts[j][0], pts[j][1],
+                pts[k][0], pts[k][1],
+                px, py,
+            ):
+                bad.append(int(t))
+        if not bad:
+            raise RuntimeError(
+                f"no triangle circumcircle contains point {p}; "
+                "super-triangle too small or duplicate input"
+            )
+        edge_count: dict[tuple[int, int], int] = {}
+        for t in bad:
+            i, j, k = tris[t]
+            for u, v in ((i, j), (j, k), (k, i)):
+                key = (u, v) if u < v else (v, u)
+                edge_count[key] = edge_count.get(key, 0) + 1
+            alive[t] = False
+        for u, v in sorted(e for e, c in edge_count.items() if c == 1):
+            add_triangle(p, u, v)
+
+    result = sorted(
+        tuple(sorted(tris[t]))
+        for t in range(count)
+        if alive[t] and max(tris[t]) < n
+    )
+    return result
+
+
+def _frame_plane(dirs, raz, rel):
+    return np.array([
+        [f.azimuth_deg, f.elevation_deg]
+        for f in (apply_frame(d, raz, rel) for d in dirs)
+    ])
+
+
+def _outcome(triangulate, coords):
+    try:
+        return triangulate(coords)
+    except (InsufficientPointsError, RuntimeError) as e:
+        return type(e)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts calls of the exact in-circle test, filtered or reference."""
+    calls = [0]
+    exact = geometry._incircle_strict
+
+    def counting(*args):
+        calls[0] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, "_incircle_strict", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["lebedev50", "5.1", "7.1.4", "9.1.2"])
+def test_filtered_triangles_match_exact_reference(name):
+    if name == "lebedev50":
+        dirs = lebedev50_directions()
+    else:
+        dirs = get_layout(name).speaker_directions()
+    dirs = [normalize_direction(d.azimuth_deg, d.elevation_deg) for d in dirs]
+    for raz, rel in geometry._FRAME_ORDER:
+        coords = _frame_plane(dirs, raz, rel)
+        assert _outcome(geometry._triangulate_plane, coords) == _outcome(
+            _exact_triangulate_plane, coords
+        )
+
+
+def test_filtered_triangles_match_exact_reference_on_ring_grid(exact_calls):
+    # the 792-point 5 degree grid: 11 rings, heavily cocircular
+    tri = build_triangulation(ring_grid_directions(5.0, range(-75, 76, 15)))
+    assert len(tri.vertices) == 792
+    for raz, rel in ((False, False), (False, True)):
+        coords = _frame_plane(tri.vertices, raz, rel)
+        exact_calls[0] = 0
+        expect = _exact_triangulate_plane(coords)
+        tests = exact_calls[0]
+        exact_calls[0] = 0
+        assert geometry._triangulate_plane(coords) == expect
+        assert 0 < exact_calls[0] < 0.1 * tests
+        assert rotated_frame(tri, raz, rel).triangles == tuple(expect)
+
+
+def test_cocircular_lattice_takes_the_exact_path(exact_calls):
+    coords = np.array([[15.0 * i, 15.0 * j] for i in range(5) for j in range(5)])
+    expect = _exact_triangulate_plane(coords)
+    exact_calls[0] = 0
+    assert geometry._triangulate_plane(coords) == expect
+    assert exact_calls[0] > 0
+
+
+_LATTICE = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    min_size=3, max_size=25, unique=True,
+)
+
+
+@st.composite
+def _plane_sets(draw):
+    """Distinct planar point sets: random, lattice subsets (exactly
+    cocircular), lattice points nudged by one ulp (in-circle determinants
+    near the float bound) and tiny or subnormal lattices."""
+    kind = draw(st.sampled_from(["random", "lattice", "nudged", "tiny"]))
+    if kind == "random":
+        pts = draw(st.lists(
+            st.tuples(st.floats(-180.0, 360.0), st.floats(-90.0, 90.0)),
+            min_size=3, max_size=30, unique=True,
+        ))
+        return np.array(pts)
+    lattice = np.array(draw(_LATTICE), dtype=float)
+    if kind == "lattice":
+        return lattice * draw(st.sampled_from([1.0, 15.0, 0.5, 7.5]))
+    if kind == "nudged":
+        coords = lattice * draw(st.sampled_from([1.0, 15.0, 7.5]))
+        steps = draw(st.lists(st.sampled_from([-1, 0, 1]),
+                              min_size=coords.size, max_size=coords.size))
+        flat = [math.nextafter(v, v + s) if s else v
+                for v, s in zip(coords.ravel().tolist(), steps)]
+        return np.array(flat).reshape(coords.shape)
+    return lattice * draw(st.sampled_from([2.0 ** -1000, 2.0 ** -1060, 2.0 ** -1070, 1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plane_sets())
+def test_filtered_triangulation_matches_exact_reference_property(coords):
+    assert _outcome(geometry._triangulate_plane, coords) == _outcome(
+        _exact_triangulate_plane, coords
+    )
+
+
 # --- enclosing triangle ----------------------------------------------------
 
 
@@ -247,8 +460,6 @@ def test_azimuth_seam_resolved_by_rotation():
 
 
 def test_hemisphere_cap_set_raises():
-    from binauralkit.layouts import get_layout
-
     tri = build_triangulation(get_layout("7.1.4").speaker_directions())
     with pytest.raises(NoEnclosingTriangleError):
         find_enclosing_triangle(tri, Direction(0, -85))
@@ -261,3 +472,27 @@ def test_rotated_frame_preserves_vertex_count_and_is_cached():
     assert f1 is f2
     assert len(f1.vertices) == len(tri.vertices)
     assert rotated_frame(tri, False, False) is tri
+
+
+_LEBEDEV_TRI = build_triangulation(lebedev50_directions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FINITE, _FINITE)
+def test_enclosing_triangle_total_on_lebedev(az, el):
+    q = normalize_direction(az, el)
+    enc = find_enclosing_triangle(_LEBEDEV_TRI, q)
+    coords = _bary(_LEBEDEV_TRI, enc.vertex_indices, q, enc.rotated_azimuth,
+                   enc.rotated_elevation)
+    assert min(coords) >= -1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FINITE, _FINITE)
+def test_enclosing_triangle_total_on_ring_set(ring_set, az, el):
+    tri = ring_set.index.triangulation
+    q = normalize_direction(az, el)
+    enc = find_enclosing_triangle(tri, q)
+    coords = _bary(tri, enc.vertex_indices, q, enc.rotated_azimuth,
+                   enc.rotated_elevation)
+    assert min(coords) >= -1e-9
