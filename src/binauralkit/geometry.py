@@ -411,9 +411,9 @@ class Triangulation:
         self,
         vertices: Sequence[Direction],
         triangles: Sequence[tuple[int, int, int]],
+        frame_coords: np.ndarray,
         rotated_azimuth: bool = False,
         rotated_elevation: bool = False,
-        frame_coords: np.ndarray | None = None,
     ):
         self.vertices: tuple[Direction, ...] = tuple(vertices)
         self.triangles: tuple[tuple[int, int, int], ...] = tuple(
@@ -421,11 +421,7 @@ class Triangulation:
         )
         self.rotated_azimuth = bool(rotated_azimuth)
         self.rotated_elevation = bool(rotated_elevation)
-        if frame_coords is None:
-            frame_coords = _frame_coords(
-                self.vertices, self.rotated_azimuth, self.rotated_elevation
-            )
-        # (azimuth, elevation) of each vertex in this frame
+        # (azimuth, elevation) of each vertex in this frame, as triangulated
         self.frame_coords = frame_coords
         self._frames: dict[tuple[bool, bool], Triangulation | None] = {
             (self.rotated_azimuth, self.rotated_elevation): self
@@ -478,7 +474,7 @@ def build_triangulation(points: Iterable[Direction]) -> Triangulation:
             f"need at least 3 distinct points, got {len(kept)}"
         )
     coords = _frame_coords(kept, False, False)
-    return Triangulation(kept, _triangulate_plane(coords), frame_coords=coords)
+    return Triangulation(kept, _triangulate_plane(coords), coords)
 
 
 def rotated_frame(t: Triangulation, rotated_azimuth: bool, rotated_elevation: bool) -> Triangulation | None:
@@ -492,7 +488,7 @@ def rotated_frame(t: Triangulation, rotated_azimuth: bool, rotated_elevation: bo
         coords = _frame_coords(t.vertices, key[0], key[1])
         try:
             t._frames[key] = Triangulation(
-                t.vertices, _triangulate_plane(coords), key[0], key[1], coords
+                t.vertices, _triangulate_plane(coords), coords, key[0], key[1]
             )
         except InsufficientPointsError:
             t._frames[key] = None

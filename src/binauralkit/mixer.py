@@ -141,23 +141,12 @@ def _sum_stereo(
     input_lengths: list[int],
     keep_tail: bool,
 ) -> np.ndarray:
-    """Sum stereo arrays aligned at sample 0, in list order.
-
-    The arrays belong to the mixer: a first array of the output length
-    becomes the output in place.
-    """
+    """Sum stereo arrays aligned at sample 0, in list order."""
     target = max(len(r) for r in rendered)
     if not keep_tail:
         target = min(target, max(input_lengths))
-    first = rendered[0]
-    if first.shape == (target, 2):
-        out = first
-        out += 0.0  # -0.0 becomes +0.0, as when summed into zeros
-        rest = rendered[1:]
-    else:
-        out = np.zeros((target, 2))
-        rest = rendered
-    for r in rest:
+    out = np.zeros((target, 2))
+    for r in rendered:
         n = min(len(r), target)
         out[:n] += r[:n]
     return out

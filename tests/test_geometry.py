@@ -364,6 +364,32 @@ def test_cocircular_lattice_takes_the_exact_path(exact_calls):
     assert exact_calls[0] > 0
 
 
+def _with_super(values):
+    coords = np.array([[v, v] for v in values])
+    return np.vstack([coords, np.array(geometry._SUPER)])
+
+
+def test_float_filter_guard_edges():
+    safe = geometry._float_filter_safe
+    assert safe(_with_super([0.0]))
+    for v in (2.0 ** -100, -(2.0 ** -100), 2.0 ** 200, -(2.0 ** 200)):
+        assert safe(_with_super([0.0, 1.0, v]))
+    tiny = math.ulp(0.0)  # the smallest subnormal
+    for v in (2.0 ** -101, 2.0 ** 201, -(2.0 ** 201), tiny, 1e-310, math.inf, math.nan):
+        assert not safe(_with_super([0.0, 1.0, v]))
+
+
+def test_float_filter_guard_keeps_tiny_sets_exact(monkeypatch):
+    # (0,0), (3,1), (9,1), (12,0) are cocircular; at this scale the
+    # in-circle products fall below the normal range, so float rounding
+    # gives the quadruple a nonzero determinant and a zero error bound
+    coords = np.array([[0.0, 0.0], [3.0, 1.0], [9.0, 1.0], [12.0, 0.0]]) * 2.0 ** -270
+    expect = _exact_triangulate_plane(coords)
+    assert geometry._triangulate_plane(coords) == expect
+    monkeypatch.setattr(geometry, "_float_filter_safe", lambda pts: True)
+    assert geometry._triangulate_plane(coords) != expect
+
+
 _LATTICE = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
     min_size=3, max_size=25, unique=True,

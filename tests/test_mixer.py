@@ -17,7 +17,6 @@ from binauralkit.mixer import (
     MixConfig,
     TrackObject,
     _finalize,
-    _sum_stereo,
     mix_tracks_binaural,
     mix_tracks_stereo,
     render_surround_to_binaural,
@@ -35,36 +34,6 @@ def _noise_track(name, n, seed, **kw):
     return TrackObject(name, AudioBuffer(0.2 * rng.standard_normal(n), 48000), **kw)
 
 
-def _sum_into_zeros(rendered, target):
-    """The sum into a fresh zero buffer that _sum_stereo reproduces."""
-    out = np.zeros((target, 2))
-    for r in rendered:
-        n = min(len(r), target)
-        out[:n] += r[:n]
-    return out
-
-
-def test_sum_stereo_reuses_a_first_render_of_output_length():
-    rng = np.random.default_rng(21)
-    first = rng.standard_normal((50, 2))
-    first[::7] = -0.0
-    second = rng.standard_normal((30, 2))
-    expect = _sum_into_zeros([first.copy(), second], 50)
-    out = _sum_stereo([first, second], [50], keep_tail=True)
-    assert out is first
-    assert out.tobytes() == expect.tobytes()  # -0.0 became +0.0
-    only = np.full((20, 2), -0.0)
-    assert _sum_stereo([only], [20], keep_tail=True).tobytes() == bytes(320)
-    # a first render shorter or longer than the output is not reused
-    short, long_ = second.copy(), rng.standard_normal((80, 2))
-    for rendered, lengths, tail, target in (([short, long_], [80], True, 80),
-                                            ([long_, short], [50], False, 50)):
-        expect = _sum_into_zeros([r.copy() for r in rendered], target)
-        out = _sum_stereo(rendered, lengths, keep_tail=tail)
-        assert out is not rendered[0]
-        assert out.tobytes() == expect.tobytes()
-
-
 def test_finalize_peak_is_the_largest_magnitude():
     rng = np.random.default_rng(22)
     for out in (rng.standard_normal((40, 2)), -np.abs(rng.standard_normal((40, 2))),
@@ -74,6 +43,11 @@ def test_finalize_peak_is_the_largest_magnitude():
             result = _finalize(out, _cfg(), [])
         assert result.peak_level == float(np.max(np.abs(out)))
         assert result.clipped == (result.peak_level > 1.0)
+    out = rng.standard_normal((40, 2))
+    out[17, 1] = np.nan
+    for normalize in ("off", "peak"):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            _finalize(out, _cfg(normalize=normalize), [])
 
 
 def test_track_object_validation():
