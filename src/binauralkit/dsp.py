@@ -302,7 +302,8 @@ def render_source_binaural(
     the source is convolved with it. With a layout, candidates are
     restricted to the layout's speaker positions (amplitude-panning
     simulation): the plan spreads the source over up to three speakers,
-    their IRs are blended, then convolved.
+    their IRs are blended, then convolved. The speaker IR set is resolved
+    once per layout and mode and kept in ``ir_set.speaker_sets``.
     """
     if source.n_channels != 1:
         raise InvalidArgumentError("render_source_binaural expects a mono source")
@@ -317,7 +318,11 @@ def render_source_binaural(
         p = plan(ir_set, direction, mode, snap_threshold_deg)
         ir = blend(ir_set, p)
     else:
-        speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
+        key = (layout, InterpolationMode.parse(mode))
+        speaker_set = ir_set.speaker_sets.get(key)
+        if speaker_set is None:
+            speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
+            ir_set.speaker_sets[key] = speaker_set
         p = plan(speaker_set, direction, mode, snap_threshold_deg)
         ir = blend(speaker_set, p)
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import wavio
 from .distributions import lebedev50_directions, ring_grid_directions
 from .errors import (
+    BinauralKitError,
     EmptyImportError,
     FormatError,
     InsufficientPointsError,
@@ -76,6 +77,61 @@ def _check_rate(rate: int) -> int:
     return rate
 
 
+def _at_points(error: Exception, *indices: int) -> Exception:
+    """Tag a set-wide validation error with the point indices it concerns,
+    so a loader can name the rows they came from."""
+    error.point_indices = indices
+    return error
+
+
+# Distinctness screen: dot products are taken in square tiles of at most
+# this many bytes, below glibc's default 128 KiB mmap threshold. Freeing a
+# larger array raises that threshold for the rest of the process, which
+# changes how every later large array is allocated and adds to peak RSS.
+# The tiles are multiplied by einsum, not BLAS gemm, whose first call keeps
+# a work buffer of ~0.3 MB. A row whose screened maximum comes within the
+# margin of the tolerance is checked again exactly; products of unit
+# vectors summed in another order differ by a few ulps, far below it.
+_SCREEN_TILE_BYTES = 120 << 10
+_SCREEN_MARGIN = 1e-12
+
+
+def _first_close_pair(carts: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (j, i), j < i, of unit vectors within the merge
+    tolerance, in order of i; j is the earlier row with the largest dot
+    product, the lowest such index on ties. None when all are distinct.
+
+    Each block of rows is screened against every earlier row, one tile of
+    matrix product at a time; only rows that come within the margin rerun
+    the per-row product ``carts[:i] @ carts[i]`` that decides.
+    """
+    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
+    n = len(carts)
+    side = max(1, min(n, math.isqrt(_SCREEN_TILE_BYTES // 8)))
+    columns = np.ascontiguousarray(carts.T)
+    buf = np.empty(side * side)
+    # in a tile on the diagonal, row r counts only columns left of r
+    upper = np.triu(np.ones((side, side), dtype=bool))
+    for start in range(0, n, side):
+        stop = min(start + side, n)
+        b = stop - start
+        best = np.zeros(b)
+        for c0 in range(0, stop, side):
+            c1 = min(c0 + side, stop)
+            dots = buf[:b * (c1 - c0)].reshape(b, c1 - c0)
+            np.einsum("ik,kj->ij", carts[start:stop], columns[:, c0:c1], out=dots)
+            if c0 == start:
+                dots[upper[:b, :b]] = 0.0
+            np.maximum(best, dots.max(axis=1), out=best)
+        for r in np.flatnonzero(best > cos_tol - _SCREEN_MARGIN):
+            i = start + int(r)
+            row = carts[:i] @ carts[i]
+            j = int(np.argmax(row))
+            if float(row[j]) > cos_tol:
+                return j, i
+    return None
+
+
 @dataclass
 class IRPoint:
     """A measured or synthetic IR pair at one direction."""
@@ -85,6 +141,7 @@ class IRPoint:
     right: np.ndarray
 
     def __post_init__(self):
+        # a float64 array passes through asarray as the same object
         self.left = np.asarray(self.left, dtype=np.float64)
         self.right = np.asarray(self.right, dtype=np.float64)
         if self.left.ndim != 1 or self.right.ndim != 1:
@@ -94,7 +151,7 @@ class IRPoint:
                 f"IR buffers must share a nonzero length, got "
                 f"{len(self.left)} and {len(self.right)}"
             )
-        if not (np.all(np.isfinite(self.left)) and np.all(np.isfinite(self.right))):
+        if not (np.isfinite(self.left).all() and np.isfinite(self.right).all()):
             raise InvalidArgumentError("IR buffers contain non-finite samples")
         self.left.flags.writeable = False
         self.right.flags.writeable = False
@@ -122,26 +179,22 @@ class IRSet:
                 f"an IR set needs at least 3 points, got {len(self.points)}"
             )
         n = self.points[0].ir_length
-        for p in self.points:
+        for i, p in enumerate(self.points):
             if p.ir_length != n:
-                raise FormatError(
+                raise _at_points(FormatError(
                     f"IR length mismatch in set {self.subject_id}: "
                     f"{p.ir_length} != {n}"
-                )
-        # pairwise distinctness within the merge tolerance
-        carts = self.index.cartesians
-        cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
-        for i in range(1, len(carts)):
-            dots = carts[:i] @ carts[i]
-            j = int(np.argmax(dots))
-            if float(dots[j]) > cos_tol:
-                a = self.points[j].direction
-                b = self.points[i].direction
-                raise InvalidArgumentError(
-                    f"points {j} ({a.azimuth_deg}, {a.elevation_deg}) and "
-                    f"{i} ({b.azimuth_deg}, {b.elevation_deg}) are within "
-                    f"{MERGE_TOLERANCE_DEG} degrees"
-                )
+                ), i)
+        pair = _first_close_pair(self.index.cartesians)
+        if pair is not None:
+            j, i = pair
+            a = self.points[j].direction
+            b = self.points[i].direction
+            raise _at_points(InvalidArgumentError(
+                f"points {j} ({a.azimuth_deg}, {a.elevation_deg}) and "
+                f"{i} ({b.azimuth_deg}, {b.elevation_deg}) are within "
+                f"{MERGE_TOLERANCE_DEG} degrees"
+            ), j, i)
 
     @property
     def ir_length(self) -> int:
@@ -161,6 +214,12 @@ class IRSet:
     def triangulation(self) -> Triangulation:
         """Triangulation over the point directions, built on first use."""
         return self.index.triangulation
+
+    @cached_property
+    def speaker_sets(self) -> dict:
+        """Speaker IR sets resolved from this set, by (layout, mode); filled
+        by ``dsp.render_source_binaural`` and dropped with the set."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -195,6 +254,11 @@ def write_manifest(manifest: IRManifest, path) -> None:
 
 
 def read_manifest(path) -> IRManifest:
+    return _read_manifest(path)[0]
+
+
+def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
+    """The parsed manifest plus the file line number of each entry."""
     path = Path(path)
     if not path.is_file():
         raise NotFoundError(f"manifest not found: {path}")
@@ -216,6 +280,7 @@ def read_manifest(path) -> IRManifest:
             f"(expected {MANIFEST_SCHEMA})"
         )
     entries = []
+    line_numbers = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -226,39 +291,59 @@ def read_manifest(path) -> IRManifest:
             entries.append((float(cols[0]), float(cols[1]), cols[2]))
         except ValueError:
             raise FormatError(f"{path}:{i}: bad angle value") from None
-    return IRManifest(
+        line_numbers.append(i)
+    manifest = IRManifest(
         schema_version=int(header["schema"]),
         subject_id=header["subject"],
         ir_type=IRType.parse(header["ir_type"]),
         sample_rate_hz=_check_rate(int(header["rate"])),
         entries=tuple(entries),
     )
+    return manifest, tuple(line_numbers)
 
 
 def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
-    """Load every IR referenced by a manifest, preserving manifest order."""
+    """Load every IR referenced by a manifest, preserving manifest order.
+
+    The manifest directory is resolved once and each row's path is joined
+    to it, so a row may step out through ``..`` or a symlink. Errors about
+    a file name its manifest line and WAV path.
+    """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
     mpath = manifest_path(root, subject_id, ir_type, sample_rate_hz)
-    manifest = read_manifest(mpath)
-    base = mpath.parent
+    manifest, line_numbers = _read_manifest(mpath)
+    base = os.path.realpath(mpath.parent)
+    wav_paths = [os.path.join(base, rel) for _, _, rel in manifest.entries]
+
+    def row(k: int) -> str:
+        return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
+
     points = []
-    for az, el, rel in manifest.entries:
-        wav_path = (base / rel).resolve()
-        rate, samples = wavio.read_wav(wav_path)
-        if samples.shape[1] != 2:
-            raise FormatError(
-                f"{wav_path}: IR files must have 2 channels, got {samples.shape[1]}"
+    for k, (az, el, _) in enumerate(manifest.entries):
+        try:
+            rate, samples = wavio.read_wav(wav_paths[k])
+            if samples.shape[1] != 2:
+                raise FormatError(
+                    f"IR files must have 2 channels, got {samples.shape[1]}"
+                )
+            if rate != sample_rate_hz:
+                raise FormatError(
+                    f"sample rate {rate} does not match manifest rate "
+                    f"{sample_rate_hz}"
+                )
+            points.append(
+                IRPoint(normalize_direction(az, el), samples[:, 0], samples[:, 1])
             )
-        if rate != sample_rate_hz:
-            raise FormatError(
-                f"{wav_path}: sample rate {rate} does not match manifest rate "
-                f"{sample_rate_hz}"
-            )
-        points.append(
-            IRPoint(normalize_direction(az, el), samples[:, 0], samples[:, 1])
-        )
-    return IRSet(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
+        except BinauralKitError as e:
+            raise type(e)(f"{row(k)}: {e}") from None
+    try:
+        return IRSet(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
+    except BinauralKitError as e:
+        indices = getattr(e, "point_indices", None)
+        if indices is None:
+            raise
+        raise type(e)(f"{' and '.join(map(row, indices))}: {e}") from None
 
 
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:

@@ -8,6 +8,7 @@ write/read round trip of quantized data is exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -30,10 +31,12 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 
     Returns (sample_rate, samples) where samples has shape (frames, channels)
     and dtype float64. PCM data is scaled to [-1, 1) by 2**(bits-1).
+    ``path`` is a str or os.PathLike, opened as given.
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            raw = f.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":

@@ -348,3 +348,39 @@ def test_render_with_layout_blends_between_speakers(speaker_set):
     labels = {names[i] for i, _ in rendered.plan.entries}
     assert labels == {"L", "C"}
     assert sum(w for _, w in rendered.plan.entries) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_render_resolves_each_speaker_set_once(monkeypatch):
+    from binauralkit import dsp
+    from binauralkit.ir_store import synthesize_ir_set
+
+    ir_set = synthesize_ir_set("lebedev50", 48000, 64, seed=38)
+    calls = []
+
+    def counting_resolve(*args):
+        calls.append(args[1:])
+        return resolve_speaker_ir_set(*args)
+
+    monkeypatch.setattr(dsp, "resolve_speaker_ir_set", counting_resolve)
+    rng = np.random.default_rng(38)
+    sig = AudioBuffer(rng.standard_normal(64), 48000)
+    l51, l714 = get_layout("5.1"), get_layout("7.1.4")
+    renders = {}
+    for az in (10.0, 100.0, 200.0):
+        for layout, mode in ((l51, "auto"), (l51, InterpolationMode.AUTO),
+                             (l51, "planar"), (l714, "auto")):
+            r = render_source_binaural(sig, Direction(az, 5.0), ir_set, mode, layout)
+            renders[az, layout.name, mode] = r.audio.samples
+    # "auto" and InterpolationMode.AUTO share one entry
+    assert calls == [(l51, "auto"), (l51, "planar"), (l714, "auto")]
+    assert set(ir_set.speaker_sets) == {
+        (l51, InterpolationMode.AUTO), (l51, InterpolationMode.PLANAR),
+        (l714, InterpolationMode.AUTO),
+    }
+    # the kept sets render the same bytes as a fresh resolution
+    monkeypatch.undo()
+    fresh = synthesize_ir_set("lebedev50", 48000, 64, seed=38)
+    for (az, name, mode), samples in renders.items():
+        r = render_source_binaural(sig, Direction(az, 5.0), fresh, mode, get_layout(name))
+        assert r.audio.samples.tobytes() == samples.tobytes()
+        fresh.speaker_sets.clear()

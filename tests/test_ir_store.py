@@ -1,7 +1,12 @@
 import math
+import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binauralkit.errors import (
     EmptyImportError,
@@ -10,7 +15,16 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from binauralkit.geometry import Direction, angular_distance, to_cartesian
+from binauralkit import ir_store, wavio
+from binauralkit.geometry import (
+    MERGE_TOLERANCE_DEG,
+    Direction,
+    PointIndex,
+    angular_distance,
+    from_cartesian,
+    normalize_direction,
+    to_cartesian,
+)
 from binauralkit.ir_store import (
     IRManifest,
     IRPoint,
@@ -25,7 +39,7 @@ from binauralkit.ir_store import (
     synthesize_ir_set,
     write_manifest,
 )
-from binauralkit.wavio import write_wav
+from binauralkit.wavio import read_wav, write_wav
 
 
 def _point(az, el, n=64, value=0.5):
@@ -308,3 +322,244 @@ def test_import_sadie_no_copy_references_source(tmp_path):
     assert not any(p.suffix == ".wav" for p in mdir.iterdir())
     loaded = load_ir_set(tmp_path / "root", "H10", "HRIR", 48000)
     assert len(loaded.points) == 3
+
+
+# --- load equivalence ------------------------------------------------------
+
+
+def _pcm16_grid_set():
+    """A set whose samples pcm16, pcm24 and float32 all store exactly: on
+    the 16-bit grid, inside [-1, 1), and without -0.0, which PCM reads back
+    as +0.0."""
+    s = synthesize_ir_set("lebedev50", 48000, 64, seed=21)
+
+    def grid(x):
+        return np.round(x * 0.5 * 32768) / 32768 + 0.0
+
+    points = tuple(IRPoint(p.direction, grid(p.left), grid(p.right)) for p in s.points)
+    return IRSet(s.subject_id, s.ir_type, s.sample_rate_hz, points)
+
+
+def _assert_same_set(loaded, expected):
+    assert loaded.subject_id == expected.subject_id
+    assert loaded.directions == expected.directions
+    for a, b in zip(loaded.points, expected.points):
+        assert a.left.tobytes() == b.left.tobytes()
+        assert a.right.tobytes() == b.right.tobytes()
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])
+def test_load_matches_in_memory_set(tmp_path, encoding):
+    s = _pcm16_grid_set()
+    save_ir_set(s, tmp_path, encoding=encoding)
+    _assert_same_set(load_ir_set(tmp_path, "SYN1", "HRIR", 48000), s)
+
+
+def test_load_through_symlinked_root(tmp_path):
+    s = _pcm16_grid_set()
+    save_ir_set(s, tmp_path / "real")
+    (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+    _assert_same_set(load_ir_set(tmp_path / "link", "SYN1", "HRIR", 48000), s)
+
+
+def _import_rows_with_dotdot(tmp_path, dest_root):
+    src = tmp_path / "raw"
+    names = [f"azi_{az}_ele_{el}.wav" for az in (0, 90, 180) for el in (-30, 30)]
+    _write_import_fixture(src, names)
+    manifest = import_sadie(src, dest_root, "H11", "HRIR", 48000, copy_files=False)
+    assert all(rel.startswith("..") for _, _, rel in manifest.entries)
+    return manifest
+
+
+def _resolved_source_set(dest_root, manifest):
+    """The set as read through Path.resolve() on each manifest row."""
+    base = manifest_path(dest_root, "H11", "HRIR", 48000).parent
+    points = []
+    for az, el, rel in manifest.entries:
+        _, samples = read_wav((base / rel).resolve())
+        points.append(IRPoint(Direction(az, el), samples[:, 0], samples[:, 1]))
+    return IRSet("H11", IRType.HRIR, 48000, tuple(points))
+
+
+def test_load_import_rows_with_dotdot(tmp_path):
+    manifest = _import_rows_with_dotdot(tmp_path, tmp_path / "root")
+    loaded = load_ir_set(tmp_path / "root", "H11", "HRIR", 48000)
+    _assert_same_set(loaded, _resolved_source_set(tmp_path / "root", manifest))
+
+
+def test_load_dotdot_rows_under_symlinked_root(tmp_path):
+    """``..`` in a row steps up from the real manifest directory, as the
+    operating system and Path.resolve() both read it."""
+    (tmp_path / "store" / "deep").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "store" / "deep",
+                                   target_is_directory=True)
+    # the rows are written relative to the link, so they step out of it
+    # into tmp_path/store, where the sources must then be found
+    manifest = _import_rows_with_dotdot(tmp_path, tmp_path / "link")
+    (tmp_path / "raw").rename(tmp_path / "store" / "raw")
+    loaded = load_ir_set(tmp_path / "link", "H11", "HRIR", 48000)
+    _assert_same_set(loaded, _resolved_source_set(tmp_path / "link", manifest))
+
+
+def test_load_reads_each_row_once(tmp_path, monkeypatch):
+    save_ir_set(_pcm16_grid_set(), tmp_path)
+    read = wavio.read_wav
+    seen = []
+
+    def counting_read(path):
+        seen.append(os.fspath(path))
+        return read(path)
+
+    monkeypatch.setattr(wavio, "read_wav", counting_read)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert len(seen) == len(loaded.points) == 50
+    assert len(set(seen)) == 50
+
+
+# --- load error messages ---------------------------------------------------
+
+
+def test_load_error_names_row_for_non_finite_samples(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = mpath.parent / "ir_00003.wav"
+    write_wav(wav, 48000, np.full((128, 2), np.nan), "float32")
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({os.path.realpath(wav)}): IR buffers contain non-finite samples"
+    )
+
+
+def test_load_error_names_row_for_length_mismatch(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = mpath.parent / "ir_00003.wav"
+    write_wav(wav, 48000, np.zeros((32, 2)), "float32")
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({os.path.realpath(wav)}): "
+        "IR length mismatch in set SYN1: 32 != 128"
+    )
+
+
+def test_load_error_names_both_rows_for_duplicates(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    lines = mpath.read_text().splitlines()
+    a = lebedev_set.points[3].direction
+    # row 4 repeats row 3's direction, after a blank line that shifts it
+    cols = lines[5].split("\t")
+    lines[5] = "\t".join([repr(a.azimuth_deg), repr(a.elevation_deg), cols[2]])
+    lines.insert(5, "")
+    mpath.write_text("\n".join(lines) + "\n")
+    real = os.path.realpath(mpath.parent)
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({real}/ir_00003.wav) and {mpath}:7 ({real}/ir_00004.wav): "
+        f"points 3 ({a.azimuth_deg}, {a.elevation_deg}) and "
+        f"4 ({a.azimuth_deg}, {a.elevation_deg}) are within 0.01 degrees"
+    )
+
+
+def test_load_error_names_row_for_unreadable_file(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = mpath.parent / "ir_00010.wav"
+    wav.unlink()
+    row = f"{mpath}:12 ({os.path.realpath(wav)}): cannot read "
+    with pytest.raises(FormatError, match=re.escape(row)):
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+
+
+# --- distinctness check ----------------------------------------------------
+
+
+def _reference_check_distinct(points):
+    """The per-row distinctness loop IRSet used before the blocked screen,
+    verbatim but for ``self``."""
+    carts = PointIndex(tuple(p.direction for p in points)).cartesians
+    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
+    for i in range(1, len(carts)):
+        dots = carts[:i] @ carts[i]
+        j = int(np.argmax(dots))
+        if float(dots[j]) > cos_tol:
+            a = points[j].direction
+            b = points[i].direction
+            raise InvalidArgumentError(
+                f"points {j} ({a.azimuth_deg}, {a.elevation_deg}) and "
+                f"{i} ({b.azimuth_deg}, {b.elevation_deg}) are within "
+                f"{MERGE_TOLERANCE_DEG} degrees"
+            )
+
+
+def _distinct_outcomes(dirs):
+    """(reference message, IRSet message); None where a check accepts."""
+    buf = np.array([1.0, 0.5])
+    points = tuple(IRPoint(d, buf, buf) for d in dirs)
+    outcomes = []
+    for check in (_reference_check_distinct,
+                  lambda pts: IRSet("S", IRType.HRIR, 48000, pts)):
+        try:
+            check(points)
+            outcomes.append(None)
+        except InvalidArgumentError as e:
+            outcomes.append(str(e))
+    return tuple(outcomes)
+
+
+def _partner(draw, d):
+    """A direction (0.01 + k * 1e-9) degrees from d, k in -1, 0, 1: along
+    the meridian, or rotated about a drawn axis perpendicular to d."""
+    sep = MERGE_TOLERANCE_DEG + draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+    if abs(d.elevation_deg) < 80.0 and draw(st.booleans()):
+        return normalize_direction(d.azimuth_deg, d.elevation_deg + sep)
+    v = to_cartesian(d)
+    w = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    u = w - (w @ v) * v
+    if np.linalg.norm(u) < 1e-3:
+        u = np.cross(v, [0.0, 0.0, 1.0] if abs(v[2]) < 0.9 else [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    t = math.radians(sep)
+    return from_cartesian(math.cos(t) * v + math.sin(t) * u)
+
+
+@st.composite
+def _distinctness_sets(draw):
+    dirs = [normalize_direction(az, el) for az, el in draw(st.lists(
+        st.tuples(st.floats(0.0, 360.0), st.floats(-90.0, 90.0)),
+        min_size=3, max_size=40,
+    ))]
+    kind = draw(st.sampled_from(["random", "threshold", "duplicate", "several"]))
+    extra = {"random": 0, "threshold": 1, "duplicate": 1, "several": 4}[kind]
+    for _ in range(extra):
+        base = draw(st.sampled_from(dirs))
+        if kind == "duplicate" or (kind == "several" and draw(st.booleans())):
+            new = base
+        else:
+            new = _partner(draw, base)
+        dirs.insert(draw(st.integers(0, len(dirs))), new)
+    return dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distinctness_sets(), st.sampled_from([120 << 10, 8 * 7 * 7, 8]))
+def test_distinctness_matches_per_row_reference(dirs, tile_bytes):
+    # small tiles split even these short sets into several screens
+    with mock.patch.object(ir_store, "_SCREEN_TILE_BYTES", tile_bytes):
+        expected, got = _distinct_outcomes(dirs)
+    assert got == expected
+
+
+def test_distinctness_at_set_scale_matches_reference():
+    """The 8,802-point spiral with duplicates late in the set: many screen
+    tiles at the default size, first pair reported as before."""
+    n = 8802
+    golden = 180.0 * (3.0 - math.sqrt(5.0))
+    z = (2 * np.arange(n) + 1) / n - 1.0
+    dirs = [normalize_direction(float(a), float(e)) for a, e in
+            zip((golden * np.arange(n)) % 360.0, np.degrees(np.arcsin(z)))]
+    assert _distinct_outcomes(dirs) == (None, None)
+    dirs.insert(8000, dirs[5000])
+    dirs.insert(7000, dirs[6500])
+    expected, got = _distinct_outcomes(dirs)
+    assert expected is not None and got == expected
+    assert got.startswith("points 6500 (")

@@ -1,4 +1,6 @@
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,3 +151,34 @@ def test_write_creates_parent_dirs(tmp_path):
     path = tmp_path / "a" / "b" / "c.wav"
     write_wav(path, 48000, np.zeros(4), "pcm16")
     assert path.is_file()
+
+
+class _PathLike:
+    """An os.PathLike that is neither str nor pathlib.Path."""
+
+    def __init__(self, path):
+        self._path = str(path)
+
+    def __fspath__(self):
+        return self._path
+
+
+@pytest.mark.parametrize("kind", [str, Path, _PathLike])
+def test_read_accepts_str_path_and_pathlike(tmp_path, kind):
+    samples = np.array([[0.25, -0.5], [0.125, 0.0]])
+    path = tmp_path / "any.wav"
+    write_wav(path, 48000, samples, "float32")
+    rate, back = read_wav(kind(path))
+    assert rate == 48000
+    assert np.array_equal(back, samples)
+
+
+@pytest.mark.parametrize("kind", [str, Path, _PathLike])
+def test_read_errors_name_the_path(tmp_path, kind):
+    missing = tmp_path / "missing.wav"
+    with pytest.raises(FormatError, match=re.escape(f"cannot read {missing}")):
+        read_wav(kind(missing))
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFX1234WAVE")
+    with pytest.raises(FormatError, match=re.escape(f"{bad} is not a RIFF/WAVE file")):
+        read_wav(kind(bad))
