@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .dsp import AudioBuffer, load_audio, load_reverbs
-from .errors import FormatError, InvalidArgumentError
+from .errors import BinauralKitError, FormatError, InvalidArgumentError
 from .ir_store import IRType, load_ir_set
 from .mixer import MixConfig, TrackObject, _track_source, mix_tracks_binaural
 from .wavio import write_wav
@@ -121,6 +121,17 @@ def parse_grid(path) -> DatasetGrid:
     return DatasetGrid(int(data.get("seed", 0)), axes, path.parent)
 
 
+def _axis_number(values: dict, axis: str, kind=float):
+    """``kind(values[axis])``; a value that does not convert fails its row
+    with an error naming the axis."""
+    value = values[axis]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise InvalidArgumentError(f"{axis} must be {what}, got {value!r}") from None
+
+
 def job_filename(values: dict, seed: int) -> str:
     """Deterministic name encoding the job's parameters.
 
@@ -132,8 +143,9 @@ def job_filename(values: dict, seed: int) -> str:
     layout = values["layout"] if values["layout"] is not None else "none"
     return (
         f"{values['subject']}_{IRType.parse(values['ir_type']).value}_"
-        f"{int(values['sample_rate'])}_{layout}_{values['mode']}_"
-        f"az{float(values['azimuth']):05.1f}_el{float(values['elevation']):+05.1f}_"
+        f"{_axis_number(values, 'sample_rate', int)}_{layout}_{values['mode']}_"
+        f"az{_axis_number(values, 'azimuth'):05.1f}_"
+        f"el{_axis_number(values, 'elevation'):+05.1f}_"
         f"{h8}.wav"
     )
 
@@ -189,7 +201,7 @@ def _render_job(args) -> dict:
     try:
         name = job_filename(values, seed)
         row["file"] = name
-        rate = int(values["sample_rate"])
+        rate = _axis_number(values, "sample_rate", int)
         ir_set = _cached_ir_set(
             str(data_root), str(values["subject"]),
             IRType.parse(values["ir_type"]).value, rate,
@@ -199,10 +211,10 @@ def _render_job(args) -> dict:
         track = TrackObject(
             "source",
             audio,
-            float(values["level"]),
-            float(values["reverb_amount"]),
-            float(values["azimuth"]),
-            float(values["elevation"]),
+            _axis_number(values, "level"),
+            _axis_number(values, "reverb_amount"),
+            _axis_number(values, "azimuth"),
+            _axis_number(values, "elevation"),
         )
         cfg = MixConfig(
             subject_id=str(values["subject"]),
@@ -210,7 +222,7 @@ def _render_job(args) -> dict:
             ir_type=values["ir_type"],
             speaker_layout=values["layout"],
             interpolation_mode=values["mode"],
-            reverb_type=int(values["reverb_type"]),
+            reverb_type=_axis_number(values, "reverb_type", int),
         )
         prepared = _cached_track_audio(
             source_path, str(data_root), rate, cfg.reverb_type,
@@ -227,7 +239,7 @@ def _render_job(args) -> dict:
         write_wav(Path(out_dir) / name, rate, result.audio.samples, encoding)
         row["peak"] = f"{result.peak_level:.8g}"
         row["clipped"] = "1" if result.clipped else "0"
-    except Exception as e:  # job failures land in the manifest, run continues
+    except BinauralKitError as e:  # bad rows land in the manifest, run continues
         row["status"] = "failed"
         row["error"] = " ".join(str(e).split())
     return row
@@ -244,7 +256,10 @@ def run_dataset(
 ) -> DatasetReport:
     """Render every grid combination; write WAVs and manifest.tsv.
 
-    Job failures are recorded in the manifest and do not stop the run.
+    A job that fails with a ``BinauralKitError`` (bad row values, a
+    missing IR set or source) is recorded in the manifest and does not stop
+    the run; any other exception, such as an ``OSError`` from writing a
+    WAV, propagates.
     Manifest rows are in grid order regardless of worker scheduling, and
     reruns of the same grid produce byte-identical outputs.
     """

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +93,50 @@ def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
             "non-empty (taps,) IR or (taps, k) IR stack"
         )
     stack = h if h.ndim == 2 else h[:, None]
-    if len(stack) > len(x):
-        y = _overlap_add(stack, x[:, None])
+    long, short = (stack, x[:, None]) if len(stack) > len(x) else (x[:, None], stack)
+    if len(short) == 1:
+        y = long * short[0]
     else:
-        y = _overlap_add(x[:, None], stack)
+        nfft = _partition_nfft(len(short))
+        y = _overlap_add(long, short, nfft, np.fft.rfft(short, nfft, axis=0))
     return y if h.ndim == 2 else y[:, 0]
 
 
-def _overlap_add(long: np.ndarray, short: np.ndarray) -> np.ndarray:
-    """Convolve the columns of ``long`` (n, a) with the columns of ``short``
-    (m, b), m <= n, where a and b are equal or one of them is 1.
+def _partition_nfft(m: int) -> int:
+    """fft_convolve's transform size for an m-tap filter: the next power of
+    two at or above 4 * m."""
+    return 1 << max(2, (4 * m - 1).bit_length())
 
-    Returns (n + m - 1, max(a, b)).
+
+def _smooth_nfft(n: int) -> int:
+    """The smallest 2·3·5-smooth length >= n (n >= 1), a fast rfft size."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two p with p35 * p >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _overlap_add(
+    long: np.ndarray, short: np.ndarray, nfft: int, spectra: np.ndarray
+) -> np.ndarray:
+    """Convolve the columns of ``long`` (n, a) with the columns of ``short``
+    (m, b), where a and b are equal or one of them is 1, given ``spectra``,
+    the rfft of ``short`` at ``nfft``.
+
+    Blocks of ``long`` are nfft - m + 1 samples, so nfft must exceed m - 1;
+    m <= n unless nfft >= n + m - 1, where one transform holds the whole
+    output. Returns (n + m - 1, max(a, b)).
     """
     n, m = len(long), len(short)
-    if m == 1:
-        return long * short[0]
-    k = max(long.shape[1], short.shape[1])
+    k = max(long.shape[1], spectra.shape[1])
     n_out = n + m - 1
-    nfft = 1 << max(2, (4 * m - 1).bit_length())
     block = nfft - m + 1
-    spectra = np.fft.rfft(short, nfft, axis=0)
     y = np.zeros((n_out, k))
     n_full = n // block
     per_batch = max(1, _BATCH_SAMPLES // nfft)
@@ -124,9 +147,10 @@ def _overlap_add(long: np.ndarray, short: np.ndarray) -> np.ndarray:
         out = np.fft.irfft(np.fft.rfft(seg, nfft, axis=1) * spectra, nfft, axis=1)
         heads = y[start:end].reshape(nb, block, k)
         heads += out[:, :block]
-        # block j's tail lands on the head of block j + 1
-        tails = y[start + block:end].reshape(nb - 1, block, k)[:, :m - 1]
-        tails += out[:-1, block:]
+        if nb > 1:
+            # block j's tail lands on the head of block j + 1
+            tails = y[start + block:end].reshape(nb - 1, block, k)[:, :m - 1]
+            tails += out[:-1, block:]
         y[end:end + m - 1] += out[-1, block:]
     start = n_full * block
     if start < n:
@@ -164,6 +188,8 @@ class ReverbModel:
     name: str
     sample_rate_hz: int
     ir: np.ndarray
+    # (nfft, spectrum) of the last transform size asked of ``spectrum``
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ir = np.asarray(self.ir, dtype=np.float64)
@@ -174,6 +200,16 @@ class ReverbModel:
             raise InvalidArgumentError(f"reverb IR {self.id} has no energy")
         self.ir = self.ir / math.sqrt(energy)
         self.ir.flags.writeable = False
+
+    def spectrum(self, nfft: int) -> np.ndarray:
+        """The IR's rfft at ``nfft`` as a read-only (nfft // 2 + 1, 1)
+        column; the last size asked for is kept, since a model is usually
+        applied to signals of one length."""
+        if self._spectrum is None or self._spectrum[0] != nfft:
+            spectra = np.fft.rfft(self.ir, nfft)[:, None]
+            spectra.flags.writeable = False
+            self._spectrum = (nfft, spectra)
+        return self._spectrum[1]
 
 
 def default_reverbs(sample_rate_hz: int) -> dict[int, ReverbModel]:
@@ -231,6 +267,11 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
 
     The dry path is zero-padded to the convolved length, so the output
     length is always len(signal) + len(ir) - 1, including at amount 0.
+
+    When the whole output fits the transform ``fft_convolve`` would use,
+    the wet path is one transform of the smallest 2·3·5-smooth length
+    holding it, with the IR spectrum the model keeps; otherwise it is
+    ``fft_convolve``.
     """
     if signal.n_channels != 1:
         raise InvalidArgumentError("apply_reverb expects a mono buffer")
@@ -248,7 +289,13 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     out = np.zeros(n_out)
     out[:signal.n_samples] = (1.0 - amount) * signal.samples
     if amount > 0.0:
-        out += amount * fft_convolve(signal.samples, model.ir)
+        x, ir = signal.samples, model.ir
+        if n_out <= _partition_nfft(min(len(x), len(ir))):
+            nfft = _smooth_nfft(n_out)
+            wet = _overlap_add(x[:, None], ir[:, None], nfft, model.spectrum(nfft))[:, 0]
+        else:
+            wet = fft_convolve(x, ir)
+        out += amount * wet
     return AudioBuffer(out, signal.sample_rate_hz)
 
 

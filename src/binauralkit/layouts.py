@@ -75,7 +75,7 @@ LAYOUT_NAMES = tuple(_LAYOUT_TABLE)
 
 def get_layout(name: str) -> SpeakerLayout:
     """Layout by name; raises UnsupportedLayoutError listing valid names."""
-    if name not in _LAYOUT_TABLE:
+    if not isinstance(name, str) or name not in _LAYOUT_TABLE:
         raise UnsupportedLayoutError(
             f"unsupported layout {name!r}; expected one of: "
             + ", ".join(LAYOUT_NAMES)

@@ -165,13 +165,65 @@ def test_run_dataset_records_failures_and_continues(tmp_path, data_root, noise_w
     assert len(report.rows) == 4
     assert by_subject["SYN1"]["status"] == "ok"
     assert by_subject["GHOST"]["status"] == "failed"
-    assert by_subject["GHOST"]["error"]
+    assert by_subject["GHOST"]["error"].startswith("manifest not found: ")
     assert "\n" not in by_subject["GHOST"]["error"]
     assert report.n_failed == 2
     # failed jobs leave no wav behind
     ghost = [r for r in report.rows if r["subject"] == "GHOST"]
     for row in ghost:
         assert not (out / row["file"]).is_file() or row["file"] == ""
+
+
+@pytest.mark.parametrize("axis,value,message", [
+    ("sample_rate", "fast", "sample_rate must be an integer, got 'fast'"),
+    ("sample_rate", None, "sample_rate must be an integer, got None"),
+    ("level", "loud", "level must be a number, got 'loud'"),
+    ("reverb_amount", [0.5], "reverb_amount must be a number, got [0.5]"),
+    ("reverb_type", "hall", "reverb_type must be an integer, got 'hall'"),
+    ("azimuth", "left", "azimuth must be a number, got 'left'"),
+    ("elevation", {"deg": 3}, "elevation must be a number, got {'deg': 3}"),
+    ("layout", ["5.1"], "unsupported layout ['5.1']; expected one of: "),
+])
+def test_run_dataset_bad_row_values_fail_their_rows(tmp_path, data_root, noise_wav,
+                                                     axis, value, message):
+    # a bad value is a failed row, with an error naming the axis
+    axes = _grid_axes(**{"source": [str(noise_wav)], "azimuth": [0.0], axis: [value]})
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    (row,) = report.rows
+    assert row["status"] == "failed"
+    assert row["error"].startswith(message)
+
+
+def test_run_dataset_lets_internal_errors_escape(tmp_path, data_root, noise_wav,
+                                                 monkeypatch):
+    import binauralkit.dataset as dataset
+
+    def broken_mix(*args, **kwargs):
+        raise TypeError("an internal bug")
+
+    monkeypatch.setattr(dataset, "mix_tracks_binaural", broken_mix)
+    with pytest.raises(TypeError, match="an internal bug"):
+        _run(tmp_path, data_root, noise_wav, jobs=1)
+
+
+def test_run_dataset_write_errors_propagate(tmp_path, data_root, noise_wav,
+                                            monkeypatch, capsys):
+    import binauralkit.dataset as dataset
+    from binauralkit.cli import main
+
+    def full_disk(path, *args):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(dataset, "write_wav", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        _run(tmp_path / "api", data_root, noise_wav, jobs=1)
+    assert not (tmp_path / "api" / "out" / "manifest.tsv").exists()
+
+    gpath = _write_grid(tmp_path / "grid.json", _grid_axes(source=[str(noise_wav)]))
+    rc = main(["dataset", str(gpath), "--data-root", str(data_root),
+               "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert "No space left on device" in capsys.readouterr().err
 
 
 def test_run_dataset_cap(tmp_path, data_root, noise_wav):

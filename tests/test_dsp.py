@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binauralkit import dsp
 from binauralkit.dsp import (
     AudioBuffer,
     ReverbModel,
@@ -226,6 +229,152 @@ def test_apply_reverb_clamps_amount():
     with pytest.warns(UserWarning, match="reverb"):
         hi = apply_reverb(dry, model, 1.5)
     assert np.allclose(hi.samples, apply_reverb(dry, model, 1.0).samples)
+
+
+def _reverb_reference(x, ir, amount):
+    out = np.zeros(len(x) + len(ir) - 1)
+    out[:len(x)] = (1.0 - amount) * x
+    return out + amount * np.convolve(x, ir)
+
+
+# (signal length, IR length, whether the output fits one transform)
+_REVERB_SHAPES = [
+    (1, 1, True), (4, 1, True), (300, 1, False),  # 1-tap IRs
+    (3, 7, True), (150, 400, True), (10, 400, False),  # signals shorter than the IR
+    (400, 150, True), (5000, 30, False), (2, 1, True),  # signals longer than the IR
+    (257, 257, True),
+]
+
+
+@pytest.mark.parametrize("nx,nh,one_transform", _REVERB_SHAPES)
+@pytest.mark.parametrize("amount", [0.0, 0.37, 1.0])
+def test_apply_reverb_matches_direct_convolution(nx, nh, one_transform, amount):
+    rng = np.random.default_rng(nx * 1000 + nh)
+    model = ReverbModel(9, "Test", 48000, rng.standard_normal(nh))
+    x = rng.standard_normal(nx)
+    out = apply_reverb(AudioBuffer(x, 48000), model, amount).samples
+    ref = _reverb_reference(x, model.ir, amount)
+    assert out.shape == ref.shape
+    if amount == 0.0:
+        assert np.array_equal(out, ref)
+    else:
+        # the tolerance of test_fft_convolve_matches_direct_convolution;
+        # the IR is energy-normalized, so its norm is 1
+        assert np.max(np.abs(out - ref)) <= max(1e-12 * np.linalg.norm(x), 1e-15)
+        # only the single-transform path keeps the IR spectrum
+        assert (model._spectrum is not None) == one_transform
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 3000),
+    nh=st.integers(1, 600),
+    amount=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_reverb_matches_direct_convolution_property(nx, nh, amount, seed):
+    rng = np.random.default_rng(seed)
+    model = ReverbModel(9, "Test", 48000, rng.standard_normal(nh))
+    x = rng.standard_normal(nx)
+    out = apply_reverb(AudioBuffer(x, 48000), model, amount).samples
+    ref = _reverb_reference(x, model.ir, amount)
+    assert np.max(np.abs(out - ref)) <= max(1e-12 * np.linalg.norm(x), 1e-15)
+
+
+def _is_235_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_smooth_nfft_is_the_smallest_235_smooth_length():
+    smooth = [n for n in range(1, 4200) if _is_235_smooth(n)]
+    for n in range(1, 4097):
+        got = dsp._smooth_nfft(n)
+        assert got == min(s for s in smooth if s >= n), n
+    # the benchmark's 2 s signal with the 2 s Theatre IR at 48 kHz
+    assert dsp._smooth_nfft(191_999) == 192_000 == 2**9 * 3 * 5**3
+    for n in (2**20, 2**20 + 1, 3**13, 5**9 + 1):
+        got = dsp._smooth_nfft(n)
+        assert got >= n and _is_235_smooth(got)
+
+
+def test_reverb_model_transforms_its_ir_once_per_length(monkeypatch):
+    model = default_reverbs(48000)[3]
+    rfft = np.fft.rfft
+    ir_transforms = []
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.shares_memory(a, model.ir):
+            ir_transforms.append(args or kwargs)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    rng = np.random.default_rng(39)
+    sources = [AudioBuffer(rng.standard_normal(9000), 48000) for _ in range(3)]
+    outs = [apply_reverb(s, model, 0.5).samples for s in sources]
+    assert len(ir_transforms) == 1
+    spectrum = model._spectrum[1]
+    assert spectrum.shape == (model._spectrum[0] // 2 + 1, 1)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 0.0
+    # a new length replaces the one entry; the old length transforms again
+    shorter = AudioBuffer(rng.standard_normal(5000), 48000)
+    outs.append(apply_reverb(shorter, model, 0.5).samples)
+    sources.append(shorter)
+    assert len(ir_transforms) == 2
+    apply_reverb(sources[0], model, 0.5)
+    assert len(ir_transforms) == 3
+    monkeypatch.undo()
+    # the kept spectrum gives the bytes a fresh model gives
+    fresh = default_reverbs(48000)[3]
+    for s, out in zip(sources, outs):
+        assert apply_reverb(s, fresh, 0.5).samples.tobytes() == out.tobytes()
+    # the cache is not part of the model's value
+    assert "_spectrum" not in repr(model)
+    assert [f.name for f in dataclasses.fields(model) if f.compare] == [
+        "id", "name", "sample_rate_hz", "ir"]
+
+
+@pytest.mark.parametrize("nx,nh", [(5000, 30), (10, 400), (300, 1), (70_000, 4_000)])
+def test_apply_reverb_fallback_is_fft_convolve(nx, nh):
+    rng = np.random.default_rng(nx + nh)
+    model = ReverbModel(9, "Test", 48000, rng.standard_normal(nh))
+    x = rng.standard_normal(nx)
+    out = apply_reverb(AudioBuffer(x, 48000), model, 0.3).samples
+    ref = np.zeros(nx + nh - 1)
+    ref[:nx] = 0.7 * x
+    ref += 0.3 * fft_convolve(x, model.ir)
+    assert out.tobytes() == ref.tobytes()
+    assert model._spectrum is None
+
+
+def test_fft_convolve_matches_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(40)
+    for nx, nh, k in ((1, 1, None), (777, 64, None), (20, 500, None),
+                      (9000, 256, 2), (3000, 17, 3), (40, 300, 2)):
+        x = rng.standard_normal(nx)
+        h = rng.standard_normal(nh if k is None else (nh, k))
+        ref = signal.fftconvolve(x if k is None else x[:, None], h, axes=0)
+        out = fft_convolve(x, h)
+        assert out.shape == ref.shape
+        tol = 1e-12 * np.linalg.norm(x) * np.max(np.linalg.norm(np.atleast_2d(h.T), axis=1))
+        assert np.max(np.abs(out - ref)) <= max(tol, 1e-15)
+
+
+def test_apply_reverb_theatre_matches_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    model = default_reverbs(48000)[1]
+    assert len(model.ir) == 96_000  # 2 s
+    x = np.random.default_rng(41).standard_normal(96_000)
+    out = apply_reverb(AudioBuffer(x, 48000), model, 1.0).samples
+    assert model._spectrum[0] == 192_000  # one transform of the whole output
+    ref = signal.fftconvolve(x, model.ir)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_load_reverbs_manifest_overrides_and_falls_back(tmp_path):

@@ -80,3 +80,7 @@ def test_unknown_layout_lists_names():
         assert name in str(err.value)
     with pytest.raises(UnsupportedLayoutError):
         get_layout("6.1")
+    # names that are not strings, hashable or not, are unknown layouts too
+    for name in (5.1, None, ["5.1"], {"name": "5.1"}):
+        with pytest.raises(UnsupportedLayoutError, match="unsupported layout"):
+            get_layout(name)

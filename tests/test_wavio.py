@@ -182,3 +182,29 @@ def test_read_errors_name_the_path(tmp_path, kind):
     bad.write_bytes(b"RIFX1234WAVE")
     with pytest.raises(FormatError, match=re.escape(f"{bad} is not a RIFF/WAVE file")):
         read_wav(kind(bad))
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])
+def test_scipy_reads_written_files(tmp_path, encoding):
+    # an independent reader: scipy's wavfile parser, not read_wav
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    rng = np.random.default_rng(12)
+    samples = 0.6 * rng.standard_normal((501, 3))
+    samples[:4] = [[1.5, -1.5, 0.0], [-2.0, 1.0, -1.0], [1e-7, -1e-7, 0.5], [0.0, -0.0, 0.25]]
+    path = tmp_path / f"{encoding}.wav"
+    write_wav(path, 44100, samples, encoding)
+    rate, data = wavfile.read(path)
+    assert rate == 44100
+    assert data.shape == samples.shape
+    if encoding == "float32":
+        assert data.dtype == np.float32
+        assert np.array_equal(data, samples.astype(np.float32))
+        back = data.astype(np.float64)
+    else:
+        # scipy keeps 24-bit samples in the high bytes of an int32
+        full = 2.0 ** (15 if encoding == "pcm16" else 31)
+        back = data / full
+        lsb = 2.0 ** (-15 if encoding == "pcm16" else -23)
+        clipped = np.clip(samples, -1.0, 1.0 - lsb)
+        assert np.max(np.abs(back - clipped)) <= lsb / 2
+    assert np.array_equal(read_wav(path)[1], back)
