@@ -116,10 +116,15 @@ def angular_distance(a: Direction, b: Direction) -> float:
     """Great-circle distance in degrees via arccos of the dot product."""
     na = normalize_direction(a.azimuth_deg, a.elevation_deg)
     nb = normalize_direction(b.azimuth_deg, b.elevation_deg)
-    if na == nb:
+    return angular_distance_from(na, to_cartesian(na), nb)
+
+
+def angular_distance_from(a: Direction, a_cartesian: np.ndarray, b: Direction) -> float:
+    """:func:`angular_distance` of normalized directions, given a's cartesian."""
+    if a == b:
         # arccos loses ~1e-6 deg of precision near 0; equal directions are 0
         return 0.0
-    dot = float(np.dot(to_cartesian(na), to_cartesian(nb)))
+    dot = float(np.dot(a_cartesian, to_cartesian(b)))
     return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
 
 
@@ -426,7 +431,7 @@ class Triangulation:
         self._frames: dict[tuple[bool, bool], Triangulation | None] = {
             (self.rotated_azimuth, self.rotated_elevation): self
         }
-        self._bary = None
+        self._cells = None
 
     def edges(self) -> list[tuple[int, int]]:
         out = set()
@@ -435,29 +440,63 @@ class Triangulation:
                 out.add((u, v) if u < v else (v, u))
         return sorted(out)
 
+    def _build_cells(self):
+        """Bucket the triangles in a grid of about one cell per triangle,
+        each under every cell its widened bounding box meets.
+
+        A query in [0, 360) x [-90, 90] that the barycentric test accepts
+        lies within 2t times the larger side of the triangle's box, t being
+        the slack plus a bound on the rounding of u and v. Boxes are widened
+        by twice that; a triangle with t not small goes in every cell, one
+        with det == 0 (never accepted) in none.
+        """
+        tri = np.array(self.triangles)
+        a, b, c = (self.frame_coords[tri[:, n]] for n in range(3))
+        (m00, m10), (m01, m11) = (b - a).T, (c - a).T
+        det = m00 * m11 - m01 * m10
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = 2.0 * _BARY_SLACK + 64.0 * _EPS * (
+                360.0 * (np.abs(m00) + np.abs(m01) + np.abs(m10) + np.abs(m11))
+                + np.abs(m00 * m11) + np.abs(m01 * m10)) / np.abs(det)
+        margin = np.where(t < 0.25, 4.0 * t * (hi - lo).max(axis=1) + 1e-6, math.inf)
+        (x0, y0), (x1, y1) = self.frame_coords.min(axis=0), self.frame_coords.max(axis=0)
+        nx = max(1, round(math.sqrt(len(tri) * (x1 - x0) / (y1 - y0))))
+        ny = max(1, round(len(tri) / nx))
+        origin, size = np.array([x0, y0]), np.array([(x1 - x0) / nx, (y1 - y0) / ny])
+        # _locate finds a query's cell by the same float steps, so the cell
+        # lies in the range of every box that holds the query
+        first, last = (np.clip(np.floor((v - origin) / size), 0, (nx - 1, ny - 1))
+                       .astype(int).tolist()
+                       for v in (lo - margin[:, None], hi + margin[:, None]))
+        cells: list[list[tuple]] = [[] for _ in range(nx * ny)]
+        rows = zip(*(v.tolist() for v in (a[:, 0], a[:, 1], m00, m01, m10, m11, det)))
+        for k, ((i0, j0), (i1, j1), row) in enumerate(zip(first, last, rows)):
+            if row[-1] == 0.0:
+                continue
+            entry = (k, *row)
+            for j in range(j0, j1 + 1):
+                for i in range(i0, i1 + 1):
+                    cells[j * nx + i].append(entry)
+        return *origin.tolist(), *size.tolist(), nx, ny, cells
+
     def _locate(self, az: float, el: float) -> int | None:
         """Index of the first triangle (canonical order) containing (az, el)."""
         if not self.triangles:
             return None
-        if self._bary is None:
-            tri = np.array(self.triangles)
-            a = self.frame_coords[tri[:, 0]]
-            b = self.frame_coords[tri[:, 1]]
-            c = self.frame_coords[tri[:, 2]]
-            m00 = b[:, 0] - a[:, 0]
-            m01 = c[:, 0] - a[:, 0]
-            m10 = b[:, 1] - a[:, 1]
-            m11 = c[:, 1] - a[:, 1]
-            det = m00 * m11 - m01 * m10
-            self._bary = (a, m00, m01, m10, m11, det)
-        a, m00, m01, m10, m11, det = self._bary
-        rx = az - a[:, 0]
-        ry = el - a[:, 1]
-        u = (m11 * rx - m01 * ry) / det
-        v = (-m10 * rx + m00 * ry) / det
-        inside = (u >= -_BARY_SLACK) & (v >= -_BARY_SLACK) & (u + v <= 1.0 + _BARY_SLACK)
-        hits = np.nonzero(inside)[0]
-        return int(hits[0]) if hits.size else None
+        if self._cells is None:
+            self._cells = self._build_cells()
+        x0, y0, cw, ch, nx, ny, cells = self._cells
+        i = min(max(math.floor((az - x0) / cw), 0), nx - 1)
+        j = min(max(math.floor((el - y0) / ch), 0), ny - 1)
+        for k, ax, ay, m00, m01, m10, m11, det in cells[j * nx + i]:
+            rx = az - ax
+            ry = el - ay
+            u = (m11 * rx - m01 * ry) / det
+            v = (-m10 * rx + m00 * ry) / det
+            if u >= -_BARY_SLACK and v >= -_BARY_SLACK and u + v <= 1.0 + _BARY_SLACK:
+                return k
+        return None
 
 
 def build_triangulation(points: Iterable[Direction]) -> Triangulation:
@@ -561,7 +600,11 @@ class PointIndex:
     def nearest(self, direction: Direction) -> tuple[int, float]:
         """Index and angular distance (degrees) of the nearest point; ties
         resolve to the lowest index."""
-        dots = self.cartesians @ to_cartesian(direction)
+        return self.nearest_to(to_cartesian(direction))
+
+    def nearest_to(self, cartesian: np.ndarray) -> tuple[int, float]:
+        """:meth:`nearest` for a direction given by its unit vector."""
+        dots = self.cartesians @ cartesian
         idx = int(np.argmax(dots))
         return idx, math.degrees(math.acos(max(-1.0, min(1.0, float(dots[idx])))))
 
@@ -586,6 +629,27 @@ class PointIndex:
             for az, members in _cluster([d.azimuth_deg for d in dirs], circular=True)
             if len(members) >= 2
         )
+
+    @cached_property
+    def ring_keys(self) -> tuple[list[float], list[list[float]], list[int]]:
+        """Sorted keys of ``rings``: the elevations, each ring's member
+        azimuths, and the first k with azimuths k and k + 1 equal in each
+        ring (the ring's last position when none are)."""
+        elevations = [el for el, _ in self.rings]
+        azimuths = [[self.directions[i].azimuth_deg for i in m] for _, m in self.rings]
+        first_equal = [
+            next((k for k in range(len(azs) - 1) if azs[k] == azs[k + 1]), len(azs) - 1)
+            for azs in azimuths
+        ]
+        return elevations, azimuths, first_equal
+
+    @cached_property
+    def column_keys(self) -> tuple[list[float], list[list[float]]]:
+        """Sorted keys of ``columns``: the azimuths and each column's member
+        elevations."""
+        azimuths = [az for az, _ in self.columns]
+        elevations = [[self.directions[i].elevation_deg for i in m] for _, m in self.columns]
+        return azimuths, elevations
 
     @cached_property
     def triangulation(self) -> Triangulation:

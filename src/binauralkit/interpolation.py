@@ -9,7 +9,9 @@ to that single point regardless of the requested mode.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +23,7 @@ from .geometry import (
     PointIndex,
     Triangulation,
     angular_distance,
+    angular_distance_from,
     find_enclosing_triangle,
     from_cartesian,
     normalize_direction,
@@ -53,15 +56,6 @@ class InterpolationMode(enum.Enum):
             ) from None
 
 
-# Tie-break order between concrete modes in auto selection.
-_MODE_RANK = {
-    InterpolationMode.NEAREST: 0,
-    InterpolationMode.TWO_POINT: 1,
-    InterpolationMode.PLANAR: 2,
-    InterpolationMode.THREE_POINT: 3,
-}
-
-
 @dataclass(frozen=True)
 class InterpolationPlan:
     """Selected points and weights for one requested direction."""
@@ -72,76 +66,97 @@ class InterpolationPlan:
     achieved_error_deg: float
 
 
-def _finish(mode: InterpolationMode, indices: Sequence[int], weights: Sequence[float],
-            index: PointIndex, requested: Direction) -> InterpolationPlan:
-    """Assemble a plan: normalize weights, derive achieved direction/error."""
-    weights = np.asarray(weights, dtype=np.float64)
-    weights = weights / weights.sum()
-    centroid = np.zeros(3)
-    for i, w in zip(indices, weights):
-        centroid += w * index.cartesians[i]
-    norm = float(np.linalg.norm(centroid))
-    if norm < 1e-12:
-        # antipodal degenerate blend; fall back to the heaviest point
-        achieved = index.directions[indices[int(np.argmax(weights))]]
+def _finish(mode: InterpolationMode, indices: list[int], weights: list[float],
+            index: PointIndex, requested: Direction, q: np.ndarray) -> InterpolationPlan:
+    """Assemble a plan: normalize weights, derive achieved direction/error.
+    ``q`` is the requested direction's cartesian."""
+    # left-to-right float sums, the order np.sum takes for under 8 values
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    x = y = z = 0.0
+    for w, (cx, cy, cz) in zip(weights, index.cartesians[indices].tolist()):
+        x += w * cx
+        y += w * cy
+        z += w * cz
+    centroid = (x, y, z)
+    # np.linalg.norm decides only near 1e-12, where a plain sum of squares
+    # could round to the other side
+    if x * x + y * y + z * z < 2e-24 and np.linalg.norm(centroid) < 1e-12:
+        # antipodal degenerate blend; fall back to the heaviest point, which
+        # a bare direction list may give unnormalized
+        achieved = index.directions[indices[weights.index(max(weights))]]
+        err = angular_distance(requested, achieved)
     else:
         achieved = from_cartesian(centroid)
-    err = angular_distance(requested, achieved)
-    entries = tuple((int(i), float(w)) for i, w in zip(indices, weights))
-    return InterpolationPlan(mode, entries, achieved, err)
+        err = angular_distance_from(requested, q, achieved)
+    return InterpolationPlan(mode, tuple(zip(indices, weights)), achieved, err)
 
 
-def _weighted(mode: InterpolationMode, indices: Sequence[int],
-              index: PointIndex, requested: Direction) -> InterpolationPlan:
+def _weighted(mode: InterpolationMode, indices: list[int], index: PointIndex,
+              requested: Direction, q: np.ndarray) -> InterpolationPlan:
     """Inverse-chord-distance weights for the given stored points."""
-    q = to_cartesian(requested)
-    chords = [float(np.linalg.norm(index.cartesians[i] - q)) for i in indices]
+    chords = [math.sqrt(d.dot(d)) for d in index.cartesians[indices] - q]
     for i, c in zip(indices, chords):
         if c < _COINCIDENT_CHORD:
-            return _finish(mode, [i], [1.0], index, requested)
-    return _finish(mode, indices, [1.0 / c for c in chords], index, requested)
+            return _finish(mode, [i], [1.0], index, requested, q)
+    return _finish(mode, indices, [1.0 / c for c in chords], index, requested, q)
 
 
 def _circular_diff(a: float, b: float) -> float:
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
+def _nearest_key(keys: list[float], x: float) -> int:
+    """Position of the first minimum of (|k - x|, k) over ascending keys."""
+    hi = bisect_left(keys, x)
+    lo = hi - 1
+    # below x, |k - x| shrinks toward x, and equal distances go to the lower key
+    while lo > 0 and abs(keys[lo - 1] - x) == abs(keys[lo] - x):
+        lo -= 1
+    if lo < 0:
+        return hi
+    if hi == len(keys):
+        return lo
+    return hi if abs(keys[hi] - x) < abs(keys[lo] - x) else lo
+
+
 def _ring_pair(index: PointIndex, requested: Direction) -> list[int] | None:
-    """Azimuth-bracketing pair on the usable ring nearest in elevation."""
+    """Azimuth-bracketing pair on the usable ring nearest in elevation: the
+    first consecutive pair (cyclically) whose azimuth interval holds the
+    query. Two equal azimuths hold every query, so the first such pair ends
+    the search."""
     if not index.rings:
         return None
-    el, members = min(
-        index.rings, key=lambda r: (abs(r[0] - requested.elevation_deg), r[0])
-    )
-    azs = [index.directions[i].azimuth_deg for i in members]
-    qaz = requested.azimuth_deg
-    # cyclic bracket: consecutive pair whose azimuth interval holds qaz
-    for k in range(len(members)):
-        lo = azs[k]
-        hi = azs[(k + 1) % len(members)]
-        inside = lo <= qaz < hi if lo < hi else (qaz >= lo or qaz < hi)
-        if inside:
-            return [members[k], members[(k + 1) % len(members)]]
-    return [members[-1], members[0]]
+    elevations, azimuths, first_equal = index.ring_keys
+    r = _nearest_key(elevations, requested.elevation_deg)
+    members = index.rings[r][1]
+    m = len(members)
+    k = bisect_right(azimuths[r], requested.azimuth_deg) - 1
+    if not 0 <= k < m - 1:
+        k = m - 1  # the wrap pair, last to first
+    k = min(k, first_equal[r])
+    return [members[k], members[(k + 1) % m]]
 
 
 def _column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
     """Elevation-bracketing pair on the usable column nearest in azimuth."""
     if not index.columns:
         return None
-    az, members = min(
-        index.columns,
-        key=lambda c: (_circular_diff(c[0], requested.azimuth_deg), c[0]),
-    )
-    els = [index.directions[i].elevation_deg for i in members]
-    qel = requested.elevation_deg
-    for k in range(len(members) - 1):
-        if els[k] <= qel <= els[k + 1]:
-            return [members[k], members[k + 1]]
-    # outside the column's span: nearest end pair
-    if qel < els[0]:
-        return [members[0], members[1]]
-    return [members[-2], members[-1]]
+    azimuths, elevations = index.column_keys
+    qaz = requested.azimuth_deg
+    if 0.0 <= azimuths[0] and azimuths[-1] < 360.0:
+        # columns are more than the clustering tolerance apart, so the
+        # nearest is a cyclic neighbour of the query
+        i = bisect_left(azimuths, qaz)
+        near = (i - 1, i % len(azimuths))
+    else:
+        near = range(len(azimuths))
+    c = min(near, key=lambda k: (_circular_diff(azimuths[k], qaz), azimuths[k]))
+    members = index.columns[c][1]
+    # the first pair holding the query; outside the span, the nearest end pair
+    k = bisect_left(elevations[c], requested.elevation_deg) - 1
+    k = min(max(k, 0), len(members) - 2)
+    return [members[k], members[k + 1]]
 
 
 def _plan(index: PointIndex, requested: Direction, mode,
@@ -152,66 +167,56 @@ def _plan(index: PointIndex, requested: Direction, mode,
         raise InvalidArgumentError(
             f"snap threshold must be >= 0, got {snap_threshold_deg}"
         )
+    q = to_cartesian(requested)
+    nearest, nearest_dist = index.nearest_to(q)
+    if nearest_dist <= snap_threshold_deg or mode is InterpolationMode.NEAREST:
+        return _finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested, q)
 
-    nearest, nearest_dist = index.nearest(requested)
-    if nearest_dist <= snap_threshold_deg:
-        return _finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested)
-
-    # fallback warnings skip run, _plan and plan / plan_over_directions
-    def run(concrete: InterpolationMode) -> InterpolationPlan:
-        if concrete is InterpolationMode.NEAREST:
-            return _finish(concrete, [nearest], [1.0], index, requested)
-        if concrete is InterpolationMode.TWO_POINT:
-            candidates = []
-            for pair in (_ring_pair(index, requested), _column_pair(index, requested)):
-                if pair is not None:
-                    candidates.append(_weighted(concrete, pair, index, requested))
-            if not candidates:
-                warnings.warn(
-                    "two_point: no usable ring or column; falling back to "
-                    "three_point",
-                    stacklevel=4,
-                )
-                return run(InterpolationMode.THREE_POINT)
-            return min(candidates, key=lambda p: p.achieved_error_deg)
-        if concrete is InterpolationMode.PLANAR:
-            pair = _ring_pair(index, requested)
-            if pair is None:
-                warnings.warn(
-                    "planar: no elevation ring with two points; falling back "
-                    "to three_point",
-                    stacklevel=4,
-                )
-                return run(InterpolationMode.THREE_POINT)
-            return _weighted(concrete, pair, index, requested)
-        # three_point
+    def triangle() -> InterpolationPlan:
         enc = find_enclosing_triangle(index.triangulation, requested)
         vertices = [index.vertex_indices[i] for i in enc.vertex_indices]
-        return _weighted(concrete, vertices, index, requested)
+        return _weighted(InterpolationMode.THREE_POINT, vertices, index, requested, q)
 
-    if mode is not InterpolationMode.AUTO:
-        return run(mode)
+    if mode is InterpolationMode.THREE_POINT:
+        return triangle()
+    ring = _ring_pair(index, requested)
+    if mode is InterpolationMode.PLANAR:
+        if ring is None:
+            # stacklevel names the caller of plan / plan_over_directions
+            warnings.warn(
+                "planar: no elevation ring with two points; falling back "
+                "to three_point",
+                stacklevel=3,
+            )
+            return triangle()
+        return _weighted(mode, ring, index, requested, q)
+    pairs = [
+        _weighted(InterpolationMode.TWO_POINT, pair, index, requested, q)
+        for pair in (ring, _column_pair(index, requested))
+        if pair is not None
+    ]
+    two_point = min(pairs, key=lambda p: p.achieved_error_deg) if pairs else None
+    if mode is InterpolationMode.TWO_POINT:
+        if two_point is None:
+            warnings.warn(
+                "two_point: no usable ring or column; falling back to "
+                "three_point",
+                stacklevel=3,
+            )
+            return triangle()
+        return two_point
 
-    candidates = []
-    for concrete in (
-        InterpolationMode.NEAREST,
-        InterpolationMode.TWO_POINT,
-        InterpolationMode.PLANAR,
-        InterpolationMode.THREE_POINT,
-    ):
-        try:
-            candidates.append((concrete, run(concrete)))
-        except BinauralKitError:
-            continue
-    best = min(
-        candidates,
-        key=lambda cp: (
-            cp[1].achieved_error_deg,
-            len(cp[1].entries),
-            _MODE_RANK[cp[0]],
-        ),
-    )
-    return best[1]
+    # auto: the least error, then the fewest entries, then the first of
+    # nearest, two_point, three_point. Planar is the ring plan, which
+    # two_point matches at a lower rank or beats, or else three_point's.
+    candidates = [_finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested, q)]
+    if two_point is not None:
+        candidates.append(two_point)
+    try:
+        candidates.append(triangle())
+    except BinauralKitError:
+        pass
+    return min(candidates, key=lambda p: (p.achieved_error_deg, len(p.entries)))
 
 
 def plan_over_directions(

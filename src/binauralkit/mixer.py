@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,6 +30,9 @@ NORMALIZE_MODES = ("off", "peak")
 
 
 def _clamp01(value: float, what: str, track: str) -> float:
+    if math.isnan(value):
+        # NaN fails every comparison, so min/max below would make it 1.0
+        raise InvalidArgumentError(f"track {track!r}: {what} is NaN")
     if not (0.0 <= value <= 1.0):
         # names the caller of the dataclass-generated TrackObject.__init__
         warnings.warn(

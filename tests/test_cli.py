@@ -79,6 +79,20 @@ def test_mix_missing_track_file(tmp_path, data_root, noise_wav, capsys):
     assert "gone.wav" in captured.err
 
 
+def test_mix_rejects_nan_track_level(tmp_path, data_root, noise_wav, capsys):
+    # json reads NaN; the track fails instead of rendering at full level
+    scene = _scene(tmp_path, noise_wav, tracks=[
+        {"name": "a", "file": str(noise_wav), "level": float("nan")},
+    ])
+    assert "NaN" in scene.read_text()
+    out = tmp_path / "x.wav"
+    rc = main(["mix", str(scene), "--data-root", str(data_root), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "track 'a': level is NaN" in captured.err
+    assert not out.exists()
+
+
 def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     scene = _scene(tmp_path, noise_wav, config={"loudness": -14})
     rc = main(["mix", str(scene), "--data-root", str(data_root),

@@ -194,6 +194,19 @@ def test_run_dataset_bad_row_values_fail_their_rows(tmp_path, data_root, noise_w
     assert row["error"].startswith(message)
 
 
+def test_run_dataset_nan_amount_fails_its_row(tmp_path, data_root, noise_wav):
+    axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0],
+                      reverb_amount=[float("nan"), 0.25])
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    bad, good = sorted(report.rows, key=lambda r: r["reverb_amount"] != "nan")
+    assert bad["status"] == "failed"
+    assert bad["error"] == "track 'source': reverb is NaN"
+    assert not (out / bad["file"]).exists()
+    assert good["status"] == "ok"
+    assert (out / good["file"]).is_file()
+    assert report.n_failed == 1
+
+
 def test_run_dataset_lets_internal_errors_escape(tmp_path, data_root, noise_wav,
                                                  monkeypatch):
     import binauralkit.dataset as dataset

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -498,6 +499,174 @@ def test_rotated_frame_preserves_vertex_count_and_is_cached():
     assert f1 is f2
     assert len(f1.vertices) == len(tri.vertices)
     assert rotated_frame(tri, False, False) is tri
+
+
+# --- cell-indexed _locate against the full scan ---------------------------
+
+
+def _scan_locate(self, az, el):
+    """Triangulation._locate as it was before its cell index: the barycentric
+    test over every triangle, first hit in canonical order. The reference
+    the cell index must match triangle for triangle."""
+    if not self.triangles:
+        return None
+    tri = np.array(self.triangles)
+    a = self.frame_coords[tri[:, 0]]
+    b = self.frame_coords[tri[:, 1]]
+    c = self.frame_coords[tri[:, 2]]
+    m00 = b[:, 0] - a[:, 0]
+    m01 = c[:, 0] - a[:, 0]
+    m10 = b[:, 1] - a[:, 1]
+    m11 = c[:, 1] - a[:, 1]
+    det = m00 * m11 - m01 * m10
+    rx = az - a[:, 0]
+    ry = el - a[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-area triangles
+        u = (m11 * rx - m01 * ry) / det
+        v = (-m10 * rx + m00 * ry) / det
+        inside = (u >= -geometry._BARY_SLACK) & (v >= -geometry._BARY_SLACK) & (
+            u + v <= 1.0 + geometry._BARY_SLACK
+        )
+    hits = np.nonzero(inside)[0]
+    return int(hits[0]) if hits.size else None
+
+
+def _assert_locate_matches_scan(frame, rng, n_random):
+    """Vertices, edge midpoints and random points of the frame's plane."""
+    fc = frame.frame_coords
+    queries = fc.tolist()
+    for i, j, k in frame.triangles:
+        queries += [((fc[i] + fc[j]) / 2).tolist(), ((fc[j] + fc[k]) / 2).tolist(),
+                    ((fc[k] + fc[i]) / 2).tolist()]
+    queries += rng.uniform([0.0, -90.0], [360.0, 90.0], (n_random, 2)).tolist()
+    for az, el in queries:
+        assert frame._locate(az, el) == _scan_locate(frame, az, el), (az, el)
+
+
+def _all_frames(tri):
+    frames = [rotated_frame(tri, raz, rel) for raz, rel in geometry._FRAME_ORDER]
+    return [f for f in frames if f is not None]
+
+
+@pytest.mark.parametrize("name", ["lebedev50", "ring_poles", "random", "7.1.4"])
+def test_locate_matches_full_scan(name):
+    rng = np.random.default_rng(31)
+    dirs = {
+        "lebedev50": lebedev50_directions,
+        "ring_poles": lambda: ring_grid_directions(10.0, [-90, -45, 0, 45, 90]),
+        "random": lambda: _sphere_directions(rng, 120),
+        "7.1.4": lambda: get_layout("7.1.4").speaker_directions(),
+    }[name]()
+    for frame in _all_frames(build_triangulation(dirs)):
+        _assert_locate_matches_scan(frame, rng, 400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(_FINITE, _FINITE), min_size=3, max_size=40),
+    st.tuples(st.sampled_from([15, 30, 45, 90]),
+              st.lists(st.integers(-90, 90), min_size=2, max_size=5, unique=True)),
+), st.integers(0, 2**32 - 1))
+def test_locate_matches_full_scan_property(spec, seed):
+    if isinstance(spec, list):
+        dirs = [normalize_direction(az, el) for az, el in spec]
+    else:
+        step, els = spec
+        dirs = [Direction(float(az), float(el)) for el in els for az in range(0, 360, step)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tri = build_triangulation(dirs)
+    except InsufficientPointsError:
+        return
+    for frame in _all_frames(tri):
+        _assert_locate_matches_scan(frame, np.random.default_rng(seed), 50)
+
+
+def test_locate_cells_cover_slivers_and_skip_flat_triangles():
+    # a sliver too thin for a bounded margin sits in every cell; a zero-area
+    # triangle, which the barycentric test never accepts, in none
+    coords = np.array([[0.0, 0.0], [100.0, 1e-13], [200.0, 0.0], [300.0, 0.0],
+                       [0.0, 80.0], [350.0, -80.0]])
+    dirs = [Direction(x, y) for x, y in coords.tolist()]
+    frame = geometry.Triangulation(dirs, [(0, 1, 2), (0, 2, 3), (0, 1, 4), (2, 3, 5)],
+                                   coords)
+    _, _, _, _, _, _, cells = frame._build_cells()
+    assert all(cell[0][0] == 0 for cell in cells)
+    assert all(entry[0] != 1 for cell in cells for entry in cell)
+    _assert_locate_matches_scan(frame, np.random.default_rng(32), 400)
+    for az, el in ((100.0, 0.0), (100.0, 5e-14), (150.0, 0.0), (250.0, 0.0)):
+        assert frame._locate(az, el) == _scan_locate(frame, az, el)
+
+
+def test_locate_widens_boxes_past_the_slack():
+    # the cell boundary at x = 0 is triangle 0's box edge; a query 1e-13
+    # left of it is inside triangle 1, and triangle 0 accepts it within the
+    # slack, so the scan answers 0
+    coords = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [-10.0, 5.0]])
+    dirs = [Direction(x, y) for x, y in coords.tolist()]
+    frame = geometry.Triangulation(dirs, [(0, 1, 2), (0, 2, 3)], coords)
+    for el in (1.0, 5.0, 9.0):
+        assert _scan_locate(frame, -1e-13, el) == 0
+        assert frame._locate(-1e-13, el) == 0
+
+
+def test_locate_cells_built_on_first_lookup():
+    tri = build_triangulation(lebedev50_directions())
+    frame = rotated_frame(tri, True, False)
+    assert tri._cells is None and frame._cells is None
+    find_enclosing_triangle(tri, Direction(77.0, 33.0))
+    assert tri._cells is not None and frame._cells is None
+
+
+# --- scipy as an oracle of the Delaunay property ---------------------------
+
+
+def _empty_circumcircles(coords, triangles, tol=0.0):
+    """No point inside a triangle's circumcircle by more than ``tol`` of its
+    squared radius; with tol 0 the exact in-circle test decides every point
+    the float distance to the centre does not clearly put outside."""
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
+    for t in triangles:
+        ux, uy, r2 = circumcircle(*coords[t[0]], *coords[t[1]], *coords[t[2]])
+        d2 = (coords[:, 0] - ux) ** 2 + (coords[:, 1] - uy) ** 2
+        d2[list(t)] = math.inf
+        for p in np.flatnonzero(d2 < r2 * (1.0 + 1e-6)).tolist():
+            if tol:
+                if d2[p] < r2 * (1.0 - tol):
+                    return False
+            elif geometry._incircle_strict(xs[t[0]], ys[t[0]], xs[t[1]], ys[t[1]],
+                                           xs[t[2]], ys[t[2]], xs[p], ys[p]):
+                return False
+    return True
+
+
+def _area(coords, triangles):
+    a, b, c = (coords[[t[n] for t in triangles]] for n in range(3))
+    u, v = b - a, c - a
+    return float(np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]).sum()) / 2.0
+
+
+@pytest.mark.parametrize("step,elevations", [
+    (30.0, [-60, 0, 60]),
+    (15.0, [-75, -50, -25, 0, 25, 50, 75]),
+    (10.0, [-90, -45, 0, 45, 90]),
+])
+def test_ring_grid_delaunay_property_against_scipy(step, elevations):
+    # ring grids are cocircular, so their Delaunay triangles are not unique:
+    # scipy (Qhull, float arithmetic) is held to the empty-circumcircle
+    # property within rounding, ours exactly, and both tile the same hull
+    spatial = pytest.importorskip("scipy.spatial")
+    tri = build_triangulation(ring_grid_directions(step, elevations))
+    for frame in _all_frames(tri):
+        coords = frame.frame_coords
+        simplices = [tuple(t) for t in spatial.Delaunay(coords).simplices.tolist()]
+        assert sorted({i for t in simplices for i in t}) == list(range(len(coords)))
+        assert _empty_circumcircles(coords, simplices, tol=1e-9)
+        assert _empty_circumcircles(coords, frame.triangles)
+        assert len(frame.triangles) == len(simplices)
+        assert _area(coords, frame.triangles) == pytest.approx(_area(coords, simplices),
+                                                               rel=1e-12)
 
 
 _LEBEDEV_TRI = build_triangulation(lebedev50_directions())

@@ -1,22 +1,33 @@
+import warnings
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binauralkit.distributions import lebedev50_directions, ring_grid_directions
 from binauralkit.errors import (
+    BinauralKitError,
     InsufficientPointsError,
     InvalidArgumentError,
     NoEnclosingTriangleError,
 )
 from binauralkit.geometry import (
     Direction,
+    PointIndex,
     angular_distance,
     build_triangulation,
     find_enclosing_triangle,
     from_cartesian,
     normalize_direction,
+    to_cartesian,
 )
 from binauralkit.interpolation import (
     InterpolationMode,
+    InterpolationPlan,
+    _nearest_key,
+    _plan,
     blend,
     plan,
     plan_over_directions,
@@ -145,13 +156,17 @@ def test_auto_prefers_fewer_entries_on_ties(lebedev_set):
     assert len(p.entries) == 1
 
 
-def test_planar_fallback_on_degenerate_set_warns():
-    # a spiral has no two points sharing an elevation ring
+def _spiral():
+    # no two points share an elevation ring or an azimuth column
     rng = np.random.default_rng(24)
-    dirs = [
+    return [
         Direction(float(az), float(el))
         for az, el in zip(rng.uniform(0, 360, 40), np.linspace(-60, 60, 40))
     ]
+
+
+def test_planar_fallback_on_degenerate_set_warns():
+    dirs = _spiral()
     ir_set = synthesize_ir_set(dirs, 48000, 64, seed=3)
     q = Direction(200, 5)
     with pytest.warns(UserWarning, match="planar") as record:
@@ -163,6 +178,19 @@ def test_planar_fallback_on_degenerate_set_warns():
         plan_over_directions(dirs[::4], q, "two_point")
     # each warning names the line here that asked for the plan
     assert [w.filename for w in [*record, *more, *two]] == [__file__] * 3
+
+
+def test_auto_without_rings_or_columns_does_not_warn():
+    # auto reports no fallback it does not use; it plans three_point here
+    dirs = _spiral()
+    ir_set = synthesize_ir_set(dirs, 48000, 64, seed=3)
+    q = Direction(200, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = plan(ir_set, q, "auto")
+        assert plan_over_directions(dirs, q, "auto") == p
+    assert p.mode_used is InterpolationMode.THREE_POINT
+    assert p == plan(ir_set, q, "three_point")
 
 
 def test_three_point_names_input_points_past_a_merged_duplicate():
@@ -272,8 +300,6 @@ def test_blend_convex_bound(lebedev_set):
 
 
 def test_blend_validates_indices(lebedev_set):
-    from binauralkit.interpolation import InterpolationPlan
-
     bogus = InterpolationPlan(
         InterpolationMode.NEAREST, ((99, 1.0),), Direction(0, 0), 0.0
     )
@@ -289,3 +315,288 @@ def test_plan_on_degenerate_collinear_set_auto_works():
     assert sum(w for _, w in p.entries) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InsufficientPointsError):
         plan(ir_set, Direction(17, 0), "three_point")
+
+
+# --- the planner before indexed lookups, kept as the reference ----------
+#
+# _plan, _ring_pair, _column_pair and their helpers as they were when every
+# query scanned all rings and columns and auto ran each concrete mode in
+# full (planar included). The indexed planner must return the same plan,
+# bit for bit, or raise the same error.
+
+_REF_COINCIDENT_CHORD = 1e-9
+
+# Tie-break order between concrete modes in auto selection.
+_REF_MODE_RANK = {
+    InterpolationMode.NEAREST: 0,
+    InterpolationMode.TWO_POINT: 1,
+    InterpolationMode.PLANAR: 2,
+    InterpolationMode.THREE_POINT: 3,
+}
+
+
+def _ref_finish(mode: InterpolationMode, indices: Sequence[int], weights: Sequence[float],
+                index: PointIndex, requested: Direction) -> InterpolationPlan:
+    """Assemble a plan: normalize weights, derive achieved direction/error."""
+    weights = np.asarray(weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    centroid = np.zeros(3)
+    for i, w in zip(indices, weights):
+        centroid += w * index.cartesians[i]
+    norm = float(np.linalg.norm(centroid))
+    if norm < 1e-12:
+        # antipodal degenerate blend; fall back to the heaviest point
+        achieved = index.directions[indices[int(np.argmax(weights))]]
+    else:
+        achieved = from_cartesian(centroid)
+    err = angular_distance(requested, achieved)
+    entries = tuple((int(i), float(w)) for i, w in zip(indices, weights))
+    return InterpolationPlan(mode, entries, achieved, err)
+
+
+def _ref_weighted(mode: InterpolationMode, indices: Sequence[int],
+                  index: PointIndex, requested: Direction) -> InterpolationPlan:
+    """Inverse-chord-distance weights for the given stored points."""
+    q = to_cartesian(requested)
+    chords = [float(np.linalg.norm(index.cartesians[i] - q)) for i in indices]
+    for i, c in zip(indices, chords):
+        if c < _REF_COINCIDENT_CHORD:
+            return _ref_finish(mode, [i], [1.0], index, requested)
+    return _ref_finish(mode, indices, [1.0 / c for c in chords], index, requested)
+
+
+def _ref_circular_diff(a: float, b: float) -> float:
+    return abs((a - b + 180.0) % 360.0 - 180.0)
+
+
+def _ref_ring_pair(index: PointIndex, requested: Direction) -> list[int] | None:
+    """Azimuth-bracketing pair on the usable ring nearest in elevation."""
+    if not index.rings:
+        return None
+    el, members = min(
+        index.rings, key=lambda r: (abs(r[0] - requested.elevation_deg), r[0])
+    )
+    azs = [index.directions[i].azimuth_deg for i in members]
+    qaz = requested.azimuth_deg
+    # cyclic bracket: consecutive pair whose azimuth interval holds qaz
+    for k in range(len(members)):
+        lo = azs[k]
+        hi = azs[(k + 1) % len(members)]
+        inside = lo <= qaz < hi if lo < hi else (qaz >= lo or qaz < hi)
+        if inside:
+            return [members[k], members[(k + 1) % len(members)]]
+    return [members[-1], members[0]]
+
+
+def _ref_column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
+    """Elevation-bracketing pair on the usable column nearest in azimuth."""
+    if not index.columns:
+        return None
+    az, members = min(
+        index.columns,
+        key=lambda c: (_ref_circular_diff(c[0], requested.azimuth_deg), c[0]),
+    )
+    els = [index.directions[i].elevation_deg for i in members]
+    qel = requested.elevation_deg
+    for k in range(len(members) - 1):
+        if els[k] <= qel <= els[k + 1]:
+            return [members[k], members[k + 1]]
+    # outside the column's span: nearest end pair
+    if qel < els[0]:
+        return [members[0], members[1]]
+    return [members[-2], members[-1]]
+
+
+def _ref_plan(index: PointIndex, requested: Direction, mode,
+              snap_threshold_deg: float) -> InterpolationPlan:
+    mode = InterpolationMode.parse(mode)
+    requested = normalize_direction(requested.azimuth_deg, requested.elevation_deg)
+    if snap_threshold_deg < 0.0:
+        raise InvalidArgumentError(
+            f"snap threshold must be >= 0, got {snap_threshold_deg}"
+        )
+
+    nearest, nearest_dist = index.nearest(requested)
+    if nearest_dist <= snap_threshold_deg:
+        return _ref_finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested)
+
+    # fallback warnings skip run, _ref_plan and plan / plan_over_directions
+    def run(concrete: InterpolationMode) -> InterpolationPlan:
+        if concrete is InterpolationMode.NEAREST:
+            return _ref_finish(concrete, [nearest], [1.0], index, requested)
+        if concrete is InterpolationMode.TWO_POINT:
+            candidates = []
+            for pair in (_ref_ring_pair(index, requested), _ref_column_pair(index, requested)):
+                if pair is not None:
+                    candidates.append(_ref_weighted(concrete, pair, index, requested))
+            if not candidates:
+                warnings.warn(
+                    "two_point: no usable ring or column; falling back to "
+                    "three_point",
+                    stacklevel=4,
+                )
+                return run(InterpolationMode.THREE_POINT)
+            return min(candidates, key=lambda p: p.achieved_error_deg)
+        if concrete is InterpolationMode.PLANAR:
+            pair = _ref_ring_pair(index, requested)
+            if pair is None:
+                warnings.warn(
+                    "planar: no elevation ring with two points; falling back "
+                    "to three_point",
+                    stacklevel=4,
+                )
+                return run(InterpolationMode.THREE_POINT)
+            return _ref_weighted(concrete, pair, index, requested)
+        # three_point
+        enc = find_enclosing_triangle(index.triangulation, requested)
+        vertices = [index.vertex_indices[i] for i in enc.vertex_indices]
+        return _ref_weighted(concrete, vertices, index, requested)
+
+    if mode is not InterpolationMode.AUTO:
+        return run(mode)
+
+    candidates = []
+    for concrete in (
+        InterpolationMode.NEAREST,
+        InterpolationMode.TWO_POINT,
+        InterpolationMode.PLANAR,
+        InterpolationMode.THREE_POINT,
+    ):
+        try:
+            candidates.append((concrete, run(concrete)))
+        except BinauralKitError:
+            continue
+    best = min(
+        candidates,
+        key=lambda cp: (
+            cp[1].achieved_error_deg,
+            len(cp[1].entries),
+            _REF_MODE_RANK[cp[0]],
+        ),
+    )
+    return best[1]
+
+
+def _outcome(planner, index, q, mode, snap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return repr(planner(index, q, mode, snap))
+        except BinauralKitError as e:
+            return f"{type(e).__name__}: {e}"
+
+
+def _assert_plans_match_reference(dirs, queries):
+    index = PointIndex(dirs)
+    for q in queries:
+        for snap in (0.0, 2.0):
+            for mode in ALL_MODES:
+                assert _outcome(_plan, index, q, mode, snap) == _outcome(
+                    _ref_plan, index, q, mode, snap
+                ), (q, mode, snap)
+
+
+def _integer_queries(rng, n):
+    return [Direction(float(az), float(el))
+            for az, el in zip(rng.integers(0, 360, n), rng.integers(-90, 91, n))]
+
+
+def _tie_queries(rng, dirs, n):
+    """Queries on and midway between stored elevations and azimuths, where
+    ring and column choices and bracket ends tie."""
+    els = sorted({d.elevation_deg for d in dirs})
+    azs = sorted({d.azimuth_deg for d in dirs})
+    els += [(a + b) / 2 for a, b in zip(els, els[1:])]
+    azs += [(a + b) / 2 for a, b in zip(azs, azs[1:])] + [(azs[-1] + azs[0] + 360.0) / 2]
+    return [Direction(float(rng.choice(azs)), float(rng.choice(els))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["lebedev50", "ring15", "spiral", "7.1.4", "antipodal"])
+def test_plans_match_reference_planner(name):
+    dirs = {
+        "lebedev50": lebedev50_directions,
+        "ring15": lambda: ring_grid_directions(15.0, [-75, -50, -25, 0, 25, 50, 75]),
+        "spiral": _spiral,
+        "7.1.4": lambda: get_layout("7.1.4").speaker_directions(),
+        # ring and column pairs of opposite points blend to a zero centroid,
+        # which falls back to a stored direction, here given unnormalized
+        "antipodal": lambda: [Direction(-360.0, 0.0), Direction(-180.0, 0.0),
+                              Direction(90.0, 60.0), Direction(90.0, -60.0),
+                              Direction(270.0, 30.0)],
+    }[name]()
+    rng = np.random.default_rng(27)
+    queries = _sphere_directions(rng, 100) + _integer_queries(rng, 100)
+    queries += _tie_queries(rng, dirs, 100)
+    queries += [Direction(d.azimuth_deg + 0.5, d.elevation_deg) for d in dirs]
+    _assert_plans_match_reference(dirs, queries)
+
+
+_AZ = st.floats(0.0, 360.0, exclude_max=True)
+_EL = st.floats(-90.0, 90.0)
+
+
+@st.composite
+def _direction_sets(draw):
+    """Bare direction lists: random; integer-degree lattices (ties between
+    rings, columns and bracket ends), with the poles, with a second copy of
+    some points 0.004 deg up (equal azimuths within one ring, 2-member rings
+    of equal azimuths), with near-duplicates 0.001 deg away, or with
+    azimuths given outside [0, 360)."""
+    kind = draw(st.sampled_from(
+        ["random", "lattice", "poles", "equal_azimuths", "near_duplicates", "raw"]
+    ))
+    if kind == "random":
+        pts = draw(st.lists(st.tuples(_AZ, _EL), min_size=3, max_size=30))
+        return [normalize_direction(az, el) for az, el in pts]
+    step = draw(st.sampled_from([15, 30, 45, 60, 90, 120]))
+    els = draw(st.lists(st.integers(-85, 85), min_size=1, max_size=4, unique=True))
+    dirs = [Direction(float(az), float(el)) for el in els for az in range(0, 360, step)]
+    keep = draw(st.lists(st.booleans(), min_size=len(dirs), max_size=len(dirs)))
+    dirs = [d for d, k in zip(dirs, keep) if k] or dirs
+    extra = draw(st.lists(st.sampled_from(dirs), max_size=6))
+    if kind == "poles":
+        dirs += [Direction(0.0, 90.0), Direction(0.0, -90.0)]
+    elif kind == "equal_azimuths":
+        dirs += [Direction(d.azimuth_deg, d.elevation_deg + 0.004) for d in extra]
+    elif kind == "near_duplicates":
+        dirs += [Direction(d.azimuth_deg + 0.001, d.elevation_deg - 0.001) for d in extra]
+    elif kind == "raw":
+        # whole columns move by a turn, so they stay columns
+        turns = {az: draw(st.sampled_from([-1, 0, 1]))
+                 for az in sorted({d.azimuth_deg for d in dirs})}
+        dirs = [Direction(d.azimuth_deg + 360.0 * turns[d.azimuth_deg], d.elevation_deg)
+                for d in dirs]
+    order = draw(st.permutations(range(len(dirs))))
+    return [dirs[i] for i in order]
+
+
+_QUERY = st.one_of(
+    st.builds(Direction, _AZ, _EL),
+    st.builds(Direction, st.integers(0, 359).map(float), st.integers(-90, 90).map(float)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_direction_sets(), st.lists(_QUERY, min_size=1, max_size=3), st.data())
+def test_plans_match_reference_planner_property(dirs, queries, data):
+    stored = data.draw(st.lists(st.sampled_from(dirs), max_size=2))
+    offset = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
+    queries += [Direction(d.azimuth_deg + offset, d.elevation_deg) for d in stored]
+    queries += _tie_queries(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                            dirs, 3)
+    _assert_plans_match_reference(dirs, queries)
+
+
+@example([-2.0 ** 56, -2.0 ** 56 + 8.0], 7.9)  # both round to distance 2**56
+@example([10.0, 20.0], 15.0)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+       st.floats(-90.0, 90.0))
+def test_nearest_key_matches_scan(keys, x):
+    keys = sorted(keys)
+    scan = min(range(len(keys)), key=lambda i: (abs(keys[i] - x), keys[i]))
+    assert _nearest_key(keys, x) == scan
+    for a, b in zip(keys, keys[1:]):
+        mid = a / 2 + b / 2
+        scan = min(range(len(keys)), key=lambda i: (abs(keys[i] - mid), keys[i]))
+        assert _nearest_key(keys, mid) == scan

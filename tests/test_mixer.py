@@ -65,6 +65,15 @@ def test_track_object_validation():
     assert t.direction.azimuth_deg == 270.0
 
 
+@pytest.mark.parametrize("field", ["level", "reverb"])
+def test_track_object_rejects_nan_amounts(field):
+    # NaN fails every comparison, so clamping would have made it 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=f"track 'n': {field} is NaN"):
+            TrackObject("n", AudioBuffer(np.ones(8), 48000), **{field: float("nan")})
+
+
 def test_mix_config_validation():
     cfg = _cfg(ir_type="hrir", interpolation_mode="three_point")
     assert cfg.ir_type is IRType.HRIR
