@@ -13,7 +13,7 @@ from . import __version__
 from .dataset import parse_grid, run_dataset
 from .dsp import load_audio, load_reverbs
 from .distributions import lebedev50_directions, ring_grid_directions
-from .errors import BinauralKitError, FormatError, InvalidArgumentError
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .geometry import (
     Direction,
     apply_frame,
@@ -73,13 +73,17 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
     for req in ("subject", "sample_rate"):
         if req not in raw_cfg:
             raise FormatError(f"{path}: config is missing {req!r}")
+    rate, reverb_type = (
+        as_number(raw_cfg.get(key, 1), f"{path}: config {key}", int)
+        for key in ("sample_rate", "reverb_type")
+    )
     cfg = MixConfig(
         subject_id=str(raw_cfg["subject"]),
-        sample_rate_hz=int(raw_cfg["sample_rate"]),
+        sample_rate_hz=rate,
         ir_type=raw_cfg.get("ir_type", "HRIR"),
         speaker_layout=raw_cfg.get("layout"),
         interpolation_mode=raw_cfg.get("mode", "auto"),
-        reverb_type=raw_cfg.get("reverb_type", 1),
+        reverb_type=reverb_type,
         keep_tail=bool(raw_cfg.get("keep_tail", True)),
         normalize=raw_cfg.get("normalize", "off"),
     )
@@ -101,14 +105,19 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
         wav = Path(t["file"])
         if not wav.is_absolute():
             wav = path.parent / wav
+        level, reverb, azimuth, elevation = (
+            as_number(t.get(key, default), f"{path}: track {i} {key}")
+            for key, default in (("level", 1.0), ("reverb", 0.0),
+                                 ("azimuth", 0.0), ("elevation", 0.0))
+        )
         tracks.append(
             TrackObject(
                 name=str(t["name"]),
                 audio=load_audio(wav),
-                level=float(t.get("level", 1.0)),
-                reverb=float(t.get("reverb", 0.0)),
-                azimuth_deg=float(t.get("azimuth", 0.0)),
-                elevation_deg=float(t.get("elevation", 0.0)),
+                level=level,
+                reverb=reverb,
+                azimuth_deg=azimuth,
+                elevation_deg=elevation,
             )
         )
     return cfg, tracks

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .dsp import AudioBuffer, load_audio, load_reverbs
-from .errors import BinauralKitError, FormatError, InvalidArgumentError
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .ir_store import IRType, load_ir_set
 from .mixer import MixConfig, TrackObject, _track_source, mix_tracks_binaural
 from .wavio import write_wav
@@ -118,18 +118,14 @@ def parse_grid(path) -> DatasetGrid:
         if not isinstance(axis, (list, tuple)) or len(axis) == 0:
             raise FormatError(f"{path}: axis {name!r} must be a non-empty list")
         axes[name] = tuple(axis)
-    return DatasetGrid(int(data.get("seed", 0)), axes, path.parent)
+    seed = as_number(data.get("seed", 0), f"{path}: seed", int)
+    return DatasetGrid(seed, axes, path.parent)
 
 
 def _axis_number(values: dict, axis: str, kind=float):
     """``kind(values[axis])``; a value that does not convert fails its row
     with an error naming the axis."""
-    value = values[axis]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise InvalidArgumentError(f"{axis} must be {what}, got {value!r}") from None
+    return as_number(values[axis], axis, kind, InvalidArgumentError)
 
 
 def job_filename(values: dict, seed: int) -> str:

@@ -31,3 +31,13 @@ class FormatError(BinauralKitError, ValueError):
 
 class EmptyImportError(BinauralKitError):
     """An import scan produced zero usable IR files."""
+
+
+def as_number(value, where: str, kind=float, error=FormatError):
+    """``kind(value)``; a value that does not convert raises ``error``
+    naming ``where`` it came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise error(f"{where} must be {what}, got {value!r}") from None

@@ -41,6 +41,10 @@ _SUPER = ((180.0, 300000.0), (-300000.0, -200000.0), (300360.0, -200000.0))
 
 _FRAME_ORDER = ((False, False), (True, False), (False, True), (True, True))
 
+# Near-duplicate search axis: a unit vector off every grid symmetry, so rows
+# of ring and lattice sets rarely share a projection.
+_SORT_AXIS = np.array([0.6, 0.48, 0.64])
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -374,29 +378,6 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
     return result  # type: ignore[return-value]
 
 
-def _merge_duplicates(dirs: list[Direction]) -> list[Direction]:
-    """Drop directions within MERGE_TOLERANCE_DEG of an earlier one."""
-    kept: list[Direction] = []
-    carts = np.empty((len(dirs), 3))
-    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
-    dropped = 0
-    for d in dirs:
-        v = to_cartesian(d)
-        m = len(kept)
-        if m and float(np.max(carts[:m] @ v)) > cos_tol:
-            dropped += 1
-            continue
-        carts[m] = v
-        kept.append(d)
-    if dropped:
-        warnings.warn(
-            f"merged {dropped} duplicate point(s) within "
-            f"{MERGE_TOLERANCE_DEG} degrees",
-            stacklevel=3,
-        )
-    return kept
-
-
 def _frame_coords(vertices: Sequence[Direction], rotated_azimuth: bool,
                   rotated_elevation: bool) -> np.ndarray:
     """(azimuth, elevation) rows of the vertices mapped into one frame."""
@@ -506,8 +487,15 @@ def build_triangulation(points: Iterable[Direction]) -> Triangulation:
     merged with a warning, so ``vertices`` of the result equals the surviving
     point list in input order.
     """
-    dirs = [normalize_direction(p.azimuth_deg, p.elevation_deg) for p in points]
-    kept = _merge_duplicates(dirs)
+    index = PointIndex(points)
+    kept = [index.directions[i] for i in index.vertex_indices]
+    dropped = len(index.directions) - len(kept)
+    if dropped:
+        warnings.warn(
+            f"merged {dropped} duplicate point(s) within "
+            f"{MERGE_TOLERANCE_DEG} degrees",
+            stacklevel=2,
+        )
     if len(kept) < 3:
         raise InsufficientPointsError(
             f"need at least 3 distinct points, got {len(kept)}"
@@ -582,12 +570,15 @@ def _cluster(values: Sequence[float], circular: bool) -> list[tuple[float, list[
 
 class PointIndex:
     """Facts about a fixed list of directions, each computed on first use
-    and kept. Indices refer to ``directions`` as given; ``triangulation`` may
-    be passed in when the caller already built it from them."""
+    and kept. ``directions`` holds them normalized, in the order given, and
+    indices refer to it; ``triangulation`` may be passed in when the caller
+    already built it from them."""
 
-    def __init__(self, directions: Sequence[Direction],
+    def __init__(self, directions: Iterable[Direction],
                  triangulation: Triangulation | None = None):
-        self.directions: tuple[Direction, ...] = tuple(directions)
+        self.directions: tuple[Direction, ...] = tuple(
+            normalize_direction(d.azimuth_deg, d.elevation_deg) for d in directions
+        )
         if triangulation is not None:
             self.triangulation = triangulation
 
@@ -657,12 +648,41 @@ class PointIndex:
 
     @cached_property
     def vertex_indices(self) -> tuple[int, ...]:
-        """Index into ``directions`` of each triangulation vertex.
+        """Index into ``directions`` of each direction that is not within
+        MERGE_TOLERANCE_DEG of an earlier kept one: the triangulation's
+        vertices, in order.
 
-        Near-duplicates are merged when triangulating, so vertex k need not
-        be direction k; each vertex is the first occurrence it was kept from.
+        A fixed-radius near-neighbour search (Bentley, Stanat & Williams
+        1977): rows sorted by their projection on one axis are compared only
+        with rows less than a tolerance chord further along. A row with an
+        earlier neighbour within a margin of the tolerance then reruns
+        ``kept @ v > cos(tolerance)`` over the earlier kept rows, which is
+        what decides, so the result is the per-row loop's.
         """
-        first: dict[Direction, int] = {}
-        for i, d in enumerate(self.directions):
-            first.setdefault(normalize_direction(d.azimuth_deg, d.elevation_deg), i)
-        return tuple(first[v] for v in self.triangulation.vertices)
+        carts = self.cartesians
+        n = len(carts)
+        cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
+        keep = np.ones(n, dtype=bool)
+        if n > 1:
+            along = carts @ _SORT_AXIS
+            order = np.argsort(along)
+            along = along[order]
+            sorted_carts = carts[order]
+            # a pair within the tolerance is at most its chord apart on the
+            # axis; both margins are far above the rounding of either sum
+            reach = math.sqrt(2.0 - 2.0 * cos_tol) + 1e-9
+            close = np.zeros(n, dtype=bool)
+            starts = np.arange(n)
+            for step in range(1, n):
+                starts = starts[starts < n - step]
+                starts = starts[along[starts + step] - along[starts] <= reach]
+                if not starts.size:
+                    break
+                ends = starts + step
+                dots = np.einsum("ij,ij->i", sorted_carts[starts], sorted_carts[ends])
+                later = np.maximum(order[starts], order[ends])
+                close[later[dots > cos_tol - 1e-12]] = True
+            for i in np.flatnonzero(close).tolist():
+                if float(np.max(carts[:i][keep[:i]] @ carts[i])) > cos_tol:
+                    keep[i] = False
+        return tuple(np.flatnonzero(keep).tolist())

@@ -22,7 +22,6 @@ from .geometry import (
     Direction,
     PointIndex,
     Triangulation,
-    angular_distance,
     angular_distance_from,
     find_enclosing_triangle,
     from_cartesian,
@@ -82,13 +81,11 @@ def _finish(mode: InterpolationMode, indices: list[int], weights: list[float],
     # np.linalg.norm decides only near 1e-12, where a plain sum of squares
     # could round to the other side
     if x * x + y * y + z * z < 2e-24 and np.linalg.norm(centroid) < 1e-12:
-        # antipodal degenerate blend; fall back to the heaviest point, which
-        # a bare direction list may give unnormalized
+        # antipodal degenerate blend; fall back to the heaviest point
         achieved = index.directions[indices[weights.index(max(weights))]]
-        err = angular_distance(requested, achieved)
     else:
         achieved = from_cartesian(centroid)
-        err = angular_distance_from(requested, q, achieved)
+    err = angular_distance_from(requested, q, achieved)
     return InterpolationPlan(mode, tuple(zip(indices, weights)), achieved, err)
 
 
@@ -144,13 +141,10 @@ def _column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
         return None
     azimuths, elevations = index.column_keys
     qaz = requested.azimuth_deg
-    if 0.0 <= azimuths[0] and azimuths[-1] < 360.0:
-        # columns are more than the clustering tolerance apart, so the
-        # nearest is a cyclic neighbour of the query
-        i = bisect_left(azimuths, qaz)
-        near = (i - 1, i % len(azimuths))
-    else:
-        near = range(len(azimuths))
+    # columns lie in [0, 360) more than the clustering tolerance apart, so
+    # the nearest is a cyclic neighbour of the query
+    i = bisect_left(azimuths, qaz)
+    near = (i - 1, i % len(azimuths))
     c = min(near, key=lambda k: (_circular_diff(azimuths[k], qaz), azimuths[k]))
     members = index.columns[c][1]
     # the first pair holding the query; outside the span, the nearest end pair

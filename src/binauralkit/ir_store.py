@@ -31,13 +31,13 @@ from .errors import (
     InsufficientPointsError,
     InvalidArgumentError,
     NotFoundError,
+    as_number,
 )
 from .geometry import (
     MERGE_TOLERANCE_DEG,
     Direction,
     PointIndex,
     Triangulation,
-    angular_distance,
     normalize_direction,
 )
 
@@ -82,54 +82,6 @@ def _at_points(error: Exception, *indices: int) -> Exception:
     so a loader can name the rows they came from."""
     error.point_indices = indices
     return error
-
-
-# Distinctness screen: dot products are taken in square tiles of at most
-# this many bytes, below glibc's default 128 KiB mmap threshold. Freeing a
-# larger array raises that threshold for the rest of the process, which
-# changes how every later large array is allocated and adds to peak RSS.
-# The tiles are multiplied by einsum, not BLAS gemm, whose first call keeps
-# a work buffer of ~0.3 MB. A row whose screened maximum comes within the
-# margin of the tolerance is checked again exactly; products of unit
-# vectors summed in another order differ by a few ulps, far below it.
-_SCREEN_TILE_BYTES = 120 << 10
-_SCREEN_MARGIN = 1e-12
-
-
-def _first_close_pair(carts: np.ndarray) -> tuple[int, int] | None:
-    """The first pair (j, i), j < i, of unit vectors within the merge
-    tolerance, in order of i; j is the earlier row with the largest dot
-    product, the lowest such index on ties. None when all are distinct.
-
-    Each block of rows is screened against every earlier row, one tile of
-    matrix product at a time; only rows that come within the margin rerun
-    the per-row product ``carts[:i] @ carts[i]`` that decides.
-    """
-    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
-    n = len(carts)
-    side = max(1, min(n, math.isqrt(_SCREEN_TILE_BYTES // 8)))
-    columns = np.ascontiguousarray(carts.T)
-    buf = np.empty(side * side)
-    # in a tile on the diagonal, row r counts only columns left of r
-    upper = np.triu(np.ones((side, side), dtype=bool))
-    for start in range(0, n, side):
-        stop = min(start + side, n)
-        b = stop - start
-        best = np.zeros(b)
-        for c0 in range(0, stop, side):
-            c1 = min(c0 + side, stop)
-            dots = buf[:b * (c1 - c0)].reshape(b, c1 - c0)
-            np.einsum("ik,kj->ij", carts[start:stop], columns[:, c0:c1], out=dots)
-            if c0 == start:
-                dots[upper[:b, :b]] = 0.0
-            np.maximum(best, dots.max(axis=1), out=best)
-        for r in np.flatnonzero(best > cos_tol - _SCREEN_MARGIN):
-            i = start + int(r)
-            row = carts[:i] @ carts[i]
-            j = int(np.argmax(row))
-            if float(row[j]) > cos_tol:
-                return j, i
-    return None
 
 
 @dataclass
@@ -185,9 +137,12 @@ class IRSet:
                     f"IR length mismatch in set {self.subject_id}: "
                     f"{p.ir_length} != {n}"
                 ), i)
-        pair = _first_close_pair(self.index.cartesians)
-        if pair is not None:
-            j, i = pair
+        kept = self.index.vertex_indices
+        if len(kept) < len(self.points):
+            # the first dropped row, and the earlier row nearest to it
+            i = next((k for k, v in enumerate(kept) if k != v), len(kept))
+            carts = self.index.cartesians
+            j = int(np.argmax(carts[:i] @ carts[i]))
             a = self.points[j].direction
             b = self.points[i].direction
             raise _at_points(InvalidArgumentError(
@@ -274,7 +229,10 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
     for key in ("schema", "subject", "ir_type", "rate"):
         if key not in header:
             raise FormatError(f"{path}: header is missing {key!r}")
-    if int(header["schema"]) != MANIFEST_SCHEMA:
+    schema, rate = (
+        as_number(header[key], f"{path}: header {key}", int) for key in ("schema", "rate")
+    )
+    if schema != MANIFEST_SCHEMA:
         raise FormatError(
             f"{path}: unsupported schema {header['schema']} "
             f"(expected {MANIFEST_SCHEMA})"
@@ -293,10 +251,10 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
             raise FormatError(f"{path}:{i}: bad angle value") from None
         line_numbers.append(i)
     manifest = IRManifest(
-        schema_version=int(header["schema"]),
+        schema_version=schema,
         subject_id=header["subject"],
         ir_type=IRType.parse(header["ir_type"]),
-        sample_rate_hz=_check_rate(int(header["rate"])),
+        sample_rate_hz=_check_rate(rate),
         entries=tuple(entries),
     )
     return manifest, tuple(line_numbers)
@@ -413,8 +371,7 @@ def import_sadie(
     mpath.parent.mkdir(parents=True, exist_ok=True)
 
     files = sorted(p for p in source_dir.iterdir() if p.suffix.lower() == ".wav")
-    entries = []
-    kept_dirs: list[Direction] = []
+    candidates: list[tuple[Path, Direction]] = []
     skipped: list[str] = []
     for f in files:
         m = pattern.search(f.name)
@@ -437,7 +394,13 @@ def import_sadie(
         if rate != sample_rate_hz:
             skipped.append(f"{f.name}: rate {rate} != {sample_rate_hz}")
             continue
-        if any(angular_distance(d, other) < MERGE_TOLERANCE_DEG for other in kept_dirs):
+        candidates.append((f, d))
+
+    # the same test IRSet applies on load, so every kept row loads
+    kept = set(PointIndex(d for _, d in candidates).vertex_indices)
+    entries = []
+    for k, (f, d) in enumerate(candidates):
+        if k not in kept:
             skipped.append(f"{f.name}: duplicate direction "
                            f"({d.azimuth_deg}, {d.elevation_deg})")
             continue
@@ -446,7 +409,6 @@ def import_sadie(
             rel = f.name
         else:
             rel = os.path.relpath(str(f), str(mpath.parent))
-        kept_dirs.append(d)
         entries.append((d.azimuth_deg, d.elevation_deg, rel))
 
     for msg in skipped:

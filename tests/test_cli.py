@@ -102,6 +102,57 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     assert "unknown config keys: loudness" in captured.err
 
 
+@pytest.mark.parametrize("config,tracks,message", [
+    ({"sample_rate": "fast"}, None, "config sample_rate must be an integer, got 'fast'"),
+    ({"reverb_type": "x"}, None, "config reverb_type must be an integer, got 'x'"),
+    ({}, [{"name": "a", "level": "loud"}], "track 0 level must be a number, got 'loud'"),
+    ({}, [{"name": "a"}, {"name": "b", "azimuth": None}],
+     "track 1 azimuth must be a number, got None"),
+])
+def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, capsys,
+                                               config, tracks, message):
+    tracks = [{**t, "file": str(noise_wav)} for t in tracks] if tracks else None
+    scene = _scene(tmp_path, noise_wav, config=config, tracks=tracks)
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "x.wav")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {scene}: {message}" in captured.err
+
+
+def test_dataset_bad_seed_names_grid(tmp_path, data_root, capsys):
+    gpath = tmp_path / "grid.json"
+    axes = {"subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
+            "azimuth": [0.0], "elevation": [0.0], "source": ["s.wav"]}
+    gpath.write_text(json.dumps({"schema": 1, "seed": "abc", "axes": axes}))
+    rc = main(["dataset", str(gpath), "--data-root", str(data_root),
+               "--out", str(tmp_path / "ds")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {gpath}: seed must be an integer, got 'abc'" in captured.err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("schema=x", "header schema must be an integer, got 'x'"),
+    ("rate=abc", "header rate must be an integer, got 'abc'"),
+])
+def test_bad_manifest_header_names_manifest(tmp_path, capsys, field, message):
+    assert main(["synth-irs", "--dest", str(tmp_path), "--length", "32",
+                 "--subject", "HDR"]) == 0
+    mpath = tmp_path / "HDR" / "HRIR" / "48000" / "manifest.tsv"
+    lines = mpath.read_text().splitlines()
+    key = field.split("=")[0]
+    lines[0] = "\t".join(field if part.startswith(key + "=") else part
+                         for part in lines[0].split("\t"))
+    mpath.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["triangulate", "--az", "0", "--el", "0", "--subject", "HDR",
+               "--data-root", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {mpath}: {message}" in captured.err
+
+
 def test_render_surround_channel_count_error(tmp_path, data_root, capsys):
     rng = np.random.default_rng(41)
     src = tmp_path / "six.wav"

@@ -14,7 +14,9 @@ from binauralkit.errors import (
     NoEnclosingTriangleError,
 )
 from binauralkit.geometry import (
+    MERGE_TOLERANCE_DEG,
     Direction,
+    PointIndex,
     angular_distance,
     apply_frame,
     build_triangulation,
@@ -176,9 +178,114 @@ def test_insufficient_or_collinear_points_raise():
 
 def test_duplicate_points_merged_with_warning():
     pts = [Direction(0, 0), Direction(0, 0.005), Direction(40, 10), Direction(10, 50)]
-    with pytest.warns(UserWarning, match="merged"):
+    with pytest.warns(UserWarning, match="merged 1 duplicate point") as record:
         tri = build_triangulation(pts)
     assert len(tri.vertices) == 3
+    # the warning names the line that asked for the triangulation
+    assert record[0].filename == __file__
+
+
+# --- near-duplicate search against the per-row merge loop -------------------
+
+
+def _merge_duplicates(dirs: list[Direction]) -> list[Direction]:
+    """Drop directions within MERGE_TOLERANCE_DEG of an earlier one."""
+    kept: list[Direction] = []
+    carts = np.empty((len(dirs), 3))
+    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
+    dropped = 0
+    for d in dirs:
+        v = to_cartesian(d)
+        m = len(kept)
+        if m and float(np.max(carts[:m] @ v)) > cos_tol:
+            dropped += 1
+            continue
+        carts[m] = v
+        kept.append(d)
+    if dropped:
+        warnings.warn(
+            f"merged {dropped} duplicate point(s) within "
+            f"{MERGE_TOLERANCE_DEG} degrees",
+            stacklevel=3,
+        )
+    return kept
+
+
+def _assert_kept_like_merge_loop(dirs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = _merge_duplicates(dirs)
+    index = PointIndex(dirs)
+    assert [index.directions[i] for i in index.vertex_indices] == expected
+
+
+def _away(d, sep_deg, toward):
+    """The direction sep_deg from d on the great circle toward a vector."""
+    v = to_cartesian(d)
+    u = toward - (toward @ v) * v
+    if np.linalg.norm(u) < 1e-3:
+        u = np.cross(v, [0.0, 0.0, 1.0] if abs(v[2]) < 0.9 else [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    t = math.radians(sep_deg)
+    return from_cartesian(math.cos(t) * v + math.sin(t) * u)
+
+
+@st.composite
+def _merge_sets(draw):
+    """Random directions, each extra one inserted after the point it is
+    near: an exact duplicate, a partner at the tolerance +-1e-9 deg, or a
+    chain A~B~C in which only greedy "earlier kept" merging keeps C."""
+    dirs = [normalize_direction(az, el) for az, el in draw(st.lists(
+        st.tuples(st.floats(0.0, 360.0), st.floats(-90.0, 90.0)),
+        min_size=1, max_size=30,
+    ))]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(dirs) - 1))
+        toward = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        kind = draw(st.sampled_from(["duplicate", "threshold", "chain"]))
+        if kind == "duplicate":
+            new = [dirs[k]]
+        elif kind == "threshold":
+            sep = MERGE_TOLERANCE_DEG + draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+            new = [_away(dirs[k], sep, toward)]
+        else:
+            new = [_away(dirs[k], 0.6 * MERGE_TOLERANCE_DEG, toward),
+                   _away(dirs[k], 1.2 * MERGE_TOLERANCE_DEG, toward)]
+        at = draw(st.integers(k + 1, len(dirs)))
+        dirs[at:at] = new
+    return dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_sets())
+def test_vertex_indices_match_merge_loop(dirs):
+    _assert_kept_like_merge_loop(dirs)
+
+
+def test_vertex_indices_keep_a_chain_end_past_a_merged_middle():
+    a = Direction(10.0, 0.0)
+    chain = [a, Direction(10.006, 0.0), Direction(10.012, 0.0), Direction(200.0, 30.0)]
+    assert PointIndex(chain).vertex_indices == (0, 2, 3)
+    _assert_kept_like_merge_loop(chain)
+
+
+def test_vertex_indices_match_merge_loop_at_set_scale():
+    """The 8,802-point spiral, then with duplicates, threshold partners and
+    a chain inserted late in the set."""
+    n = 8802
+    golden = 180.0 * (3.0 - math.sqrt(5.0))
+    z = (2 * np.arange(n) + 1) / n - 1.0
+    dirs = [normalize_direction(float(a), float(e)) for a, e in
+            zip((golden * np.arange(n)) % 360.0, np.degrees(np.arcsin(z)))]
+    assert PointIndex(dirs).vertex_indices == tuple(range(n))
+    toward = np.array([0.3, -0.5, 0.8])
+    dirs.insert(8000, dirs[5000])
+    dirs.insert(7000, _away(dirs[6500], MERGE_TOLERANCE_DEG - 1e-9, toward))
+    dirs.insert(6000, _away(dirs[4000], MERGE_TOLERANCE_DEG + 1e-9, toward))
+    dirs[3001:3001] = [_away(dirs[3000], f * MERGE_TOLERANCE_DEG, toward)
+                       for f in (0.6, 1.2)]
+    _assert_kept_like_merge_loop(dirs)
+    assert len(PointIndex(dirs).vertex_indices) == n + 2
 
 
 def test_lebedev_triangulation_brute_force():

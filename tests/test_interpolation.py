@@ -213,6 +213,27 @@ def test_three_point_names_input_points_past_a_merged_duplicate():
     assert plans[0].achieved_error_deg < 5.0
 
 
+def test_raw_angles_plan_like_their_normalized_list():
+    # a ring given with azimuths -30 and 400 (330 and 40), and points given
+    # past the pole at elevation 100 (80 on the far side)
+    raw = [Direction(az, 0.0) for az in (-30.0, 0.0, 30.0, 400.0)] + [Direction(0.0, 60.0)]
+    raw += [Direction(az, 100.0) for az in (0.0, 90.0, 180.0, 270.0)]
+    normalized = [normalize_direction(d.azimuth_deg, d.elevation_deg) for d in raw]
+    rng = np.random.default_rng(28)
+    queries = [Direction(345.0, 0.0), Direction(200.0, 85.0)] + _integer_queries(rng, 40)
+    for q in queries:
+        for snap in (0.0, 2.0):
+            for mode in ALL_MODES:
+                assert _outcome(plan_over_directions, raw, q, mode, snap) == _outcome(
+                    plan_over_directions, normalized, q, mode, snap
+                ), (q, mode, snap)
+    # 345 lies between the ring's 330 and 0, on the ring
+    for mode in ("planar", "two_point", "auto"):
+        p = plan_over_directions(raw, Direction(345.0, 0.0), mode, 0.0)
+        assert sorted(i for i, _ in p.entries) == [0, 1]
+        assert p.achieved_error_deg < 1e-9
+
+
 def test_plans_build_clusters_and_triangulation_once(monkeypatch):
     import binauralkit.geometry as geometry
 

@@ -1,7 +1,6 @@
 import math
 import os
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from binauralkit import ir_store, wavio
+from binauralkit import wavio
+from binauralkit.distributions import ring_grid_directions
 from binauralkit.geometry import (
     MERGE_TOLERANCE_DEG,
     Direction,
@@ -324,6 +324,52 @@ def test_import_sadie_no_copy_references_source(tmp_path):
     assert len(loaded.points) == 3
 
 
+def _angles(dirs):
+    return sorted((d.azimuth_deg, d.elevation_deg) for d in dirs)
+
+
+def test_import_dense_ring_directory_then_load(tmp_path):
+    grid = ring_grid_directions(2.5, range(-80, 81, 10))
+    names = [f"azi_{d.azimuth_deg!r}_ele_{d.elevation_deg!r}.wav" for d in grid]
+    _write_import_fixture(tmp_path / "raw", names)
+    manifest = import_sadie(tmp_path / "raw", tmp_path / "root", "D1", "HRIR", 48000,
+                            copy_files=False)
+    loaded = load_ir_set(tmp_path / "root", "D1", "HRIR", 48000)
+    assert len(grid) == len(manifest.entries) == 2448
+    assert _angles(loaded.directions) == _angles(grid)
+
+
+def test_import_keeps_what_load_accepts_at_the_tolerance(tmp_path):
+    """Pairs 0.01 deg +- up to 6e-11 deg apart along a ring. Import keeps
+    the rows the per-row loop keeps, in file order, so the manifest it
+    writes loads."""
+    names = []
+    for i in range(48):
+        az, el = 7.5 * i + 1.25, (-60.0, -20.0, 20.0, 60.0)[i % 4]
+        sep = math.radians(MERGE_TOLERANCE_DEG + (i % 25 - 12) * 5e-12)
+        partner = az + math.degrees(
+            2.0 * math.asin(math.sin(sep / 2) / math.cos(math.radians(el))))
+        names += [f"azi_{az!r}_ele_{el!r}.wav", f"azi_{partner!r}_ele_{el!r}.wav"]
+    cos_tol = math.cos(math.radians(MERGE_TOLERANCE_DEG))
+    kept = []
+    for name in sorted(names):
+        az, el = (float(x) for x in name[4:-4].split("_ele_"))
+        d = normalize_direction(az, el)
+        carts = np.array([to_cartesian(k) for k in kept])
+        if not kept or float(np.max(carts @ to_cartesian(d))) <= cos_tol:
+            kept.append(d)
+    assert 48 < len(kept) < 96
+    _write_import_fixture(tmp_path / "raw", names)
+    with pytest.warns(UserWarning, match="duplicate direction") as record:
+        manifest = import_sadie(tmp_path / "raw", tmp_path / "root", "D2", "HRIR", 48000,
+                                copy_files=False)
+    assert len(record) == 96 - len(kept)
+    assert [e[:2] for e in manifest.entries] == [
+        (d.azimuth_deg, d.elevation_deg) for d in kept]
+    loaded = load_ir_set(tmp_path / "root", "D2", "HRIR", 48000)
+    assert loaded.directions == tuple(kept)
+
+
 # --- load equivalence ------------------------------------------------------
 
 
@@ -541,17 +587,15 @@ def _distinctness_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_distinctness_sets(), st.sampled_from([120 << 10, 8 * 7 * 7, 8]))
-def test_distinctness_matches_per_row_reference(dirs, tile_bytes):
-    # small tiles split even these short sets into several screens
-    with mock.patch.object(ir_store, "_SCREEN_TILE_BYTES", tile_bytes):
-        expected, got = _distinct_outcomes(dirs)
+@given(_distinctness_sets())
+def test_distinctness_matches_per_row_reference(dirs):
+    expected, got = _distinct_outcomes(dirs)
     assert got == expected
 
 
 def test_distinctness_at_set_scale_matches_reference():
-    """The 8,802-point spiral with duplicates late in the set: many screen
-    tiles at the default size, first pair reported as before."""
+    """The 8,802-point spiral with duplicates late in the set: first pair
+    reported as before."""
     n = 8802
     golden = 180.0 * (3.0 - math.sqrt(5.0))
     z = (2 * np.arange(n) + 1) / n - 1.0
