@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .dsp import AudioBuffer, load_audio, load_reverbs
 from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
@@ -46,26 +47,12 @@ _AXIS_DEFAULTS = {
 DEFAULT_JOB_CAP = 10000
 GRID_SCHEMA = 1
 MANIFEST_COLUMNS = (
-    "index",
-    "subject",
-    "ir_type",
-    "sample_rate",
-    "layout",
-    "mode",
-    "azimuth",
-    "elevation",
-    "level",
-    "reverb_amount",
-    "reverb_type",
-    "source",
-    "seed",
-    "file",
-    "peak",
-    "clipped",
-    "status",
-    "error",
-    "tags",
+    "index", *AXIS_ORDER, "seed", "file", "peak", "clipped", "status", "error", "tags",
 )
+# Inputs a run loads or derives (see _hold). Emptied at the start and end of
+# every run, so a rerun reads edited files afresh.
+_HELD_PER_KIND = 8
+_held: dict = {}
 
 
 @dataclass(frozen=True)
@@ -76,16 +63,12 @@ class DatasetGrid:
 
     @property
     def job_count(self) -> int:
-        n = 1
-        for axis in self.axes.values():
-            n *= len(axis)
-        return n
+        return math.prod(len(axis) for axis in self.axes.values())
 
     def jobs(self):
         """Yield one {axis: value} dict per combination, in grid order."""
-        names = AXIS_ORDER
-        for combo in itertools.product(*(self.axes[n] for n in names)):
-            yield dict(zip(names, combo))
+        for combo in itertools.product(*(self.axes[n] for n in AXIS_ORDER)):
+            yield dict(zip(AXIS_ORDER, combo))
 
 
 @dataclass(frozen=True)
@@ -146,35 +129,34 @@ def job_filename(values: dict, seed: int) -> str:
     )
 
 
-@lru_cache(maxsize=8)
+def _hold(key, make, *args):
+    """``make(*args)``, made once per ``key`` while it stays among the
+    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
+    the kind; the rest is every input ``make`` reads."""
+    value = _held.pop(key) if key in _held else make(*args)
+    _held[key] = value  # most recently used last
+    kind = [k for k in _held if k[0] == key[0]]
+    if len(kind) > _HELD_PER_KIND:
+        del _held[kind[0]]
+    return value
+
+
 def _cached_ir_set(data_root: str, subject: str, ir_type: str, rate: int):
-    return load_ir_set(data_root, subject, ir_type, rate)
+    args = (data_root, subject, ir_type, rate)
+    return _hold(("ir_set", *args), load_ir_set, *args)
 
 
-@lru_cache(maxsize=4)
-def _cached_reverbs(data_root: str, rate: int):
-    return load_reverbs(data_root, rate)
+# functools' cache interface over the whole store: the benchmark's cold start
+# (bench/workloads.start_cold) empties it through this and checks it is empty
+_cached_ir_set.cache_clear = _held.clear
+_cached_ir_set.cache_info = lambda: SimpleNamespace(currsize=len(_held))
 
 
-@lru_cache(maxsize=8)
-def _cached_audio(path: str) -> AudioBuffer:
-    return load_audio(path)
-
-
-@lru_cache(maxsize=8)
-def _cached_track_audio(
-    path: str, data_root: str, rate: int, reverb_type: int,
-    level: float, reverb: float,
-) -> AudioBuffer:
-    """A job's source after level gain and reverb.
-
-    It does not depend on direction, layout or mode, so jobs that differ
-    only in those share one reverb instead of each recomputing it. level and
-    reverb must already be clamped to [0, 1]. The buffer is read-only
-    because every caller gets the same object.
-    """
-    track = TrackObject("source", _cached_audio(path), level, reverb)
-    sig = _track_source(track, rate, reverb_type, _cached_reverbs(data_root, rate))
+def _prepare(track: TrackObject, rate: int, reverb_type: int, reverbs) -> AudioBuffer:
+    """A job's source after level gain and reverb. Jobs that differ only in
+    direction, layout or mode share it (read-only) instead of each
+    recomputing the reverb."""
+    sig = _track_source(track, rate, reverb_type, reverbs)
     sig.samples.flags.writeable = False
     return sig
 
@@ -183,26 +165,17 @@ def _render_job(args) -> dict:
     """One grid job; returns a manifest row. Runs in worker processes."""
     index, values, source_path, data_root, out_dir, seed, encoding = args
     row = {c: "" for c in MANIFEST_COLUMNS}
-    row["index"] = str(index)
-    row["seed"] = str(seed)
-    row["status"] = "ok"
-    for k in (
-        "subject", "ir_type", "sample_rate", "layout", "mode",
-        "azimuth", "elevation", "level", "reverb_amount", "reverb_type",
-        "source",
-    ):
+    row.update(index=str(index), seed=str(seed), status="ok")
+    for k in AXIS_ORDER:
         v = values[k]
         # shortest round-trip float repr keeps rows re-renderable byte-exactly
         row[k] = "none" if v is None else repr(v) if isinstance(v, float) else str(v)
     try:
-        name = job_filename(values, seed)
-        row["file"] = name
+        row["file"] = name = job_filename(values, seed)
         rate = _axis_number(values, "sample_rate", int)
-        ir_set = _cached_ir_set(
-            str(data_root), str(values["subject"]),
-            IRType.parse(values["ir_type"]).value, rate,
-        )
-        audio = _cached_audio(source_path)
+        ir_set = _cached_ir_set(data_root, str(values["subject"]),
+                                IRType.parse(values["ir_type"]).value, rate)
+        audio = _hold(("audio", source_path), load_audio, source_path)
         # validates and clamps level and reverb, warning when out of range
         track = TrackObject(
             "source",
@@ -220,24 +193,23 @@ def _render_job(args) -> dict:
             interpolation_mode=values["mode"],
             reverb_type=_axis_number(values, "reverb_type", int),
         )
-        prepared = _cached_track_audio(
-            source_path, str(data_root), rate, cfg.reverb_type,
-            track.level, track.reverb,
+        reverbs = _hold(("reverbs", data_root, rate), load_reverbs, data_root, rate)
+        prepared = _hold(
+            ("prepared", source_path, data_root, rate, cfg.reverb_type,
+             track.level, track.reverb),
+            _prepare, track, rate, cfg.reverb_type, reverbs,
         )
         # level 1 and reverb 0 pass the prepared source through unchanged
         # (keep_tail is on, so the longer input length trims nothing)
         track = TrackObject(
             "source", prepared, 1.0, 0.0, track.azimuth_deg, track.elevation_deg
         )
-        result = mix_tracks_binaural(
-            [track], cfg, ir_set, _cached_reverbs(str(data_root), rate)
-        )
+        result = mix_tracks_binaural([track], cfg, ir_set, reverbs)
         write_wav(Path(out_dir) / name, rate, result.audio.samples, encoding)
         row["peak"] = f"{result.peak_level:.8g}"
         row["clipped"] = "1" if result.clipped else "0"
     except BinauralKitError as e:  # bad rows land in the manifest, run continues
-        row["status"] = "failed"
-        row["error"] = " ".join(str(e).split())
+        row.update(status="failed", error=" ".join(str(e).split()))
     return row
 
 
@@ -258,6 +230,10 @@ def run_dataset(
     WAV, propagates.
     Manifest rows are in grid order regardless of worker scheduling, and
     reruns of the same grid produce byte-identical outputs.
+    Within a run each worker keeps the 8 most recently used IR sets, reverb
+    sets, sources and levelled, reverbed sources, so a grid with at most 8 of
+    each loads or computes each once per worker. Nothing is kept between
+    runs, so a rerun after editing an input renders the new content.
     """
     count = grid.job_count
     if count > job_cap and not force:
@@ -284,11 +260,15 @@ def run_dataset(
     shared = [a for a in AXIS_ORDER
               if a not in ("layout", "mode", "azimuth", "elevation")]
     args.sort(key=lambda a: [str(a[1][name]) for name in shared])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_render_job, args))
-    else:
-        rows = [_render_job(a) for a in args]
+    _held.clear()  # forked workers start empty too
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_render_job, args))
+        else:
+            rows = [_render_job(a) for a in args]
+    finally:
+        _held.clear()
     rows.sort(key=lambda row: int(row["index"]))
 
     mpath = out_dir / "manifest.tsv"

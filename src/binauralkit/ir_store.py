@@ -237,6 +237,10 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
             f"{path}: unsupported schema {header['schema']} "
             f"(expected {MANIFEST_SCHEMA})"
         )
+    try:
+        rate = _check_rate(rate)
+    except InvalidArgumentError as e:
+        raise FormatError(f"{path}: {e}") from None
     entries = []
     line_numbers = []
     for i, line in enumerate(lines[1:], start=2):
@@ -254,7 +258,7 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
         schema_version=schema,
         subject_id=header["subject"],
         ir_type=IRType.parse(header["ir_type"]),
-        sample_rate_hz=_check_rate(rate),
+        sample_rate_hz=rate,
         entries=tuple(entries),
     )
     return manifest, tuple(line_numbers)
@@ -271,6 +275,11 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     sample_rate_hz = _check_rate(sample_rate_hz)
     mpath = manifest_path(root, subject_id, ir_type, sample_rate_hz)
     manifest, line_numbers = _read_manifest(mpath)
+    if manifest.sample_rate_hz != sample_rate_hz:
+        raise FormatError(
+            f"{mpath}: header rate {manifest.sample_rate_hz} does not match "
+            f"the set's rate {sample_rate_hz}"
+        )
     base = os.path.realpath(mpath.parent)
     wav_paths = [os.path.join(base, rel) for _, _, rel in manifest.entries]
 

@@ -135,6 +135,8 @@ def test_dataset_bad_seed_names_grid(tmp_path, data_root, capsys):
 @pytest.mark.parametrize("field,message", [
     ("schema=x", "header schema must be an integer, got 'x'"),
     ("rate=abc", "header rate must be an integer, got 'abc'"),
+    ("rate=12345", "unsupported sample rate 12345; expected one of (44100, 48000, 96000)"),
+    ("rate=44100", "header rate 44100 does not match the set's rate 48000"),
 ])
 def test_bad_manifest_header_names_manifest(tmp_path, capsys, field, message):
     assert main(["synth-irs", "--dest", str(tmp_path), "--length", "32",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from binauralkit.dataset import (
@@ -239,6 +240,74 @@ def test_run_dataset_write_errors_propagate(tmp_path, data_root, noise_wav,
     assert "No space left on device" in capsys.readouterr().err
 
 
+def test_rerun_renders_edited_inputs(tmp_path, monkeypatch):
+    # nothing a run loads outlives it: after the source, IR set and reverb
+    # change on disk, a rerun in the same process renders the new files
+    import binauralkit.dataset as dataset
+    from binauralkit.dsp import load_audio, load_reverbs
+    from binauralkit.ir_store import load_ir_set, save_ir_set, synthesize_ir_set
+    from binauralkit.mixer import MixConfig, TrackObject, mix_tracks_binaural
+    from binauralkit.wavio import write_wav
+
+    root, source = tmp_path / "data", tmp_path / "src.wav"
+    (root / "reverb").mkdir(parents=True)
+    (root / "reverb" / "manifest.tsv").write_text("1\tr.wav\n")
+
+    def write_inputs(seed):
+        rng = np.random.default_rng(seed)
+        save_ir_set(synthesize_ir_set("lebedev50", 48000, 64, seed=seed), root)
+        write_wav(source, 48000, 0.25 * rng.standard_normal(2400), "float32")
+        write_wav(root / "reverb" / "r.wav", 48000, 0.1 * rng.standard_normal(1200),
+                  "float32")
+
+    axes = _grid_axes(source=[str(source)], reverb_amount=[0.0, 0.4])
+    write_inputs(1)
+    _run(tmp_path / "first", root, source, axes=axes)
+    write_inputs(2)
+    grid, report, out = _run(tmp_path / "second", root, source, axes=axes)
+    assert report.n_failed == 0 and len(report.rows) == 4
+    ir_set = load_ir_set(root, "SYN1", "HRIR", 48000)
+    reverbs = load_reverbs(root, 48000)
+    for row in report.rows:
+        track = TrackObject("source", load_audio(source), 1.0,
+                            float(row["reverb_amount"]), float(row["azimuth"]))
+        result = mix_tracks_binaural([track], MixConfig("SYN1", 48000), ir_set, reverbs)
+        write_wav(tmp_path / "direct.wav", 48000, result.audio.samples, "pcm24")
+        assert (tmp_path / "direct.wav").read_bytes() == (out / row["file"]).read_bytes()
+    assert dataset._held == {}
+
+    def full_disk(path, *args):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(dataset, "write_wav", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        _run(tmp_path / "third", root, source, axes=axes)
+    assert dataset._held == {}
+
+
+def test_held_values_are_bounded_per_kind(monkeypatch):
+    # each kind keeps its own most recently used values, so many levelled
+    # sources never push out the source audio every job reads
+    import binauralkit.dataset as dataset
+
+    monkeypatch.setattr(dataset, "_held", {})
+    made = []
+
+    def make(value):
+        made.append(value)
+        return value
+
+    dataset._hold(("audio", "a"), make, "a")
+    for i in range(dataset._HELD_PER_KIND):
+        dataset._hold(("prepared", i), make, i)
+    dataset._hold(("prepared", 0), make, 0)  # now the most recent of its kind
+    dataset._hold(("prepared", "new"), make, "new")
+    assert dataset._hold(("audio", "a"), make, "b") == "a"
+    assert made == ["a", *range(dataset._HELD_PER_KIND), "new"]
+    assert ("prepared", 1) not in dataset._held and ("prepared", 0) in dataset._held
+    assert len(dataset._held) == dataset._HELD_PER_KIND + 1
+
+
 def test_run_dataset_cap(tmp_path, data_root, noise_wav):
     axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0, 10.0, 20.0])
     grid_path = _write_grid(tmp_path / "grid.json", axes)
@@ -314,7 +383,6 @@ def test_shared_reverb_renders_match_direct_mixes(tmp_path, data_root, noise_wav
                                                   monkeypatch):
     # jobs that differ only in direction share one levelled, reverbed source;
     # every WAV must still equal a direct mix of its row with nothing cached
-    import binauralkit.dataset as dataset
     import binauralkit.mixer as mixer
     from binauralkit.dsp import load_audio, load_reverbs
     from binauralkit.ir_store import load_ir_set
@@ -329,7 +397,6 @@ def test_shared_reverb_renders_match_direct_mixes(tmp_path, data_root, noise_wav
         return mixer_apply_reverb(signal, model, amount)
 
     monkeypatch.setattr(mixer, "apply_reverb", counting_reverb)
-    dataset._cached_track_audio.cache_clear()
     # 9 distinct (level, amount) sources, more than the cache holds, and
     # grid order iterates them inside each direction
     axes = _grid_axes(
