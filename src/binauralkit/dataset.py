@@ -12,14 +12,16 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from .dsp import AudioBuffer, load_audio, load_reverbs
+from .dsp import AudioBuffer, load_audio, load_reverbs, source_ir
 from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .ir_store import IRType, load_ir_set
+from .layouts import get_layout
 from .mixer import MixConfig, TrackObject, _track_source, mix_tracks_binaural
 from .wavio import write_wav
 
@@ -161,56 +163,76 @@ def _prepare(track: TrackObject, rate: int, reverb_type: int, reverbs) -> AudioB
     return sig
 
 
-def _render_job(args) -> dict:
-    """One grid job; returns a manifest row. Runs in worker processes."""
-    index, values, source_path, data_root, out_dir, seed, encoding = args
-    row = {c: "" for c in MANIFEST_COLUMNS}
-    row.update(index=str(index), seed=str(seed), status="ok")
-    for k in AXIS_ORDER:
-        v = values[k]
-        # shortest round-trip float repr keeps rows re-renderable byte-exactly
-        row[k] = "none" if v is None else repr(v) if isinstance(v, float) else str(v)
-    try:
-        row["file"] = name = job_filename(values, seed)
-        rate = _axis_number(values, "sample_rate", int)
-        ir_set = _cached_ir_set(data_root, str(values["subject"]),
-                                IRType.parse(values["ir_type"]).value, rate)
-        audio = _hold(("audio", source_path), load_audio, source_path)
-        # validates and clamps level and reverb, warning when out of range
-        track = TrackObject(
-            "source",
-            audio,
-            _axis_number(values, "level"),
-            _axis_number(values, "reverb_amount"),
-            _axis_number(values, "azimuth"),
-            _axis_number(values, "elevation"),
-        )
-        cfg = MixConfig(
-            subject_id=str(values["subject"]),
-            sample_rate_hz=rate,
-            ir_type=values["ir_type"],
-            speaker_layout=values["layout"],
-            interpolation_mode=values["mode"],
-            reverb_type=_axis_number(values, "reverb_type", int),
-        )
-        reverbs = _hold(("reverbs", data_root, rate), load_reverbs, data_root, rate)
-        prepared = _hold(
-            ("prepared", source_path, data_root, rate, cfg.reverb_type,
-             track.level, track.reverb),
-            _prepare, track, rate, cfg.reverb_type, reverbs,
-        )
-        # level 1 and reverb 0 pass the prepared source through unchanged
-        # (keep_tail is on, so the longer input length trims nothing)
-        track = TrackObject(
-            "source", prepared, 1.0, 0.0, track.azimuth_deg, track.elevation_deg
-        )
-        result = mix_tracks_binaural([track], cfg, ir_set, reverbs)
-        write_wav(Path(out_dir) / name, rate, result.audio.samples, encoding)
-        row["peak"] = f"{result.peak_level:.8g}"
-        row["clipped"] = "1" if result.clipped else "0"
-    except BinauralKitError as e:  # bad rows land in the manifest, run continues
-        row.update(status="failed", error=" ".join(str(e).split()))
-    return row
+def _render_group(group) -> list[dict]:
+    """Grid jobs that differ only in mode; returns their manifest rows. Runs
+    in worker processes. Rows whose blended IRs are bit-identical share one
+    render and one WAV encode; the others get a copy of its file."""
+    rows, blends = [], {}
+    for index, values, source_path, data_root, out_dir, seed, encoding in group:
+        row = {c: "" for c in MANIFEST_COLUMNS}
+        row.update(index=str(index), seed=str(seed), status="ok")
+        rows.append(row)
+        for k in AXIS_ORDER:
+            v = values[k]
+            # shortest round-trip float repr keeps rows re-renderable byte-exactly
+            row[k] = "none" if v is None else repr(v) if isinstance(v, float) else str(v)
+        try:
+            row["file"] = job_filename(values, seed)
+            rate = _axis_number(values, "sample_rate", int)
+            ir_set = _cached_ir_set(data_root, str(values["subject"]),
+                                    IRType.parse(values["ir_type"]).value, rate)
+            audio = _hold(("audio", source_path), load_audio, source_path)
+            # validates and clamps level and reverb, warning when out of range
+            track = TrackObject(
+                "source",
+                audio,
+                _axis_number(values, "level"),
+                _axis_number(values, "reverb_amount"),
+                _axis_number(values, "azimuth"),
+                _axis_number(values, "elevation"),
+            )
+            cfg = MixConfig(
+                subject_id=str(values["subject"]),
+                sample_rate_hz=rate,
+                ir_type=values["ir_type"],
+                speaker_layout=values["layout"],
+                interpolation_mode=values["mode"],
+                reverb_type=_axis_number(values, "reverb_type", int),
+            )
+            reverbs = _hold(("reverbs", data_root, rate), load_reverbs, data_root, rate)
+            prepared = _hold(
+                ("prepared", source_path, data_root, rate, cfg.reverb_type,
+                 track.level, track.reverb),
+                _prepare, track, rate, cfg.reverb_type, reverbs,
+            )
+            # level 1 and reverb 0 pass the prepared source through unchanged
+            # (keep_tail is on, so the longer input length trims nothing)
+            track = TrackObject(
+                "source", prepared, 1.0, 0.0, track.azimuth_deg, track.elevation_deg
+            )
+            layout = None if cfg.speaker_layout is None else get_layout(cfg.speaker_layout)
+            _, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
+        except BinauralKitError as e:  # bad rows land in the manifest, run continues
+            row.update(status="failed", error=" ".join(str(e).split()))
+            continue
+        job = (track, cfg, ir_set, reverbs, Path(out_dir), encoding)
+        blends.setdefault((ir.left.tobytes(), ir.right.tobytes()), (job, []))[1].append(row)
+    for (track, cfg, ir_set, reverbs, out_dir, encoding), members in blends.values():
+        first = out_dir / members[0]["file"]
+        try:
+            result = mix_tracks_binaural([track], cfg, ir_set, reverbs)
+            write_wav(first, cfg.sample_rate_hz, result.audio.samples, encoding)
+        except BinauralKitError as e:  # the same error every member would raise
+            for row in members:
+                row.update(status="failed", error=" ".join(str(e).split()))
+            continue
+        for row in members:
+            if row is not members[0]:
+                shutil.copyfile(first, out_dir / row["file"])
+            row.update(peak=f"{result.peak_level:.8g}",
+                       clipped="1" if result.clipped else "0")
+        del result  # hold one blend's audio at a time
+    return rows
 
 
 def run_dataset(
@@ -234,6 +256,11 @@ def run_dataset(
     sets, sources and levelled, reverbed sources, so a grid with at most 8 of
     each loads or computes each once per worker. Nothing is kept between
     runs, so a rerun after editing an input renders the new content.
+    Jobs that differ only in mode run as one group on one worker; those
+    whose blended IRs are bit-identical share one render and one WAV
+    encode, and the others get a copy of its bytes, so every output is
+    what its own render would write. An existing ``manifest.tsv`` in
+    ``out_dir`` is deleted before the first WAV is written.
     """
     count = grid.job_count
     if count > job_cap and not force:
@@ -243,6 +270,10 @@ def run_dataset(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a run stopped part way must not leave an earlier run's manifest
+    # vouching for a mix of old and new WAVs
+    mpath = out_dir / "manifest.tsv"
+    mpath.unlink(missing_ok=True)
 
     # resolve sources against the grid file's directory before dispatch;
     # the manifest keeps the original (possibly relative) source strings
@@ -256,22 +287,29 @@ def run_dataset(
 
     # Jobs that share everything but layout, mode and direction share one
     # levelled, reverbed source. Running them back to back lets each worker
-    # compute it once however many such sources the grid has.
+    # compute it once however many such sources the grid has. Within that
+    # stretch, jobs that differ only in mode form one group for one worker.
     shared = [a for a in AXIS_ORDER
               if a not in ("layout", "mode", "azimuth", "elevation")]
-    args.sort(key=lambda a: [str(a[1][name]) for name in shared])
+    order = (*shared, "layout", "azimuth", "elevation")  # every axis but mode
+
+    def key(a):
+        return [str(a[1][name]) for name in order]
+
+    args.sort(key=key)
+    groups = [list(group) for _, group in itertools.groupby(args, key)]
     _held.clear()  # forked workers start empty too
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_render_job, args))
+                done = list(pool.map(_render_group, groups))
         else:
-            rows = [_render_job(a) for a in args]
+            done = [_render_group(group) for group in groups]
     finally:
         _held.clear()
+    rows = [row for group in done for row in group]
     rows.sort(key=lambda row: int(row["index"]))
 
-    mpath = out_dir / "manifest.tsv"
     lines = [f"# schema={GRID_SCHEMA}\tseed={grid.seed}\tjobs={count}"]
     lines.append("\t".join(MANIFEST_COLUMNS))
     for row in rows:

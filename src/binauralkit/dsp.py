@@ -335,6 +335,33 @@ def resolve_speaker_ir_set(
     )
 
 
+def source_ir(
+    direction: Direction,
+    ir_set: IRSet,
+    mode=InterpolationMode.AUTO,
+    layout: SpeakerLayout | None = None,
+    snap_threshold_deg: float = interpolation.SNAP_THRESHOLD_DEG,
+) -> tuple[InterpolationPlan, IRPoint]:
+    """The plan for a source at a direction and the IR it blends to.
+
+    Without a layout, the IR is interpolated at the requested direction.
+    With a layout, candidates are restricted to the layout's speaker
+    positions (amplitude-panning simulation): the plan spreads the source
+    over up to three speakers and their IRs are blended. The speaker IR set
+    is resolved once per layout and mode and kept in ``ir_set.speaker_sets``.
+    """
+    direction = normalize_direction(direction.azimuth_deg, direction.elevation_deg)
+    if layout is not None:
+        key = (layout, InterpolationMode.parse(mode))
+        speaker_set = ir_set.speaker_sets.get(key)
+        if speaker_set is None:
+            speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
+            ir_set.speaker_sets[key] = speaker_set
+        ir_set = speaker_set
+    p = plan(ir_set, direction, mode, snap_threshold_deg)
+    return p, blend(ir_set, p)
+
+
 def render_source_binaural(
     source: AudioBuffer,
     direction: Direction,
@@ -343,15 +370,9 @@ def render_source_binaural(
     layout: SpeakerLayout | None = None,
     snap_threshold_deg: float = interpolation.SNAP_THRESHOLD_DEG,
 ) -> RenderedSource:
-    """Render a mono source at a direction to stereo.
-
-    Without a layout, the IR is interpolated at the requested direction and
-    the source is convolved with it. With a layout, candidates are
-    restricted to the layout's speaker positions (amplitude-panning
-    simulation): the plan spreads the source over up to three speakers,
-    their IRs are blended, then convolved. The speaker IR set is resolved
-    once per layout and mode and kept in ``ir_set.speaker_sets``.
-    """
+    """Render a mono source at a direction to stereo: the source convolved
+    with the IR ``source_ir`` picks (free-field without a layout, over the
+    layout's speakers with one)."""
     if source.n_channels != 1:
         raise InvalidArgumentError("render_source_binaural expects a mono source")
     if source.sample_rate_hz != ir_set.sample_rate_hz:
@@ -359,19 +380,6 @@ def render_source_binaural(
             f"sample rate mismatch: source {source.sample_rate_hz} != "
             f"IR set {ir_set.sample_rate_hz}"
         )
-    direction = normalize_direction(direction.azimuth_deg, direction.elevation_deg)
-
-    if layout is None:
-        p = plan(ir_set, direction, mode, snap_threshold_deg)
-        ir = blend(ir_set, p)
-    else:
-        key = (layout, InterpolationMode.parse(mode))
-        speaker_set = ir_set.speaker_sets.get(key)
-        if speaker_set is None:
-            speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
-            ir_set.speaker_sets[key] = speaker_set
-        p = plan(speaker_set, direction, mode, snap_threshold_deg)
-        ir = blend(speaker_set, p)
-
+    p, ir = source_ir(direction, ir_set, mode, layout, snap_threshold_deg)
     stereo = fft_convolve(source.samples, np.column_stack([ir.left, ir.right]))
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)

@@ -480,14 +480,15 @@ class Triangulation:
         return None
 
 
-def build_triangulation(points: Iterable[Direction]) -> Triangulation:
+def build_triangulation(points: Iterable[Direction] | PointIndex) -> Triangulation:
     """Triangulate directions in the base (unrotated) projection frame.
 
     Inputs are normalized first; near-duplicates (within 0.01 degrees) are
     merged with a warning, so ``vertices`` of the result equals the surviving
-    point list in input order.
+    point list in input order. A ``PointIndex`` is triangulated over its own
+    normalized directions and near-duplicate search.
     """
-    index = PointIndex(points)
+    index = points if isinstance(points, PointIndex) else PointIndex(points)
     kept = [index.directions[i] for i in index.vertex_indices]
     dropped = len(index.directions) - len(kept)
     if dropped:
@@ -644,7 +645,7 @@ class PointIndex:
 
     @cached_property
     def triangulation(self) -> Triangulation:
-        return build_triangulation(self.directions)
+        return build_triangulation(self)
 
     @cached_property
     def vertex_indices(self) -> tuple[int, ...]:

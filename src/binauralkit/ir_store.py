@@ -173,7 +173,7 @@ class IRSet:
     @cached_property
     def speaker_sets(self) -> dict:
         """Speaker IR sets resolved from this set, by (layout, mode); filled
-        by ``dsp.render_source_binaural`` and dropped with the set."""
+        by ``dsp.source_ir`` and dropped with the set."""
         return {}
 
 
@@ -239,6 +239,7 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
         )
     try:
         rate = _check_rate(rate)
+        ir_type = IRType.parse(header["ir_type"])
     except InvalidArgumentError as e:
         raise FormatError(f"{path}: {e}") from None
     entries = []
@@ -257,7 +258,7 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
     manifest = IRManifest(
         schema_version=schema,
         subject_id=header["subject"],
-        ir_type=IRType.parse(header["ir_type"]),
+        ir_type=ir_type,
         sample_rate_hz=rate,
         entries=tuple(entries),
     )
@@ -269,17 +270,22 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
 
     The manifest directory is resolved once and each row's path is joined
     to it, so a row may step out through ``..`` or a symlink. Errors about
-    a file name its manifest line and WAV path.
+    a file name its manifest line and WAV path. The header's subject, IR
+    type and rate must match the directory the set is loaded from.
     """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
     mpath = manifest_path(root, subject_id, ir_type, sample_rate_hz)
     manifest, line_numbers = _read_manifest(mpath)
-    if manifest.sample_rate_hz != sample_rate_hz:
-        raise FormatError(
-            f"{mpath}: header rate {manifest.sample_rate_hz} does not match "
-            f"the set's rate {sample_rate_hz}"
-        )
+    for key, header, want in (
+        ("subject", manifest.subject_id, subject_id),
+        ("ir_type", manifest.ir_type.value, ir_type.value),
+        ("rate", manifest.sample_rate_hz, sample_rate_hz),
+    ):
+        if header != want:
+            raise FormatError(
+                f"{mpath}: header {key} {header} does not match the set's {key} {want}"
+            )
     base = os.path.realpath(mpath.parent)
     wav_paths = [os.path.join(base, rel) for _, _, rel in manifest.entries]
 

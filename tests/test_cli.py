@@ -137,6 +137,9 @@ def test_dataset_bad_seed_names_grid(tmp_path, data_root, capsys):
     ("rate=abc", "header rate must be an integer, got 'abc'"),
     ("rate=12345", "unsupported sample rate 12345; expected one of (44100, 48000, 96000)"),
     ("rate=44100", "header rate 44100 does not match the set's rate 48000"),
+    ("subject=OTHER", "header subject OTHER does not match the set's subject HDR"),
+    ("ir_type=BRIR", "header ir_type BRIR does not match the set's ir_type HRIR"),
+    ("ir_type=XYZ", "unknown IR type 'XYZ'; expected HRIR or BRIR"),
 ])
 def test_bad_manifest_header_names_manifest(tmp_path, capsys, field, message):
     assert main(["synth-irs", "--dest", str(tmp_path), "--length", "32",

@@ -331,6 +331,15 @@ def test_run_dataset_rerun_is_byte_identical(tmp_path, data_root, noise_wav):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _mode_layout_axes(source):
+    # (1.5, 0) lies within 2 degrees of a stored point and of a 7.1.4
+    # speaker, so every mode snaps there; (30, 10) and (62, 0) do not
+    return _grid_axes(
+        source=[str(source)], mode=["auto", "three_point", "two_point", "nearest"],
+        layout=[None, "7.1.4"], azimuth=[1.5, 30.0, 62.0], elevation=[0.0, 10.0],
+    )
+
+
 def test_run_dataset_parallel_matches_serial(tmp_path, data_root, noise_wav):
     axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0, 45.0, 90.0])
     g1, r1, out1 = _run(tmp_path / "serial", data_root, noise_wav, axes=axes, jobs=1)
@@ -338,6 +347,97 @@ def test_run_dataset_parallel_matches_serial(tmp_path, data_root, noise_wav):
     assert [r["file"] for r in r1.rows] == [r["file"] for r in r2.rows]
     for name in (p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_mode_groups_parallel_match_serial(tmp_path, data_root, noise_wav):
+    # shared renders and their copies land the same on one worker or two
+    axes = _mode_layout_axes(noise_wav)
+    g1, r1, out1 = _run(tmp_path / "serial", data_root, noise_wav, axes=axes, jobs=1)
+    g2, r2, out2 = _run(tmp_path / "par", data_root, noise_wav, axes=axes, jobs=2)
+    assert r1.rows == r2.rows and r1.n_failed == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 49
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_mode_groups_render_each_distinct_blend_once(tmp_path, data_root, noise_wav,
+                                                     monkeypatch):
+    # jobs that differ only in mode share a render when their blended IRs are
+    # bit-identical; every row must still equal its own direct mix
+    import binauralkit.dsp as dsp
+    from binauralkit.dsp import load_audio, source_ir
+    from binauralkit.geometry import normalize_direction
+    from binauralkit.ir_store import load_ir_set
+    from binauralkit.layouts import get_layout
+    from binauralkit.mixer import MixConfig, TrackObject, mix_tracks_binaural
+    from binauralkit.wavio import write_wav
+
+    real_convolve, convolved = dsp.fft_convolve, []
+
+    def counting_convolve(x, h):
+        convolved.append(h.shape)
+        return real_convolve(x, h)
+
+    monkeypatch.setattr(dsp, "fft_convolve", counting_convolve)
+    axes = _mode_layout_axes(noise_wav)
+    axes["mode"].insert(2, "sideways")  # a bad value fails only its own rows
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    monkeypatch.setattr(dsp, "fft_convolve", real_convolve)
+    assert len(report.rows) == 2 * 5 * 3 * 2
+
+    ir_set = load_ir_set(data_root, "SYN1", "HRIR", 48000)
+    blends = set()
+    for row in report.rows:
+        layout = None if row["layout"] == "none" else row["layout"]
+        if row["mode"] == "sideways":
+            with pytest.raises(InvalidArgumentError) as e:
+                MixConfig("SYN1", 48000, speaker_layout=layout, interpolation_mode="sideways")
+            assert (row["status"], row["error"]) == ("failed", str(e.value))
+            assert not (out / row["file"]).exists()
+            continue
+        track = TrackObject("source", load_audio(noise_wav), 1.0, 0.0,
+                            float(row["azimuth"]), float(row["elevation"]))
+        cfg = MixConfig("SYN1", 48000, speaker_layout=layout,
+                        interpolation_mode=row["mode"])
+        result = mix_tracks_binaural([track], cfg, ir_set)
+        direct = tmp_path / "direct.wav"
+        write_wav(direct, 48000, result.audio.samples, "pcm24")
+        assert row["status"] == "ok", row["error"]
+        assert direct.read_bytes() == (out / row["file"]).read_bytes(), row["file"]
+        assert row["peak"] == f"{result.peak_level:.8g}"
+        assert row["clipped"] == ("1" if result.clipped else "0")
+        _, ir = source_ir(normalize_direction(track.azimuth_deg, track.elevation_deg),
+                          ir_set, row["mode"], layout and get_layout(layout))
+        group = (row["layout"], row["azimuth"], row["elevation"])
+        blends.add((group, ir.left.tobytes(), ir.right.tobytes()))
+    # one stereo convolution per distinct blend in each group; some groups
+    # share (the snapped direction), others render several blends
+    assert convolved == [(128, 2)] * len(blends)
+    assert len({b[0] for b in blends}) < len(blends) < 2 * 4 * 3 * 2
+
+
+def test_killed_rerun_leaves_no_manifest(tmp_path, data_root, noise_wav, monkeypatch):
+    # a rerun into the same directory drops the earlier manifest before its
+    # first WAV, so a run stopped part way never looks complete
+    import binauralkit.dataset as dataset
+
+    axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0, 33.0, 90.0, 120.0])
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert report.manifest_path.is_file() and report.n_failed == 0
+    real_write, writes = dataset.write_wav, []
+
+    def failing_third_write(path, *args):
+        writes.append(path)
+        if len(writes) == 3:
+            raise OSError(28, "No space left on device", str(path))
+        return real_write(path, *args)
+
+    monkeypatch.setattr(dataset, "write_wav", failing_third_write)
+    with pytest.raises(OSError, match="No space left"):
+        run_dataset(grid, data_root, out)
+    assert len(writes) == 3
+    assert not (out / "manifest.tsv").exists()
 
 
 def test_manifest_rows_re_render_byte_exactly(tmp_path, data_root, noise_wav):

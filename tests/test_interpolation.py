@@ -235,10 +235,13 @@ def test_raw_angles_plan_like_their_normalized_list():
 
 
 def test_plans_build_clusters_and_triangulation_once(monkeypatch):
+    from functools import cached_property
+
     import binauralkit.geometry as geometry
 
-    calls = {"cluster": 0, "triangulate": 0}
+    calls = {"cluster": 0, "triangulate": 0, "vertex_indices": 0}
     real_cluster, real_triangulate = geometry._cluster, geometry.build_triangulation
+    real_vertex_indices = geometry.PointIndex.vertex_indices.func
 
     def cluster(*args, **kwargs):
         calls["cluster"] += 1
@@ -248,15 +251,23 @@ def test_plans_build_clusters_and_triangulation_once(monkeypatch):
         calls["triangulate"] += 1
         return real_triangulate(*args, **kwargs)
 
+    def vertex_indices(index):
+        calls["vertex_indices"] += 1
+        return real_vertex_indices(index)
+
+    counted = cached_property(vertex_indices)
+    counted.__set_name__(geometry.PointIndex, "vertex_indices")
     monkeypatch.setattr(geometry, "_cluster", cluster)
     monkeypatch.setattr(geometry, "build_triangulation", triangulate)
+    monkeypatch.setattr(geometry.PointIndex, "vertex_indices", counted)
     ir_set = synthesize_ir_set("lebedev50", 48000, 64, seed=4)
     rng = np.random.default_rng(26)
     for q in _sphere_directions(rng, 20):
         for mode in ALL_MODES:
             plan(ir_set, q, mode, snap_threshold_deg=0.0)
-    # one elevation clustering (rings), one azimuth clustering (columns)
-    assert calls == {"cluster": 2, "triangulate": 1}
+    # one elevation clustering (rings), one azimuth clustering (columns);
+    # the triangulation reuses the set's index and its near-duplicate search
+    assert calls == {"cluster": 2, "triangulate": 1, "vertex_indices": 1}
 
 
 def test_three_point_propagates_missing_triangle():
