@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from .dsp import AudioBuffer, load_audio, load_reverbs, source_ir
+from .dsp import AudioBuffer, binaural_convolve, load_audio, load_reverbs, source_ir
 from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
-from .mixer import MixConfig, TrackObject, _track_source, mix_tracks_binaural
+from .mixer import MixConfig, TrackObject, _finalize, _sum_stereo, _track_source
 from .wavio import write_wav
 
 AXIS_ORDER = (
@@ -205,22 +205,24 @@ def _render_group(group) -> list[dict]:
                  track.level, track.reverb),
                 _prepare, track, rate, cfg.reverb_type, reverbs,
             )
-            # level 1 and reverb 0 pass the prepared source through unchanged
-            # (keep_tail is on, so the longer input length trims nothing)
-            track = TrackObject(
-                "source", prepared, 1.0, 0.0, track.azimuth_deg, track.elevation_deg
-            )
             layout = None if cfg.speaker_layout is None else get_layout(cfg.speaker_layout)
             _, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
         except BinauralKitError as e:  # bad rows land in the manifest, run continues
             row.update(status="failed", error=" ".join(str(e).split()))
             continue
-        job = (track, cfg, ir_set, reverbs, Path(out_dir), encoding)
+        job = (prepared, ir, cfg, Path(out_dir), encoding)
         blends.setdefault((ir.left.tobytes(), ir.right.tobytes()), (job, []))[1].append(row)
-    for (track, cfg, ir_set, reverbs, out_dir, encoding), members in blends.values():
+    for (prepared, ir, cfg, out_dir, encoding), members in blends.values():
         first = out_dir / members[0]["file"]
         try:
-            result = mix_tracks_binaural([track], cfg, ir_set, reverbs)
+            # mix_tracks_binaural's render and sum of the prepared source,
+            # without planning the blend again; the sum into a zero buffer
+            # turns -0.0 into 0.0, as the mixer's does
+            result = _finalize(
+                _sum_stereo([binaural_convolve(prepared.samples, ir)],
+                            [prepared.n_samples], cfg.keep_tail),
+                cfg, (),
+            )
             write_wav(first, cfg.sample_rate_hz, result.audio.samples, encoding)
         except BinauralKitError as e:  # the same error every member would raise
             for row in members:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import interpolation
-from .errors import FormatError, InvalidArgumentError
+from .errors import BinauralKitError, FormatError, InvalidArgumentError
 from .geometry import Direction, normalize_direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
@@ -57,10 +57,15 @@ class AudioBuffer:
 
 
 def load_audio(path) -> AudioBuffer:
+    """A WAV file as an AudioBuffer, mono files as (frames,); errors name
+    the file."""
     rate, samples = read_wav(path)
     if samples.shape[1] == 1:
         samples = samples[:, 0]
-    return AudioBuffer(samples, rate)
+    try:
+        return AudioBuffer(samples, rate)
+    except BinauralKitError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 # Each batch of blocks is transformed at once; the cap keeps a batch's
@@ -195,6 +200,10 @@ class ReverbModel:
         self.ir = np.asarray(self.ir, dtype=np.float64)
         if self.ir.ndim != 1 or len(self.ir) == 0:
             raise InvalidArgumentError("reverb IR must be non-empty mono")
+        if not np.isfinite(self.ir).all():
+            raise InvalidArgumentError(
+                f"reverb IR {self.id} contains non-finite samples"
+            )
         energy = float(np.sum(self.ir**2))
         if energy <= 0.0 or not math.isfinite(energy):
             raise InvalidArgumentError(f"reverb IR {self.id} has no energy")
@@ -233,7 +242,8 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
     """Reverbs from <root>/reverb/manifest.tsv when present, else defaults.
 
     Manifest rows are id<TAB>path with mono WAV paths relative to the
-    manifest; ids must be in 1..4 (names are fixed).
+    manifest; ids must be in 1..4 (names are fixed). An error about a row
+    names the manifest and its line.
     """
     mpath = Path(data_root) / "reverb" / "manifest.tsv"
     if not mpath.is_file():
@@ -251,14 +261,18 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
             raise FormatError(f"{mpath}:{i}: bad reverb id {cols[0]!r}") from None
         if rid not in REVERB_NAMES:
             raise FormatError(f"{mpath}:{i}: reverb id must be 1..4, got {rid}")
-        rate, samples = read_wav(mpath.parent / cols[1])
-        if samples.shape[1] != 1:
-            raise FormatError(f"{mpath}:{i}: reverb IRs must be mono")
-        if rate != sample_rate_hz:
-            raise FormatError(
-                f"{mpath}:{i}: reverb rate {rate} != working rate {sample_rate_hz}"
-            )
-        models[rid] = ReverbModel(rid, REVERB_NAMES[rid], sample_rate_hz, samples[:, 0])
+        try:
+            rate, samples = read_wav(mpath.parent / cols[1])
+            if samples.shape[1] != 1:
+                raise FormatError("reverb IRs must be mono")
+            if rate != sample_rate_hz:
+                raise FormatError(
+                    f"reverb rate {rate} != working rate {sample_rate_hz}"
+                )
+            models[rid] = ReverbModel(rid, REVERB_NAMES[rid], sample_rate_hz,
+                                      samples[:, 0])
+        except BinauralKitError as e:
+            raise type(e)(f"{mpath}:{i}: {e}") from None
     return models
 
 
@@ -381,5 +395,11 @@ def render_source_binaural(
             f"IR set {ir_set.sample_rate_hz}"
         )
     p, ir = source_ir(direction, ir_set, mode, layout, snap_threshold_deg)
-    stereo = fft_convolve(source.samples, np.column_stack([ir.left, ir.right]))
+    stereo = binaural_convolve(source.samples, ir)
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)
+
+
+def binaural_convolve(signal: np.ndarray, ir: IRPoint) -> np.ndarray:
+    """A 1-D signal convolved with an IR point's left and right buffers,
+    as ``(n_out, 2)``, by one ``fft_convolve`` of the pair."""
+    return fft_convolve(signal, np.column_stack([ir.left, ir.right]))

@@ -99,10 +99,15 @@ def normalize_direction(azimuth_deg: float, elevation_deg: float) -> Direction:
 
 def to_cartesian(d: Direction) -> np.ndarray:
     """Unit vector for a direction: x front, y left, z up."""
+    return np.array(_unit_vector(d))
+
+
+def _unit_vector(d: Direction) -> tuple[float, float, float]:
+    """:func:`to_cartesian` as a tuple of floats."""
     az = math.radians(d.azimuth_deg)
     el = math.radians(d.elevation_deg)
     ce = math.cos(el)
-    return np.array([ce * math.cos(az), ce * math.sin(az), math.sin(el)])
+    return ce * math.cos(az), ce * math.sin(az), math.sin(el)
 
 
 def from_cartesian(v: Sequence[float]) -> Direction:
@@ -585,7 +590,7 @@ class PointIndex:
 
     @cached_property
     def cartesians(self) -> np.ndarray:
-        m = np.array([to_cartesian(d) for d in self.directions])
+        m = np.array([_unit_vector(d) for d in self.directions])
         m.flags.writeable = False
         return m
 

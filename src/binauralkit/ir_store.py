@@ -108,6 +108,13 @@ class IRPoint:
         self.left.flags.writeable = False
         self.right.flags.writeable = False
 
+    @classmethod
+    def _view(cls, direction: Direction, left: np.ndarray, right: np.ndarray) -> "IRPoint":
+        """A point over checked, read-only buffers, skipping ``__post_init__``."""
+        point = cls.__new__(cls)
+        point.direction, point.left, point.right = direction, left, right
+        return point
+
     @property
     def ir_length(self) -> int:
         return len(self.left)
@@ -272,6 +279,10 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     to it, so a row may step out through ``..`` or a symlink. Errors about
     a file name its manifest line and WAV path. The header's subject, IR
     type and rate must match the directory the set is loaded from.
+
+    The rows are copied into one read-only ``(rows, taps, 2)`` float64
+    array, checked for non-finite samples once all rows are in; each
+    point's ``left`` and ``right`` are views of it.
     """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
@@ -292,7 +303,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     def row(k: int) -> str:
         return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
 
-    points = []
+    directions, stack = [], None
     for k, (az, el, _) in enumerate(manifest.entries):
         try:
             rate, samples = wavio.read_wav(wav_paths[k])
@@ -305,11 +316,33 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
                     f"sample rate {rate} does not match manifest rate "
                     f"{sample_rate_hz}"
                 )
-            points.append(
-                IRPoint(normalize_direction(az, el), samples[:, 0], samples[:, 1])
-            )
+            directions.append(normalize_direction(az, el))
+            if not len(samples):
+                raise InvalidArgumentError(
+                    "IR buffers must share a nonzero length, got 0 and 0"
+                )
+            if stack is None:
+                stack = np.empty((len(wav_paths), len(samples), 2))
+            elif len(samples) != stack.shape[1]:
+                raise FormatError(
+                    f"IR length mismatch in set {manifest.subject_id}: "
+                    f"{len(samples)} != {stack.shape[1]}"
+                )
+            stack[k] = samples
         except BinauralKitError as e:
             raise type(e)(f"{row(k)}: {e}") from None
+    points = []
+    if stack is not None:
+        # min and max are NaN or infinite exactly when some sample is, and
+        # need no temporary the size of the set
+        if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
+            k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+            raise InvalidArgumentError(
+                f"{row(k)}: IR buffers contain non-finite samples"
+            )
+        stack.flags.writeable = False
+        points = [IRPoint._view(d, stack[k, :, 0], stack[k, :, 1])
+                  for k, d in enumerate(directions)]
     try:
         return IRSet(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
     except BinauralKitError as e:

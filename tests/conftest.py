@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -60,3 +61,18 @@ def noise_wav(tmp_path_factory):
     rng = np.random.default_rng(33)
     write_wav(path, 48000, 0.25 * rng.standard_normal(4800), "float32")
     return path
+
+
+@pytest.fixture
+def empty_wav():
+    """Writes a float32 WAV with a valid fmt chunk and an empty data chunk,
+    which ``write_wav`` refuses to produce; returns the path."""
+
+    def write(path, channels, rate=48000):
+        fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * 4 * channels,
+                          4 * channels, 32)
+        body = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        return path
+
+    return write

@@ -79,6 +79,46 @@ def test_mix_missing_track_file(tmp_path, data_root, noise_wav, capsys):
     assert "gone.wav" in captured.err
 
 
+def _nan_wav(path, channels):
+    x = np.full((64, channels), 0.1)
+    x[40, channels - 1] = np.nan
+    write_wav(path, 48000, x, "float32")
+    return path
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_mix_error_names_unusable_track_file(tmp_path, data_root, noise_wav, capsys,
+                                             empty_wav, empty):
+    bad = tmp_path / "bad.wav"
+    if empty:
+        empty_wav(bad, channels=1)
+        message = "audio buffer is empty"
+    else:
+        _nan_wav(bad, channels=1)
+        message = "audio buffer contains non-finite samples"
+    scene = _scene(tmp_path, noise_wav, tracks=[
+        {"name": "a", "file": str(noise_wav)}, {"name": "b", "file": str(bad)},
+    ])
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "x.wav")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {bad}: {message}\n"
+
+
+def test_render_surround_error_names_non_finite_input(tmp_path, data_root, capsys):
+    src = _nan_wav(tmp_path / "six.wav", channels=6)
+    rc = main([
+        "render-surround", str(src),
+        "--input-layout", "5.1", "--output-layout", "7.1.4",
+        "--data-root", str(data_root), "--subject", "RING5",
+        "--rate", "48000", "-o", str(tmp_path / "o.wav"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {src}: audio buffer contains non-finite samples\n"
+
+
 def test_mix_rejects_nan_track_level(tmp_path, data_root, noise_wav, capsys):
     # json reads NaN; the track fails instead of rendering at full level
     scene = _scene(tmp_path, noise_wav, tracks=[

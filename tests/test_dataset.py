@@ -14,6 +14,7 @@ from binauralkit.dataset import (
     run_dataset,
 )
 from binauralkit.errors import FormatError, InvalidArgumentError
+from binauralkit.wavio import write_wav
 
 # hot synthetic IRs push some renders past full scale; that path is
 # exercised on purpose and the manifest records the clipped flag
@@ -208,14 +209,30 @@ def test_run_dataset_nan_amount_fails_its_row(tmp_path, data_root, noise_wav):
     assert report.n_failed == 1
 
 
+def test_row_error_names_unusable_source(tmp_path, data_root, noise_wav, empty_wav):
+    nan_source = tmp_path / "nan.wav"
+    x = np.full(64, 0.1)
+    x[10] = np.nan
+    write_wav(nan_source, 48000, x, "float32")
+    empty_source = empty_wav(tmp_path / "empty.wav", channels=1)
+    axes = _grid_axes(source=[str(noise_wav), str(nan_source), str(empty_source)],
+                      azimuth=[0.0])
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert [(r["status"], r["error"]) for r in report.rows] == [
+        ("ok", ""),
+        ("failed", f"{nan_source}: audio buffer contains non-finite samples"),
+        ("failed", f"{empty_source}: audio buffer is empty"),
+    ]
+
+
 def test_run_dataset_lets_internal_errors_escape(tmp_path, data_root, noise_wav,
                                                  monkeypatch):
     import binauralkit.dataset as dataset
 
-    def broken_mix(*args, **kwargs):
+    def broken_render(*args, **kwargs):
         raise TypeError("an internal bug")
 
-    monkeypatch.setattr(dataset, "mix_tracks_binaural", broken_mix)
+    monkeypatch.setattr(dataset, "binaural_convolve", broken_render)
     with pytest.raises(TypeError, match="an internal bug"):
         _run(tmp_path, data_root, noise_wav, jobs=1)
 
@@ -415,6 +432,24 @@ def test_mode_groups_render_each_distinct_blend_once(tmp_path, data_root, noise_
     # share (the snapped direction), others render several blends
     assert convolved == [(128, 2)] * len(blends)
     assert len({b[0] for b in blends}) < len(blends) < 2 * 4 * 3 * 2
+
+
+def test_each_job_is_planned_once(tmp_path, data_root, noise_wav, monkeypatch):
+    # the group renders the blend source_ir made; nothing plans it again
+    import binauralkit.dsp as dsp
+
+    real_plan, planned = dsp.plan, []
+
+    def counting_plan(ir_set, direction, mode, *args):
+        planned.append(str(mode))
+        return real_plan(ir_set, direction, mode, *args)
+
+    monkeypatch.setattr(dsp, "plan", counting_plan)
+    axes = _grid_axes(source=[str(noise_wav)], azimuth=[10.0, 33.3],
+                      mode=["auto", "three_point", "nearest"])
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert report.n_failed == 0
+    assert len(planned) == len(report.rows) == 6
 
 
 def test_killed_rerun_leaves_no_manifest(tmp_path, data_root, noise_wav, monkeypatch):

@@ -413,6 +413,23 @@ def test_load_reverbs_rejects_bad_rows(tmp_path):
         load_reverbs(tmp_path, 48000)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.inf, "reverb IR 2 contains non-finite samples"),
+    (np.nan, "reverb IR 2 contains non-finite samples"),
+    (0.0, "reverb IR 2 has no energy"),
+])
+def test_load_reverbs_names_line_of_unusable_ir(tmp_path, bad, message):
+    ir = np.zeros(64) if bad == 0.0 else np.ones(64)
+    ir[7] = bad
+    (tmp_path / "reverb").mkdir()
+    write_wav(tmp_path / "reverb" / "bad.wav", 48000, ir[:, None], encoding="float32")
+    mpath = tmp_path / "reverb" / "manifest.tsv"
+    mpath.write_text("# id, file\n2\tbad.wav\n")
+    with pytest.raises(InvalidArgumentError) as e:
+        load_reverbs(tmp_path, 48000)
+    assert str(e.value) == f"{mpath}:2: {message}"
+
+
 def test_render_at_stored_point_is_direct_convolution(lebedev_set):
     rng = np.random.default_rng(34)
     sig = AudioBuffer(rng.standard_normal(256), 48000)

@@ -90,6 +90,25 @@ def test_normalize_idempotent_for_any_finite_input(az, el):
     assert normalize_direction(d.azimuth_deg, d.elevation_deg) == d
 
 
+# the azimuth seam, either side of it, and the poles, where normalization
+# moves the azimuth or the elevation
+_SEAM_OR_POLE = st.sampled_from(
+    [0.0, -0.0, 360.0, -1e-300, 359.99999999999994, 1e-300, 90.0, -90.0, 180.0, 450.0]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_SEAM_OR_POLE, _FINITE),
+                          st.one_of(_SEAM_OR_POLE, _FINITE)), min_size=1, max_size=30))
+def test_point_index_cartesians_are_bytes_of_to_cartesian(pairs):
+    index = PointIndex(Direction(az, el) for az, el in pairs)
+    want = np.array([to_cartesian(d) for d in index.directions])
+    got = index.cartesians
+    assert got.shape == want.shape == (len(pairs), 3)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_to_cartesian_anchors():
     assert np.allclose(to_cartesian(Direction(0, 0)), [1, 0, 0], atol=1e-15)
     assert np.allclose(to_cartesian(Direction(90, 0)), [0, 1, 0], atol=1e-15)

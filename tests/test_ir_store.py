@@ -516,6 +516,105 @@ def test_load_error_names_row_for_unreadable_file(tmp_path, lebedev_set):
         load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_load_error_names_row_for_empty_data_chunk(tmp_path, lebedev_set, empty_wav, k):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = empty_wav(mpath.parent / f"ir_{k:05d}.wav", channels=2)
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:{k + 2} ({os.path.realpath(wav)}): "
+        "IR buffers must share a nonzero length, got 0 and 0"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_error_names_last_row_for_one_bad_right_sample(tmp_path, lebedev_set, bad):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    last = lebedev_set.points[-1]
+    right = last.right.copy()
+    right[-1] = bad
+    wav = mpath.parent / "ir_00049.wav"
+    write_wav(wav, 48000, np.column_stack([last.left, right]), "float32")
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:51 ({os.path.realpath(wav)}): IR buffers contain non-finite samples"
+    )
+
+
+def test_load_error_names_first_of_two_non_finite_rows(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    for k in (40, 12):
+        p = lebedev_set.points[k]
+        left = p.left.copy()
+        left[5] = np.inf
+        write_wav(mpath.parent / f"ir_{k:05d}.wav", 48000,
+                  np.column_stack([left, p.right]), "float32")
+    real = os.path.realpath(mpath.parent)
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:14 ({real}/ir_00012.wav): IR buffers contain non-finite samples"
+    )
+
+
+def test_load_error_names_second_row_when_first_is_odd_length(tmp_path, lebedev_set):
+    # the first row sets the set's length, so the row after it is named
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    write_wav(mpath.parent / "ir_00000.wav", 48000, np.zeros((32, 2)), "float32")
+    real = os.path.realpath(mpath.parent)
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:3 ({real}/ir_00001.wav): IR length mismatch in set SYN1: 128 != 32"
+    )
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_load_error_names_row_for_non_finite_angle(tmp_path, lebedev_set, column, angle):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    lines = mpath.read_text().splitlines()
+    cols = lines[4].split("\t")  # row 3
+    cols[column] = angle
+    lines[4] = "\t".join(cols)
+    mpath.write_text("\n".join(lines) + "\n")
+    az, el = float(cols[0]), float(cols[1])
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({os.path.realpath(mpath.parent)}/ir_00003.wav): "
+        f"direction ({az}, {el}) is not finite"
+    )
+
+
+# --- stacked load ----------------------------------------------------------
+
+
+def test_loaded_buffers_are_read_only_views_of_one_stack(tmp_path, lebedev_set):
+    save_ir_set(lebedev_set, tmp_path)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    stack = loaded.points[0].left.base
+    assert stack.shape == (50, 128, 2) and stack.dtype == np.float64
+    assert not stack.flags.writeable
+    for k, p in enumerate(loaded.points):
+        assert np.shares_memory(p.left, stack[k, :, 0])
+        assert np.shares_memory(p.right, stack[k, :, 1])
+        assert not (p.left.flags.writeable or p.right.flags.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.points[-1].right[0] = 1.0
+
+
+def test_in_memory_points_keep_their_validation():
+    # only the loader's views skip the checks; the constructor keeps them
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        IRPoint(Direction(0, 0), np.array([0.0, np.inf]), np.zeros(2))
+    buf = np.ones(4)
+    IRPoint(Direction(0, 0), buf, np.ones(4))
+    assert not buf.flags.writeable
+
+
 # --- distinctness check ----------------------------------------------------
 
 
