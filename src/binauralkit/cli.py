@@ -77,6 +77,11 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
         as_number(raw_cfg.get(key, 1), f"{path}: config {key}", int)
         for key in ("sample_rate", "reverb_type")
     )
+    keep_tail = raw_cfg.get("keep_tail", True)
+    if not isinstance(keep_tail, bool):
+        raise FormatError(
+            f"{path}: config keep_tail must be true or false, got {keep_tail!r}"
+        )
     cfg = MixConfig(
         subject_id=str(raw_cfg["subject"]),
         sample_rate_hz=rate,
@@ -84,7 +89,7 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
         speaker_layout=raw_cfg.get("layout"),
         interpolation_mode=raw_cfg.get("mode", "auto"),
         reverb_type=reverb_type,
-        keep_tail=bool(raw_cfg.get("keep_tail", True)),
+        keep_tail=keep_tail,
         normalize=raw_cfg.get("normalize", "off"),
     )
     raw_tracks = data.get("tracks")
@@ -217,6 +222,12 @@ def cmd_dataset(args) -> int:
     return 1 if report.n_failed else 0
 
 
+def _elevations(text: str) -> list[float]:
+    """The numbers of a comma-separated --elevations option."""
+    return [as_number(v, "--elevations value", float, InvalidArgumentError)
+            for v in text.split(",")]
+
+
 def _triangulate_source(args):
     """Resolve the point source for cmd_triangulate: (name, dirs, labels)."""
     chosen = [
@@ -239,10 +250,9 @@ def _triangulate_source(args):
     if args.distribution:
         if args.distribution == "lebedev50":
             return "lebedev50", lebedev50_directions(), None
-        elevations = [float(v) for v in args.elevations.split(",")]
         return (
             f"ring grid step {args.step}",
-            ring_grid_directions(args.step, elevations),
+            ring_grid_directions(args.step, _elevations(args.elevations)),
             None,
         )
     ir_set = load_ir_set(args.data_root, args.subject, args.ir_type, args.rate)
@@ -304,16 +314,13 @@ def cmd_import_sadie(args) -> int:
 
 
 def cmd_synth_irs(args) -> int:
-    elevations = None
-    if args.elevations:
-        elevations = [float(v) for v in args.elevations.split(",")]
     ir_set = synthesize_ir_set(
         args.distribution,
         args.rate,
         args.length,
         args.seed,
         step_deg=args.step,
-        elevations=elevations,
+        elevations=_elevations(args.elevations) if args.elevations else None,
         subject_id=args.subject,
         ir_type=args.ir_type,
     )

@@ -11,17 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import interpolation
 from .errors import BinauralKitError, FormatError, InvalidArgumentError
 from .geometry import Direction, normalize_direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
 from .layouts import SpeakerLayout
 from .wavio import read_wav
-
-# Maximum snap distance when a speaker direction is matched against stored
-# IR points; beyond it the speaker IR is interpolated from the full set.
-SPEAKER_SNAP_DEG = 2.0
 
 
 @dataclass
@@ -325,21 +320,16 @@ class RenderedSource:
     plan: InterpolationPlan
 
 
-def resolve_speaker_ir_set(
-    ir_set: IRSet,
-    layout: SpeakerLayout,
-    mode,
-    snap_threshold_deg: float = SPEAKER_SNAP_DEG,
-) -> IRSet:
+def resolve_speaker_ir_set(ir_set: IRSet, layout: SpeakerLayout, mode) -> IRSet:
     """An IR set holding one IR per layout speaker, at the speaker directions.
 
     Each speaker IR is planned over the full set with the requested mode,
-    so a speaker within the snap threshold of a stored point takes that
-    point's IR unchanged.
+    so a speaker within ``interpolation.SNAP_THRESHOLD_DEG`` (2 degrees) of
+    a stored point takes that point's IR unchanged.
     """
     points = []
     for d in layout.speaker_directions():
-        src = blend(ir_set, plan(ir_set, d, mode, snap_threshold_deg))
+        src = blend(ir_set, plan(ir_set, d, mode))
         points.append(IRPoint(d, src.left, src.right))
     return IRSet(
         f"{ir_set.subject_id}:{layout.name}",
@@ -354,7 +344,6 @@ def source_ir(
     ir_set: IRSet,
     mode=InterpolationMode.AUTO,
     layout: SpeakerLayout | None = None,
-    snap_threshold_deg: float = interpolation.SNAP_THRESHOLD_DEG,
 ) -> tuple[InterpolationPlan, IRPoint]:
     """The plan for a source at a direction and the IR it blends to.
 
@@ -372,7 +361,7 @@ def source_ir(
             speaker_set = resolve_speaker_ir_set(ir_set, layout, mode)
             ir_set.speaker_sets[key] = speaker_set
         ir_set = speaker_set
-    p = plan(ir_set, direction, mode, snap_threshold_deg)
+    p = plan(ir_set, direction, mode)
     return p, blend(ir_set, p)
 
 
@@ -382,7 +371,6 @@ def render_source_binaural(
     ir_set: IRSet,
     mode=InterpolationMode.AUTO,
     layout: SpeakerLayout | None = None,
-    snap_threshold_deg: float = interpolation.SNAP_THRESHOLD_DEG,
 ) -> RenderedSource:
     """Render a mono source at a direction to stereo: the source convolved
     with the IR ``source_ir`` picks (free-field without a layout, over the
@@ -394,7 +382,7 @@ def render_source_binaural(
             f"sample rate mismatch: source {source.sample_rate_hz} != "
             f"IR set {ir_set.sample_rate_hz}"
         )
-    p, ir = source_ir(direction, ir_set, mode, layout, snap_threshold_deg)
+    p, ir = source_ir(direction, ir_set, mode, layout)
     stereo = binaural_convolve(source.samples, ir)
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)
 

@@ -34,10 +34,16 @@ class EmptyImportError(BinauralKitError):
 
 
 def as_number(value, where: str, kind=float, error=FormatError):
-    """``kind(value)``; a value that does not convert raises ``error``
-    naming ``where`` it came from."""
+    """``kind(value)``; a boolean, a value that does not convert, or for
+    ``int`` a number with a fractional part raises ``error`` naming
+    ``where`` it came from."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise error(f"{where} must be {what}, got {value!r}") from None

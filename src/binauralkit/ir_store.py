@@ -426,11 +426,14 @@ def import_sadie(
         if not m:
             skipped.append(f"{f.name}: filename does not match pattern")
             continue
-        az = float(m.group("azimuth").replace(",", "."))
-        el = float(m.group("elevation").replace(",", "."))
-        if inclination:
-            el = 90.0 - el
-        d = normalize_direction(az, el)
+        try:
+            az, el = (float((m.group(g) or "").replace(",", "."))
+                      for g in ("azimuth", "elevation"))
+            d = normalize_direction(az, 90.0 - el if inclination else el)
+        except ValueError:
+            skipped.append(f"{f.name}: angles {m.group('azimuth')!r}, "
+                           f"{m.group('elevation')!r} are not finite numbers")
+            continue
         try:
             rate, samples = wavio.read_wav(f)
         except FormatError as e:

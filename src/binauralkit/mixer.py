@@ -13,15 +13,17 @@ from .dsp import (
     REVERB_NAMES,
     ReverbModel,
     apply_reverb,
+    binaural_convolve,
     default_reverbs,
-    fft_convolve,
+    fft_convolve,  # unused here; bench/tests patches and asserts mixer.fft_convolve
     pan_constant_power,
     render_source_binaural,
+    source_ir,
 )
-from .errors import FormatError, InvalidArgumentError, NotFoundError
+from .errors import FormatError, InvalidArgumentError, NotFoundError, as_number
 from .geometry import Direction, normalize_direction
-from .interpolation import InterpolationMode, InterpolationPlan
-from .ir_store import IRSet, IRType, nearest_point
+from .interpolation import SNAP_THRESHOLD_DEG, InterpolationMode, InterpolationPlan
+from .ir_store import IRSet, IRType
 from .layouts import get_layout
 
 _LFE_GAIN = 2.0 ** -0.5  # diotic LFE feed, -3 dB into each ear
@@ -79,10 +81,14 @@ class MixConfig:
     normalize: str = "off"
 
     def __post_init__(self):
-        self.sample_rate_hz = int(self.sample_rate_hz)
+        self.sample_rate_hz = as_number(
+            self.sample_rate_hz, "sample_rate_hz", int, InvalidArgumentError
+        )
         self.ir_type = IRType.parse(self.ir_type)
         self.interpolation_mode = InterpolationMode.parse(self.interpolation_mode)
-        self.reverb_type = int(self.reverb_type)
+        self.reverb_type = as_number(
+            self.reverb_type, "reverb_type", int, InvalidArgumentError
+        )
         if self.reverb_type not in REVERB_NAMES:
             raise InvalidArgumentError(
                 f"reverb_type must be one of {sorted(REVERB_NAMES)}, "
@@ -248,11 +254,13 @@ def render_surround_to_binaural(
 ) -> MixResult:
     """Render a channel-encoded surround program to binaural stereo.
 
-    Same input and output layout: every non-LFE channel is convolved with
-    the IR at its exact speaker direction, using stored points only (snapped
-    within 2 degrees; farther is an error, surfacing coverage gaps).
-    Different layouts: each input channel becomes a source at its
-    input-layout direction, rendered over the output layout's speakers.
+    Every non-LFE channel is convolved with the IR ``source_ir`` picks at
+    its input-layout direction. Same input and output layout: the plan is
+    ``nearest`` over the stored points, and a speaker farther than
+    ``SNAP_THRESHOLD_DEG`` (2 degrees) from every point is an error,
+    surfacing coverage gaps. Different layouts: the plan uses
+    cfg.interpolation_mode over the output layout's speakers, and these
+    plans are returned in track_plans.
     LFE channels feed both ears equally at -3 dB with no spatialization.
     """
     _check_ir_set(cfg, ir_set)
@@ -268,41 +276,28 @@ def render_surround_to_binaural(
             f"channel count mismatch for layout {in_l.name}: "
             f"expected {in_l.channel_count}, got {program.n_channels}"
         )
-    samples = program.samples
-    if samples.ndim == 1:
-        samples = samples[:, None]
 
     same = in_l.name == out_l.name
+    mode = InterpolationMode.NEAREST if same else cfg.interpolation_mode
+    layout = None if same else out_l
     rendered, plans = [], []
     for i, channel in enumerate(in_l.channels):
-        chan = samples[:, i]
+        chan = program.samples[:, i]
         if channel.is_lfe:
             feed = chan * _LFE_GAIN
             rendered.append(np.column_stack([feed, feed]))
             continue
-        if same:
-            idx, dist = nearest_point(ir_set, channel.direction)
-            if dist > 2.0:
-                d = channel.direction
-                raise NotFoundError(
-                    f"no stored IR within 2 degrees of speaker {channel.label} at "
-                    f"({d.azimuth_deg:g}, {d.elevation_deg:g}); nearest is "
-                    f"{dist:.2f} degrees away"
-                )
-            point = ir_set.points[idx]
-            rendered.append(
-                fft_convolve(chan, np.column_stack([point.left, point.right]))
+        p, ir = source_ir(channel.direction, ir_set, mode, layout)
+        if same and p.achieved_error_deg > SNAP_THRESHOLD_DEG:
+            d = channel.direction
+            raise NotFoundError(
+                f"no stored IR within {SNAP_THRESHOLD_DEG:g} degrees of speaker "
+                f"{channel.label} at ({d.azimuth_deg:g}, {d.elevation_deg:g}); "
+                f"nearest is {p.achieved_error_deg:.2f} degrees away"
             )
-        else:
-            r = render_source_binaural(
-                AudioBuffer(chan, cfg.sample_rate_hz),
-                channel.direction,
-                ir_set,
-                cfg.interpolation_mode,
-                out_l,
-            )
-            rendered.append(r.audio.samples)
-            plans.append((channel.label, r.plan))
+        rendered.append(binaural_convolve(chan, ir))
+        if not same:
+            plans.append((channel.label, p))
 
     out = _sum_stereo(rendered, [program.n_samples], cfg.keep_tail)
     return _finalize(out, cfg, plans)

@@ -148,6 +148,14 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     ({}, [{"name": "a", "level": "loud"}], "track 0 level must be a number, got 'loud'"),
     ({}, [{"name": "a"}, {"name": "b", "azimuth": None}],
      "track 1 azimuth must be a number, got None"),
+    # int() would truncate these to Office and 48000
+    ({"reverb_type": 2.9}, None, "config reverb_type must be an integer, got 2.9"),
+    ({"sample_rate": 48000.5}, None,
+     "config sample_rate must be an integer, got 48000.5"),
+    ({"reverb_type": True}, None, "config reverb_type must be an integer, got True"),
+    ({}, [{"name": "a", "level": False}], "track 0 level must be a number, got False"),
+    ({"keep_tail": "false"}, None, "config keep_tail must be true or false, got 'false'"),
+    ({"keep_tail": 0}, None, "config keep_tail must be true or false, got 0"),
 ])
 def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, capsys,
                                                config, tracks, message):
@@ -164,12 +172,42 @@ def test_dataset_bad_seed_names_grid(tmp_path, data_root, capsys):
     gpath = tmp_path / "grid.json"
     axes = {"subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
             "azimuth": [0.0], "elevation": [0.0], "source": ["s.wav"]}
-    gpath.write_text(json.dumps({"schema": 1, "seed": "abc", "axes": axes}))
-    rc = main(["dataset", str(gpath), "--data-root", str(data_root),
-               "--out", str(tmp_path / "ds")])
+    # int() would run 3.9 as seed 3
+    for i, seed in enumerate(["abc", 3.9, True]):
+        gpath.write_text(json.dumps({"schema": 1, "seed": seed, "axes": axes}))
+        rc = main(["dataset", str(gpath), "--data-root", str(data_root),
+                   "--out", str(tmp_path / f"ds{i}")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {gpath}: seed must be an integer, got {seed!r}" in captured.err
+
+
+def test_mix_integral_float_rate_and_keep_tail_false(tmp_path, data_root, noise_wav,
+                                                     capsys):
+    scene = _scene(tmp_path, noise_wav, config={"sample_rate": 48000.0,
+                                                "reverb_type": 2.0,
+                                                "keep_tail": False})
+    out = tmp_path / "mix.wav"
+    rc = main(["mix", str(scene), "--data-root", str(data_root), "-o", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    rate, samples = read_wav(out)
+    assert rate == 48000 and len(samples) == len(read_wav(noise_wav)[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-irs", "--distribution", "ring_az_step", "--elevations", "0,x"],
+    ["triangulate", "--az", "0", "--el", "0", "--distribution", "ring",
+     "--elevations", "0,a"],
+])
+def test_bad_elevations_option_is_an_error_line(tmp_path, capsys, argv):
+    if argv[0] == "synth-irs":
+        argv = argv + ["--dest", str(tmp_path)]
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
-    assert f"error: {gpath}: seed must be an integer, got 'abc'" in captured.err
+    bad = argv[argv.index("--elevations") + 1].split(",")[1]
+    assert f"error: --elevations value must be a number, got {bad!r}" in captured.err
+    assert not (tmp_path / "SYN1").exists()
 
 
 @pytest.mark.parametrize("field,message", [

@@ -185,6 +185,11 @@ def test_run_dataset_records_failures_and_continues(tmp_path, data_root, noise_w
     ("azimuth", "left", "azimuth must be a number, got 'left'"),
     ("elevation", {"deg": 3}, "elevation must be a number, got {'deg': 3}"),
     ("layout", ["5.1"], "unsupported layout ['5.1']; expected one of: "),
+    # int() would truncate these to Theatre and 48000
+    ("reverb_type", 1.7, "reverb_type must be an integer, got 1.7"),
+    ("reverb_type", True, "reverb_type must be an integer, got True"),
+    ("sample_rate", 48000.5, "sample_rate must be an integer, got 48000.5"),
+    ("azimuth", False, "azimuth must be a number, got False"),
 ])
 def test_run_dataset_bad_row_values_fail_their_rows(tmp_path, data_root, noise_wav,
                                                      axis, value, message):

@@ -280,6 +280,23 @@ def test_import_sadie_skips_unparsable_with_warning(tmp_path):
     assert len(manifest.entries) == 9
 
 
+def test_import_sadie_skips_non_numeric_captures(tmp_path):
+    src = tmp_path / "raw"
+    names = [f"azi_{az}_ele_0.wav" for az in (0, 90, 180)]
+    _write_import_fixture(src, names + ["azi_45_ele_.wav", "azi_45_ele_up.wav",
+                                        "azi_45_ele_nan.wav"])
+    pattern = r"azi_(?P<azimuth>[\d,.]+)_ele_(?P<elevation>[^.]*)\.wav"
+    with pytest.warns(UserWarning) as caught:
+        manifest = import_sadie(src, tmp_path / "root", "H10", "HRIR", 48000, pattern)
+    assert len(manifest.entries) == 3
+    skipped = sorted(str(w.message) for w in caught)
+    assert skipped == [
+        "import: skipped azi_45_ele_.wav: angles '45', '' are not finite numbers",
+        "import: skipped azi_45_ele_nan.wav: angles '45', 'nan' are not finite numbers",
+        "import: skipped azi_45_ele_up.wav: angles '45', 'up' are not finite numbers",
+    ]
+
+
 def test_import_sadie_skips_wrong_shape_files(tmp_path):
     src = tmp_path / "raw"
     _write_import_fixture(src, ["azi_0_ele_0.wav", "azi_90_ele_0.wav"])

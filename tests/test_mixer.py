@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from binauralkit.dsp import AudioBuffer, default_reverbs
+from binauralkit.dsp import AudioBuffer, default_reverbs, fft_convolve
 from binauralkit.errors import (
     FormatError,
     InvalidArgumentError,
@@ -86,6 +86,12 @@ def test_mix_config_validation():
         _cfg(speaker_layout="6.1")
     with pytest.raises(InvalidArgumentError):
         _cfg(ir_type="hrtf")
+    # int() would truncate these to Office and 48000
+    with pytest.raises(InvalidArgumentError, match="reverb_type must be an integer, got 2.9"):
+        _cfg(reverb_type=2.9)
+    with pytest.raises(InvalidArgumentError, match="sample_rate_hz must be an integer"):
+        _cfg(sample_rate_hz=48000.5)
+    assert _cfg(sample_rate_hz=48000.0, reverb_type=2.0).reverb_type == 2
 
 
 def test_mix_rejects_mismatched_ir_set(lebedev_set):
@@ -239,8 +245,39 @@ def test_surround_channel_count_mismatch(speaker_set):
 
 def test_surround_same_layout_requires_stored_points(lebedev_set):
     prog = AudioBuffer(np.zeros((32, 6)) + 0.1, 48000)
-    with pytest.raises(NotFoundError, match="within 2 degrees"):
+    with pytest.raises(NotFoundError) as err:
         render_surround_to_binaural(prog, "5.1", "5.1", _cfg(), lebedev_set)
+    assert str(err.value) == (
+        "no stored IR within 2 degrees of speaker L at (30, 0); "
+        "nearest is 15.00 degrees away"
+    )
+
+
+def test_surround_same_layout_matches_nearest_point_oracle(speaker_set):
+    # each speaker channel convolved with its stored IR, plus the LFE feed,
+    # summed in channel order: computed here without the mixer's planning
+    rng = np.random.default_rng(41)
+    layout = get_layout("7.1.4")
+    prog = 0.05 * rng.standard_normal((700, layout.channel_count))
+    res = render_surround_to_binaural(
+        AudioBuffer(prog, 48000), "7.1.4", "7.1.4", _cfg(subject_id="RING5"),
+        speaker_set,
+    )
+    parts = []
+    for i, channel in enumerate(layout.channels):
+        if channel.is_lfe:
+            feed = prog[:, i] * 2.0 ** -0.5
+            parts.append(np.column_stack([feed, feed]))
+            continue
+        idx, dist = nearest_point(speaker_set, channel.direction)
+        assert dist <= 2.0
+        point = speaker_set.points[idx]
+        parts.append(fft_convolve(prog[:, i], np.column_stack([point.left, point.right])))
+    want = np.zeros((max(len(r) for r in parts), 2))
+    for r in parts:
+        want[:len(r)] += r
+    assert np.array_equal(res.audio.samples, want)
+    assert res.track_plans == ()
 
 
 @pytest.mark.filterwarnings("ignore:mix peak")
