@@ -37,6 +37,7 @@ from .layouts import LAYOUT_NAMES, get_layout
 from .mixer import (
     MixConfig,
     TrackObject,
+    check_normalize,
     mix_tracks_binaural,
     render_surround_to_binaural,
 )
@@ -50,6 +51,13 @@ _CONFIG_KEYS = {
     "reverb_type", "keep_tail", "normalize",
 }
 _TRACK_KEYS = {"name", "file", "level", "reverb", "azimuth", "elevation"}
+# checked in parse_scene before MixConfig, so that an error names the key
+_CONFIG_CHECKS = {
+    "ir_type": IRType.parse,
+    "layout": lambda v: v is None or get_layout(v),
+    "mode": InterpolationMode.parse,
+    "normalize": check_normalize,
+}
 
 
 def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
@@ -82,6 +90,12 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
         raise FormatError(
             f"{path}: config keep_tail must be true or false, got {keep_tail!r}"
         )
+    for key, check in _CONFIG_CHECKS.items():
+        try:
+            if key in raw_cfg:
+                check(raw_cfg[key])
+        except BinauralKitError as e:
+            raise type(e)(f"{path}: config {key}: {e}") from None
     cfg = MixConfig(
         subject_id=str(raw_cfg["subject"]),
         sample_rate_hz=rate,
@@ -107,6 +121,10 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
         for req in ("name", "file"):
             if req not in t:
                 raise FormatError(f"{path}: track {i} is missing {req!r}")
+        if not isinstance(t["file"], str):
+            raise FormatError(
+                f"{path}: track {i} file must be a string, got {t['file']!r}"
+            )
         wav = Path(t["file"])
         if not wav.is_absolute():
             wav = path.parent / wav

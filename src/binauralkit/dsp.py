@@ -1,5 +1,6 @@
 """Rendering primitives: FFT convolution, constant-power panning, reverb,
-and single-source binaural rendering with optional speaker-layout simulation.
+single-source binaural rendering with optional speaker-layout simulation,
+and multi-source binaural buses.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
         y = long * short[0]
     else:
         nfft = _partition_nfft(len(short))
-        y = _overlap_add(long, short, nfft, np.fft.rfft(short, nfft, axis=0))
+        y = _overlap_add([(long, np.fft.rfft(short, nfft, axis=0))], len(short), nfft)
     return y if h.ndim == 2 else y[:, 0]
 
 
@@ -122,29 +123,41 @@ def _smooth_nfft(n: int) -> int:
     return best
 
 
-def _overlap_add(
-    long: np.ndarray, short: np.ndarray, nfft: int, spectra: np.ndarray
-) -> np.ndarray:
-    """Convolve the columns of ``long`` (n, a) with the columns of ``short``
-    (m, b), where a and b are equal or one of them is 1, given ``spectra``,
-    the rfft of ``short`` at ``nfft``.
+def _overlap_add(pairs, m: int, nfft: int) -> np.ndarray:
+    """The sum over ``pairs`` of ``(long, spectra)``: each ``long`` (n, a)
+    convolved with an m-tap filter (m, b) whose rfft at ``nfft`` is
+    ``spectra``, where a and b are equal or one of them is 1.
 
-    Blocks of ``long`` are nfft - m + 1 samples, so nfft must exceed m - 1;
-    m <= n unless nfft >= n + m - 1, where one transform holds the whole
-    output. Returns (n + m - 1, max(a, b)).
+    Blocks of nfft - m + 1 samples are transformed in batches; each batch's
+    block spectra are multiplied by their pair's filter spectrum and added
+    into one accumulator, so one inverse transform serves every pair. A pair
+    is skipped once a batch starts past its end. A block must be at least
+    m - 1 samples, so that each output sample sums at most two blocks,
+    unless one block holds every long operand. Returns
+    (max(n) + m - 1, max(a, b)).
     """
-    n, m = len(long), len(short)
-    k = max(long.shape[1], spectra.shape[1])
-    n_out = n + m - 1
+    n = max(len(long) for long, _ in pairs)
+    k = max(max(long.shape[1], spectra.shape[1]) for long, spectra in pairs)
     block = nfft - m + 1
-    y = np.zeros((n_out, k))
-    n_full = n // block
+    n_blocks = -(-n // block)
     per_batch = max(1, _BATCH_SAMPLES // nfft)
-    for first in range(0, n_full, per_batch):
-        nb = min(per_batch, n_full - first)
+    y = np.zeros((n_blocks * block + m - 1, k))
+    for first in range(0, n_blocks, per_batch):
+        nb = min(per_batch, n_blocks - first)
         start, end = first * block, (first + nb) * block
-        seg = long[start:end].reshape(nb, block, long.shape[1])
-        out = np.fft.irfft(np.fft.rfft(seg, nfft, axis=1) * spectra, nfft, axis=1)
+        acc = None
+        for long, spectra in pairs:
+            seg = long[start:end]
+            if not len(seg):
+                continue
+            if len(seg) % block:  # the last, partial block, zero-padded
+                seg = np.pad(seg, ((0, block - len(seg) % block), (0, 0)))
+            prod = np.fft.rfft(seg.reshape(-1, block, seg.shape[1]), nfft, axis=1) * spectra
+            if acc is None or len(acc) < len(prod):  # the taller one accumulates
+                acc, prod = prod, acc
+            if prod is not None:
+                acc[:len(prod)] += prod
+        out = np.fft.irfft(acc, nfft, axis=1)
         heads = y[start:end].reshape(nb, block, k)
         heads += out[:, :block]
         if nb > 1:
@@ -152,14 +165,7 @@ def _overlap_add(
             tails = y[start + block:end].reshape(nb - 1, block, k)[:, :m - 1]
             tails += out[:-1, block:]
         y[end:end + m - 1] += out[-1, block:]
-    start = n_full * block
-    if start < n:
-        # the last, partial block; rfft zero-pads it to nfft
-        out = np.fft.irfft(
-            np.fft.rfft(long[start:], nfft, axis=0) * spectra, nfft, axis=0
-        )
-        y[start:] += out[:n_out - start]
-    return y
+    return y[:n + m - 1]
 
 
 def pan_constant_power(pan: float) -> tuple[float, float]:
@@ -301,7 +307,7 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
         x, ir = signal.samples, model.ir
         if n_out <= _partition_nfft(min(len(x), len(ir))):
             nfft = _smooth_nfft(n_out)
-            wet = _overlap_add(x[:, None], ir[:, None], nfft, model.spectrum(nfft))[:, 0]
+            wet = _overlap_add([(x[:, None], model.spectrum(nfft))], len(ir), nfft)[:, 0]
         else:
             wet = fft_convolve(x, ir)
         out += amount * wet
@@ -391,3 +397,30 @@ def binaural_convolve(signal: np.ndarray, ir: IRPoint) -> np.ndarray:
     """A 1-D signal convolved with an IR point's left and right buffers,
     as ``(n_out, 2)``, by one ``fft_convolve`` of the pair."""
     return fft_convolve(signal, np.column_stack([ir.left, ir.right]))
+
+
+def binaural_sum(sources) -> np.ndarray:
+    """The sum over ``(signal, IRPoint)`` pairs of each 1-D signal convolved
+    with its IR's left and right buffers, as ``(max len(signal) + taps - 1,
+    2)``; every IR must have the same length.
+
+    The IR length sets the partition, as in ``fft_convolve``. Each IR pair
+    is transformed once, and every source's block spectra are added before
+    one inverse transform per batch of blocks. With one source at least as
+    long as its IR this equals ``binaural_convolve`` bit for bit, except
+    that a one-tap IR's -0.0 products read 0.0 here.
+    """
+    sources = [(np.asarray(x, dtype=np.float64), ir) for x, ir in sources]
+    taps = {len(ir.left) for _, ir in sources}
+    if len(taps) != 1 or any(x.ndim != 1 or x.size == 0 for x, _ in sources):
+        raise InvalidArgumentError(
+            "binaural_sum needs non-empty 1-D signals with IRs of one length"
+        )
+    (m,) = taps
+    # one tap is a gain: length-1 transforms are exact, as fft_convolve's
+    # product is
+    nfft = _partition_nfft(m) if m > 1 else 1
+    return _overlap_add(
+        [(x[:, None], np.fft.rfft(np.column_stack([ir.left, ir.right]), nfft, axis=0))
+         for x, ir in sources], m, nfft,
+    )

@@ -14,10 +14,10 @@ from .dsp import (
     ReverbModel,
     apply_reverb,
     binaural_convolve,
+    binaural_sum,
     default_reverbs,
     fft_convolve,  # unused here; bench/tests patches and asserts mixer.fft_convolve
     pan_constant_power,
-    render_source_binaural,
     source_ir,
 )
 from .errors import FormatError, InvalidArgumentError, NotFoundError, as_number
@@ -29,6 +29,15 @@ from .layouts import get_layout
 _LFE_GAIN = 2.0 ** -0.5  # diotic LFE feed, -3 dB into each ear
 
 NORMALIZE_MODES = ("off", "peak")
+
+
+def check_normalize(value) -> str:
+    """``value`` if it is one of NORMALIZE_MODES, else InvalidArgumentError."""
+    if value not in NORMALIZE_MODES:
+        raise InvalidArgumentError(
+            f"normalize must be one of {NORMALIZE_MODES}, got {value!r}"
+        )
+    return value
 
 
 def _clamp01(value: float, what: str, track: str) -> float:
@@ -94,10 +103,7 @@ class MixConfig:
                 f"reverb_type must be one of {sorted(REVERB_NAMES)}, "
                 f"got {self.reverb_type}"
             )
-        if self.normalize not in NORMALIZE_MODES:
-            raise InvalidArgumentError(
-                f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}"
-            )
+        check_normalize(self.normalize)
         if self.speaker_layout is not None:
             get_layout(self.speaker_layout)  # validate the name early
 
@@ -185,10 +191,11 @@ def mix_tracks_binaural(
 ) -> MixResult:
     """Render each track at its direction and sum to one stereo program.
 
-    Per track: level gain, reverb, then binaural render (free-field when
-    cfg.speaker_layout is None, otherwise amplitude-panned over that
-    layout's speakers). Tracks are summed aligned at sample 0 in order.
-    keep_tail=False trims the output to the longest input track.
+    Per track: level gain, reverb, then the IR ``source_ir`` picks
+    (free-field when cfg.speaker_layout is None, otherwise amplitude-panned
+    over that layout's speakers). Tracks are aligned at sample 0 and
+    rendered as one ``binaural_sum`` bus, so they share each inverse
+    transform. keep_tail=False trims the output to the longest input track.
     """
     tracks = list(tracks)
     if not tracks:
@@ -200,17 +207,15 @@ def mix_tracks_binaural(
     if cfg.speaker_layout is not None:
         layout = get_layout(cfg.speaker_layout)
 
-    rendered, plans, input_lengths = [], [], []
+    sources, plans, input_lengths = [], [], []
     for track in tracks:
         sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
-        r = render_source_binaural(
-            sig, track.direction, ir_set, cfg.interpolation_mode, layout
-        )
-        rendered.append(r.audio.samples)
-        plans.append((track.name, r.plan))
+        p, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
+        sources.append((sig.samples, ir))
+        plans.append((track.name, p))
         input_lengths.append(track.audio.n_samples)
 
-    out = _sum_stereo(rendered, input_lengths, cfg.keep_tail)
+    out = _sum_stereo([binaural_sum(sources)], input_lengths, cfg.keep_tail)
     return _finalize(out, cfg, plans)
 
 
@@ -258,9 +263,12 @@ def render_surround_to_binaural(
     its input-layout direction. Same input and output layout: the plan is
     ``nearest`` over the stored points, and a speaker farther than
     ``SNAP_THRESHOLD_DEG`` (2 degrees) from every point is an error,
-    surfacing coverage gaps. Different layouts: the plan uses
-    cfg.interpolation_mode over the output layout's speakers, and these
-    plans are returned in track_plans.
+    surfacing coverage gaps. Each channel is convolved on its own and the
+    results summed in channel order, so a pass-through render is exactly
+    the time-domain sum of its speaker IRs. Different layouts: the plan
+    uses cfg.interpolation_mode over the output layout's speakers, these
+    plans are returned in track_plans, and the channels are rendered as one
+    ``binaural_sum`` bus, which rounds differently from that sum.
     LFE channels feed both ears equally at -3 dB with no spatialization.
     """
     _check_ir_set(cfg, ir_set)
@@ -280,7 +288,7 @@ def render_surround_to_binaural(
     same = in_l.name == out_l.name
     mode = InterpolationMode.NEAREST if same else cfg.interpolation_mode
     layout = None if same else out_l
-    rendered, plans = [], []
+    rendered, sources, plans = [], [], []
     for i, channel in enumerate(in_l.channels):
         chan = program.samples[:, i]
         if channel.is_lfe:
@@ -295,9 +303,13 @@ def render_surround_to_binaural(
                 f"{channel.label} at ({d.azimuth_deg:g}, {d.elevation_deg:g}); "
                 f"nearest is {p.achieved_error_deg:.2f} degrees away"
             )
-        rendered.append(binaural_convolve(chan, ir))
-        if not same:
+        if same:
+            rendered.append(binaural_convolve(chan, ir))
+        else:
+            sources.append((chan, ir))
             plans.append((channel.label, p))
+    if sources:
+        rendered.append(binaural_sum(sources))
 
     out = _sum_stereo(rendered, [program.n_samples], cfg.keep_tail)
     return _finalize(out, cfg, plans)

@@ -156,6 +156,12 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     ({}, [{"name": "a", "level": False}], "track 0 level must be a number, got False"),
     ({"keep_tail": "false"}, None, "config keep_tail must be true or false, got 'false'"),
     ({"keep_tail": 0}, None, "config keep_tail must be true or false, got 0"),
+    ({"normalize": 5}, None,
+     "config normalize: normalize must be one of ('off', 'peak'), got 5"),
+    ({"mode": "fastest"}, None, "config mode: unknown interpolation mode 'fastest'"),
+    ({"layout": "22.2"}, None, "config layout: unsupported layout '22.2'"),
+    ({"layout": 5}, None, "config layout: unsupported layout 5"),
+    ({"ir_type": 5}, None, "config ir_type: unknown IR type 5; expected HRIR or BRIR"),
 ])
 def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, capsys,
                                                config, tracks, message):
@@ -166,6 +172,17 @@ def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, 
     captured = capsys.readouterr()
     assert rc == 1
     assert f"error: {scene}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("file", [5, None, ["a.wav"]])
+def test_mix_track_file_must_be_a_string(tmp_path, data_root, noise_wav, capsys, file):
+    scene = _scene(tmp_path, noise_wav, tracks=[
+        {"name": "a", "file": str(noise_wav)}, {"name": "b", "file": file}])
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "x.wav")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {scene}: track 1 file must be a string, got {file!r}" in captured.err
 
 
 def test_dataset_bad_seed_names_grid(tmp_path, data_root, capsys):

@@ -10,6 +10,8 @@ from binauralkit.dsp import (
     AudioBuffer,
     ReverbModel,
     apply_reverb,
+    binaural_convolve,
+    binaural_sum,
     default_reverbs,
     fft_convolve,
     load_audio,
@@ -21,6 +23,7 @@ from binauralkit.dsp import (
 from binauralkit.errors import FormatError, InvalidArgumentError
 from binauralkit.geometry import Direction
 from binauralkit.interpolation import InterpolationMode, blend, plan
+from binauralkit.ir_store import IRPoint
 from binauralkit.layouts import get_layout
 from binauralkit.wavio import write_wav
 
@@ -155,6 +158,46 @@ def test_fft_convolve_length_one_is_exact_scale():
     assert np.array_equal(out, x * 0.5)
     out = fft_convolve(np.array([2.0]), x)
     assert np.array_equal(out, x * 2.0)
+
+
+def _ir_point(rng, taps):
+    return IRPoint(Direction(0.0, 0.0), rng.standard_normal(taps), rng.standard_normal(taps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 3000), min_size=1, max_size=5),
+    taps=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_binaural_sum_matches_summed_direct_convolutions(lengths, taps, seed):
+    rng = np.random.default_rng(seed)
+    sources = [(rng.standard_normal(n), _ir_point(rng, taps)) for n in lengths]
+    out = binaural_sum(sources)
+    ref = np.zeros((max(lengths) + taps - 1, 2))
+    for x, ir in sources:
+        ref[:len(x) + taps - 1] += np.column_stack(
+            [np.convolve(x, ir.left), np.convolve(x, ir.right)]
+        )
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_binaural_sum_of_one_source_is_binaural_convolve():
+    rng = np.random.default_rng(44)
+    for n, taps in ((1, 1), (5, 1), (2, 2), (256, 256), (257, 256), (1000, 3),
+                    (24_000, 128), (96_000, 256), (100_003, 300)):
+        x, ir = rng.standard_normal(n), _ir_point(rng, taps)
+        assert binaural_sum([(x, ir)]).tobytes() == binaural_convolve(x, ir).tobytes()
+
+
+def test_binaural_sum_rejects_mixed_ir_lengths_and_bad_signals():
+    rng = np.random.default_rng(45)
+    ir8, ir9 = _ir_point(rng, 8), _ir_point(rng, 9)
+    for sources in ([], [(np.ones(10), ir8), (np.ones(10), ir9)],
+                    [(np.ones((10, 2)), ir8)], [(np.zeros(0), ir8)]):
+        with pytest.raises(InvalidArgumentError):
+            binaural_sum(sources)
 
 
 def test_pan_constant_power():

@@ -161,6 +161,43 @@ def test_reverb_lengthens_and_keep_tail_trims(lebedev_set):
     assert np.array_equal(trimmed.audio.samples, r_wet.audio.samples[:100])
 
 
+@pytest.mark.parametrize("reverb_type", [1, 3])  # 2 s and 0.3 s reverbs
+@pytest.mark.parametrize("keep_tail", [True, False])
+def test_quickstart_sized_mix_matches_scipy(lebedev_set, reverb_type, keep_tail):
+    # four 1 s tracks, three of them wet, like the Quickstart scene; each is
+    # levelled, reverbed and convolved with its blended IR by scipy
+    signal = pytest.importorskip("scipy.signal")
+    from binauralkit.dsp import source_ir
+
+    t = np.arange(48000) / 48000
+    specs = [("vocals", 220, 0.9, 0.2, 0, 0), ("guitar", 330, 0.7, 0.1, 45, 0),
+             ("keys", 440, 0.6, 0.3, 315, 10), ("drums", 110, 0.8, 0.0, 180, -10)]
+    tracks = [
+        TrackObject(name, AudioBuffer(0.4 * np.sin(2 * np.pi * f * t) * np.exp(-1.5 * t),
+                                      48000), level, reverb, az, el)
+        for name, f, level, reverb, az, el in specs
+    ]
+    cfg = _cfg(reverb_type=reverb_type, keep_tail=keep_tail)
+    res = mix_tracks_binaural(tracks, cfg, lebedev_set)
+    reverb_ir = default_reverbs(48000)[reverb_type].ir
+    parts = []
+    for track in tracks:
+        x = track.level * track.audio.samples
+        if track.reverb > 0.0:
+            dry = np.concatenate([x, np.zeros(len(reverb_ir) - 1)])
+            x = (1.0 - track.reverb) * dry + track.reverb * signal.fftconvolve(x, reverb_ir)
+        _, ir = source_ir(track.direction, lebedev_set)
+        parts.append(signal.fftconvolve(x[:, None], np.column_stack([ir.left, ir.right]),
+                                        axes=0))
+    want = np.zeros((max(len(p) for p in parts), 2))
+    for p in parts:
+        want[:len(p)] += p
+    if not keep_tail:
+        want = want[:48000]
+    assert res.audio.samples.shape == want.shape
+    assert np.max(np.abs(res.audio.samples - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_reverb_type_selects_model(lebedev_set):
     wet = _noise_track("w", 80, 7, reverb=1.0)
     a = mix_tracks_binaural([wet], _cfg(reverb_type=1), lebedev_set)
