@@ -38,6 +38,7 @@ from .mixer import (
     MixConfig,
     TrackObject,
     check_normalize,
+    check_reverb_type,
     mix_tracks_binaural,
     render_surround_to_binaural,
 )
@@ -57,6 +58,7 @@ _CONFIG_CHECKS = {
     "layout": lambda v: v is None or get_layout(v),
     "mode": InterpolationMode.parse,
     "normalize": check_normalize,
+    "reverb_type": check_reverb_type,
 }
 
 

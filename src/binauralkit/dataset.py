@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from .dsp import AudioBuffer, binaural_convolve, load_audio, load_reverbs, source_ir
+from .dsp import AudioBuffer, binaural_sum, load_audio, load_reverbs, source_ir
 from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
-from .mixer import MixConfig, TrackObject, _finalize, _sum_stereo, _track_source
+from .mixer import MixConfig, TrackObject, _finish, _track_source
 from .wavio import write_wav
 
 AXIS_ORDER = (
@@ -210,19 +210,12 @@ def _render_group(group) -> list[dict]:
         except BinauralKitError as e:  # bad rows land in the manifest, run continues
             row.update(status="failed", error=" ".join(str(e).split()))
             continue
-        job = (prepared, ir, cfg, Path(out_dir), encoding)
+        job = (prepared, audio.n_samples, ir, cfg, Path(out_dir), encoding)
         blends.setdefault((ir.left.tobytes(), ir.right.tobytes()), (job, []))[1].append(row)
-    for (prepared, ir, cfg, out_dir, encoding), members in blends.values():
+    for (prepared, n_input, ir, cfg, out_dir, encoding), members in blends.values():
         first = out_dir / members[0]["file"]
         try:
-            # mix_tracks_binaural's render and sum of the prepared source,
-            # without planning the blend again; the sum into a zero buffer
-            # turns -0.0 into 0.0, as the mixer's does
-            result = _finalize(
-                _sum_stereo([binaural_convolve(prepared.samples, ir)],
-                            [prepared.n_samples], cfg.keep_tail),
-                cfg, (),
-            )
+            result = _finish([binaural_sum([(prepared.samples, ir)])], n_input, cfg)
             write_wav(first, cfg.sample_rate_hz, result.audio.samples, encoding)
         except BinauralKitError as e:  # the same error every member would raise
             for row in members:
@@ -261,9 +254,13 @@ def run_dataset(
     Jobs that differ only in mode run as one group on one worker; those
     whose blended IRs are bit-identical share one render and one WAV
     encode, and the others get a copy of its bytes, so every output is
-    what its own render would write. An existing ``manifest.tsv`` in
-    ``out_dir`` is deleted before the first WAV is written.
+    what its own render would write. ``jobs`` (at least 1) caps the
+    worker processes, and no more start than there are groups. An
+    existing ``manifest.tsv`` in ``out_dir`` is deleted before the first
+    WAV is written.
     """
+    if jobs < 1:
+        raise InvalidArgumentError(f"jobs must be at least 1, got {jobs}")
     count = grid.job_count
     if count > job_cap and not force:
         raise InvalidArgumentError(
@@ -301,9 +298,11 @@ def run_dataset(
     args.sort(key=key)
     groups = [list(group) for _, group in itertools.groupby(args, key)]
     _held.clear()  # forked workers start empty too
+    # the pool starts all its workers at once, so idle ones are never made
+    workers = min(jobs, len(groups))
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(_render_group, groups))
         else:
             done = [_render_group(group) for group in groups]

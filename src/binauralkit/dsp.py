@@ -1,6 +1,6 @@
 """Rendering primitives: FFT convolution, constant-power panning, reverb,
-single-source binaural rendering with optional speaker-layout simulation,
-and multi-source binaural buses.
+and binaural rendering of one source or a bus of sources, with optional
+speaker-layout simulation.
 """
 
 from __future__ import annotations
@@ -389,14 +389,8 @@ def render_source_binaural(
             f"IR set {ir_set.sample_rate_hz}"
         )
     p, ir = source_ir(direction, ir_set, mode, layout)
-    stereo = binaural_convolve(source.samples, ir)
+    stereo = binaural_sum([(source.samples, ir)])
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)
-
-
-def binaural_convolve(signal: np.ndarray, ir: IRPoint) -> np.ndarray:
-    """A 1-D signal convolved with an IR point's left and right buffers,
-    as ``(n_out, 2)``, by one ``fft_convolve`` of the pair."""
-    return fft_convolve(signal, np.column_stack([ir.left, ir.right]))
 
 
 def binaural_sum(sources) -> np.ndarray:
@@ -404,23 +398,25 @@ def binaural_sum(sources) -> np.ndarray:
     with its IR's left and right buffers, as ``(max len(signal) + taps - 1,
     2)``; every IR must have the same length.
 
-    The IR length sets the partition, as in ``fft_convolve``. Each IR pair
-    is transformed once, and every source's block spectra are added before
-    one inverse transform per batch of blocks. With one source at least as
-    long as its IR this equals ``binaural_convolve`` bit for bit, except
-    that a one-tap IR's -0.0 products read 0.0 here.
+    A lone source is one ``fft_convolve`` of the stacked ``(taps, 2)`` pair,
+    bit for bit, whichever of signal and IR is longer. Two or more sources
+    form a bus: the IR length sets the partition, as in ``fft_convolve``,
+    each IR pair is transformed once, and every source's block spectra are
+    added before one inverse transform per batch of blocks.
     """
-    sources = [(np.asarray(x, dtype=np.float64), ir) for x, ir in sources]
-    taps = {len(ir.left) for _, ir in sources}
-    if len(taps) != 1 or any(x.ndim != 1 or x.size == 0 for x, _ in sources):
+    pairs = [(np.asarray(x, dtype=np.float64), np.column_stack([ir.left, ir.right]))
+             for x, ir in sources]
+    taps = {len(h) for _, h in pairs}
+    if len(taps) != 1 or any(x.ndim != 1 or x.size == 0 for x, _ in pairs):
         raise InvalidArgumentError(
             "binaural_sum needs non-empty 1-D signals with IRs of one length"
         )
+    if len(pairs) == 1:
+        return fft_convolve(*pairs[0])
     (m,) = taps
     # one tap is a gain: length-1 transforms are exact, as fft_convolve's
     # product is
     nfft = _partition_nfft(m) if m > 1 else 1
     return _overlap_add(
-        [(x[:, None], np.fft.rfft(np.column_stack([ir.left, ir.right]), nfft, axis=0))
-         for x, ir in sources], m, nfft,
+        [(x[:, None], np.fft.rfft(h, nfft, axis=0)) for x, h in pairs], m, nfft
     )

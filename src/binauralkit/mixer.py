@@ -13,7 +13,6 @@ from .dsp import (
     REVERB_NAMES,
     ReverbModel,
     apply_reverb,
-    binaural_convolve,
     binaural_sum,
     default_reverbs,
     fft_convolve,  # unused here; bench/tests patches and asserts mixer.fft_convolve
@@ -36,6 +35,17 @@ def check_normalize(value) -> str:
     if value not in NORMALIZE_MODES:
         raise InvalidArgumentError(
             f"normalize must be one of {NORMALIZE_MODES}, got {value!r}"
+        )
+    return value
+
+
+def check_reverb_type(value) -> int:
+    """``value`` as an int if it is a key of REVERB_NAMES, else
+    InvalidArgumentError."""
+    value = as_number(value, "reverb_type", int, InvalidArgumentError)
+    if value not in REVERB_NAMES:
+        raise InvalidArgumentError(
+            f"reverb_type must be one of {sorted(REVERB_NAMES)}, got {value}"
         )
     return value
 
@@ -95,14 +105,7 @@ class MixConfig:
         )
         self.ir_type = IRType.parse(self.ir_type)
         self.interpolation_mode = InterpolationMode.parse(self.interpolation_mode)
-        self.reverb_type = as_number(
-            self.reverb_type, "reverb_type", int, InvalidArgumentError
-        )
-        if self.reverb_type not in REVERB_NAMES:
-            raise InvalidArgumentError(
-                f"reverb_type must be one of {sorted(REVERB_NAMES)}, "
-                f"got {self.reverb_type}"
-            )
+        self.reverb_type = check_reverb_type(self.reverb_type)
         check_normalize(self.normalize)
         if self.speaker_layout is not None:
             get_layout(self.speaker_layout)  # validate the name early
@@ -152,23 +155,17 @@ def _track_source(
     return sig
 
 
-def _sum_stereo(
-    rendered: list[np.ndarray],
-    input_lengths: list[int],
-    keep_tail: bool,
-) -> np.ndarray:
-    """Sum stereo arrays aligned at sample 0, in list order."""
+def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
+    """The stereo arrays in ``rendered`` summed aligned at sample 0, in list
+    order, and cut to ``n_input`` samples (the longest input) unless
+    cfg.keep_tail; then peak-measured and normalized as cfg says."""
     target = max(len(r) for r in rendered)
-    if not keep_tail:
-        target = min(target, max(input_lengths))
+    if not cfg.keep_tail:
+        target = min(target, n_input)
     out = np.zeros((target, 2))
     for r in rendered:
         n = min(len(r), target)
         out[:n] += r[:n]
-    return out
-
-
-def _finalize(out: np.ndarray, cfg: MixConfig, plans) -> MixResult:
     # a NaN anywhere makes both extremes, and so the peak, NaN
     peak = float(max(out.max(), -out.min())) if out.size else 0.0
     clipped = peak > 1.0
@@ -194,8 +191,10 @@ def mix_tracks_binaural(
     Per track: level gain, reverb, then the IR ``source_ir`` picks
     (free-field when cfg.speaker_layout is None, otherwise amplitude-panned
     over that layout's speakers). Tracks are aligned at sample 0 and
-    rendered as one ``binaural_sum`` bus, so they share each inverse
-    transform. keep_tail=False trims the output to the longest input track.
+    rendered by one ``binaural_sum`` call: two or more tracks form a bus
+    sharing each inverse transform, and a lone track renders exactly as
+    its dataset row does. keep_tail=False trims the output to the longest
+    input track.
     """
     tracks = list(tracks)
     if not tracks:
@@ -207,16 +206,15 @@ def mix_tracks_binaural(
     if cfg.speaker_layout is not None:
         layout = get_layout(cfg.speaker_layout)
 
-    sources, plans, input_lengths = [], [], []
+    sources, plans = [], []
     for track in tracks:
         sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
         p, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
         sources.append((sig.samples, ir))
         plans.append((track.name, p))
-        input_lengths.append(track.audio.n_samples)
 
-    out = _sum_stereo([binaural_sum(sources)], input_lengths, cfg.keep_tail)
-    return _finalize(out, cfg, plans)
+    n_input = max(t.audio.n_samples for t in tracks)
+    return _finish([binaural_sum(sources)], n_input, cfg, plans)
 
 
 def mix_tracks_stereo(
@@ -239,15 +237,13 @@ def mix_tracks_stereo(
     if reverbs is None:
         reverbs = default_reverbs(cfg.sample_rate_hz)
 
-    rendered, input_lengths = [], []
+    rendered = []
     for track in tracks:
         sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
         gl, gr = pan_constant_power(pan_map[track.name])
         rendered.append(np.column_stack([sig.samples * gl, sig.samples * gr]))
-        input_lengths.append(track.audio.n_samples)
 
-    out = _sum_stereo(rendered, input_lengths, cfg.keep_tail)
-    return _finalize(out, cfg, plans=[])
+    return _finish(rendered, max(t.audio.n_samples for t in tracks), cfg)
 
 
 def render_surround_to_binaural(
@@ -263,11 +259,12 @@ def render_surround_to_binaural(
     its input-layout direction. Same input and output layout: the plan is
     ``nearest`` over the stored points, and a speaker farther than
     ``SNAP_THRESHOLD_DEG`` (2 degrees) from every point is an error,
-    surfacing coverage gaps. Each channel is convolved on its own and the
-    results summed in channel order, so a pass-through render is exactly
-    the time-domain sum of its speaker IRs. Different layouts: the plan
-    uses cfg.interpolation_mode over the output layout's speakers, these
-    plans are returned in track_plans, and the channels are rendered as one
+    surfacing coverage gaps. Each channel is its own one-source
+    ``binaural_sum`` (one ``fft_convolve``) and the results are summed in
+    channel order, so a pass-through render is exactly the time-domain sum
+    of its speaker IRs. Different layouts: the plan uses
+    cfg.interpolation_mode over the output layout's speakers, these plans
+    are returned in track_plans, and the channels are rendered as one
     ``binaural_sum`` bus, which rounds differently from that sum.
     LFE channels feed both ears equally at -3 dB with no spatialization.
     """
@@ -304,12 +301,11 @@ def render_surround_to_binaural(
                 f"nearest is {p.achieved_error_deg:.2f} degrees away"
             )
         if same:
-            rendered.append(binaural_convolve(chan, ir))
+            rendered.append(binaural_sum([(chan, ir)]))
         else:
             sources.append((chan, ir))
             plans.append((channel.label, p))
     if sources:
         rendered.append(binaural_sum(sources))
 
-    out = _sum_stereo(rendered, [program.n_samples], cfg.keep_tail)
-    return _finalize(out, cfg, plans)
+    return _finish(rendered, program.n_samples, cfg, plans)

@@ -162,6 +162,8 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     ({"layout": "22.2"}, None, "config layout: unsupported layout '22.2'"),
     ({"layout": 5}, None, "config layout: unsupported layout 5"),
     ({"ir_type": 5}, None, "config ir_type: unknown IR type 5; expected HRIR or BRIR"),
+    ({"reverb_type": 7}, None,
+     "config reverb_type: reverb_type must be one of [1, 2, 3, 4], got 7"),
 ])
 def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, capsys,
                                                config, tracks, message):
@@ -322,6 +324,37 @@ def test_dataset_roundtrip_and_failure_exit(tmp_path, data_root, noise_wav, caps
     assert rc == 1
     assert "failed" in captured.err
     assert "wrote 2/4 files" in captured.out
+
+
+@pytest.mark.parametrize("layout", [None, "7.1.4"])
+def test_one_track_mix_equals_its_dataset_row(tmp_path, layout):
+    # a dry 2,400-sample source under 4,800-tap BRIRs: shorter than its IR
+    data = tmp_path / "data"
+    assert main(["synth-irs", "--dest", str(data), "--ir-type", "BRIR",
+                 "--length", "4800", "--seed", "7"]) == 0
+    src = tmp_path / "src.wav"
+    write_wav(src, 48000, 0.1 * np.random.default_rng(3).standard_normal(2400), "float32")
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "schema": 1,
+        "config": {"subject": "SYN1", "sample_rate": 48000, "ir_type": "BRIR",
+                   "layout": layout},
+        "tracks": [{"name": "a", "file": str(src), "level": 0.8,
+                    "azimuth": 62, "elevation": 10}],
+    }))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": 1, "seed": 0, "axes": {
+        "subject": ["SYN1"], "ir_type": ["BRIR"], "sample_rate": [48000],
+        "layout": [layout], "azimuth": [62], "elevation": [10], "level": [0.8],
+        "source": [str(src)]}}))
+    for enc in ([], ["--float32"]):
+        ds = tmp_path / f"ds{len(enc)}"
+        assert main(["mix", str(scene), "--data-root", str(data), "-o",
+                     str(tmp_path / "mix.wav"), *enc]) == 0
+        assert main(["dataset", str(grid), "--data-root", str(data), "--out",
+                     str(ds), *enc]) == 0
+        (row,) = ds.glob("*.wav")
+        assert row.read_bytes() == (tmp_path / "mix.wav").read_bytes()
 
 
 def test_triangulate_distribution_with_plot(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_run_dataset_lets_internal_errors_escape(tmp_path, data_root, noise_wav,
     def broken_render(*args, **kwargs):
         raise TypeError("an internal bug")
 
-    monkeypatch.setattr(dataset, "binaural_convolve", broken_render)
+    monkeypatch.setattr(dataset, "binaural_sum", broken_render)
     with pytest.raises(TypeError, match="an internal bug"):
         _run(tmp_path, data_root, noise_wav, jobs=1)
 
@@ -338,6 +338,50 @@ def test_run_dataset_cap(tmp_path, data_root, noise_wav):
         run_dataset(grid, data_root, tmp_path / "out", job_cap=2)
     report = run_dataset(grid, data_root, tmp_path / "out", job_cap=2, force=True)
     assert len(report.rows) == 3
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_dataset_rejects_jobs_below_one(tmp_path, data_root, noise_wav, capsys,
+                                            jobs):
+    from binauralkit.cli import main
+
+    with pytest.raises(InvalidArgumentError, match=f"jobs must be at least 1, got {jobs}"):
+        _run(tmp_path, data_root, noise_wav, jobs=jobs)
+    assert not (tmp_path / "out").exists()
+    rc = main(["dataset", str(tmp_path / "grid.json"), "--data-root", str(data_root),
+               "--out", str(tmp_path / "cli"), "--jobs", str(jobs)])
+    assert rc == 1
+    assert f"error: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_run_dataset_starts_no_more_workers_than_groups(tmp_path, data_root, noise_wav,
+                                                       monkeypatch):
+    import binauralkit.dataset as dataset
+
+    started = []
+
+    class RecordingPool:  # runs the groups in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
+    # two azimuths, one elevation and one mode: two groups
+    _, report, _ = _run(tmp_path / "two", data_root, noise_wav, jobs=500)
+    assert started == [2]
+    assert report.n_failed == 0 and len(report.rows) == 2
+    _, report, _ = _run(tmp_path / "one", data_root, noise_wav, jobs=500,
+                        axes=_grid_axes(source=[str(noise_wav)], azimuth=[0.0]))
+    assert started == [2]  # a single group runs without a pool
+    assert report.n_failed == 0
 
 
 def test_run_dataset_rerun_is_byte_identical(tmp_path, data_root, noise_wav):

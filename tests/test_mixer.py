@@ -16,7 +16,7 @@ from binauralkit.layouts import get_layout
 from binauralkit.mixer import (
     MixConfig,
     TrackObject,
-    _finalize,
+    _finish,
     mix_tracks_binaural,
     mix_tracks_stereo,
     render_surround_to_binaural,
@@ -40,14 +40,14 @@ def test_finalize_peak_is_the_largest_magnitude():
                 np.abs(rng.standard_normal((40, 2))), np.zeros((4, 2))):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = _finalize(out, _cfg(), [])
+            result = _finish([out], len(out), _cfg(), [])
         assert result.peak_level == float(np.max(np.abs(out)))
         assert result.clipped == (result.peak_level > 1.0)
     out = rng.standard_normal((40, 2))
     out[17, 1] = np.nan
     for normalize in ("off", "peak"):
         with pytest.raises(InvalidArgumentError, match="non-finite"):
-            _finalize(out, _cfg(normalize=normalize), [])
+            _finish([out], len(out), _cfg(normalize=normalize), [])
 
 
 def test_track_object_validation():
