@@ -168,6 +168,27 @@ def _encoding(args) -> str:
     return "float32" if getattr(args, "float32", False) else "pcm24"
 
 
+def _write_mix(args, cfg: MixConfig, result, label: str, layout, ir_set) -> int:
+    """Print each plan in ``result`` under ``label.format(name)`` against the
+    points it indexes (the named layout's speakers, or else the IR set's
+    points), then write the WAV."""
+    if layout is not None:
+        layout = get_layout(layout)
+        dirs = layout.speaker_directions()
+        names = [c.label for c in layout.channels if not c.is_lfe]
+    else:
+        dirs, names = ir_set.directions, None
+    for name, p in result.track_plans:
+        _print_plan(label.format(name), p, dirs, names)
+    write_wav(args.out, cfg.sample_rate_hz, result.audio.samples, _encoding(args))
+    clip = ", CLIPPED" if result.clipped else ""
+    print(
+        f"wrote {args.out} ({result.audio.n_samples} samples, "
+        f"peak {result.peak_level:.4f}{clip})"
+    )
+    return 0
+
+
 def cmd_mix(args) -> int:
     cfg, tracks = parse_scene(args.scene)
     if args.normalize is not None:
@@ -176,21 +197,7 @@ def cmd_mix(args) -> int:
                          cfg.sample_rate_hz)
     reverbs = load_reverbs(args.data_root, cfg.sample_rate_hz)
     result = mix_tracks_binaural(tracks, cfg, ir_set, reverbs)
-    if cfg.speaker_layout is not None:
-        layout = get_layout(cfg.speaker_layout)
-        dirs = layout.speaker_directions()
-        names = [c.label for c in layout.channels if not c.is_lfe]
-    else:
-        dirs, names = ir_set.directions, None
-    for name, p in result.track_plans:
-        _print_plan(f"track {name!r}", p, dirs, names)
-    write_wav(args.out, cfg.sample_rate_hz, result.audio.samples, _encoding(args))
-    clip = ", CLIPPED" if result.clipped else ""
-    print(
-        f"wrote {args.out} ({result.audio.n_samples} samples, "
-        f"peak {result.peak_level:.4f}{clip})"
-    )
-    return 0
+    return _write_mix(args, cfg, result, "track {!r}", cfg.speaker_layout, ir_set)
 
 
 def cmd_render_surround(args) -> int:
@@ -207,18 +214,7 @@ def cmd_render_surround(args) -> int:
     result = render_surround_to_binaural(
         program, args.input_layout, args.output_layout, cfg, ir_set
     )
-    out_layout = get_layout(args.output_layout)
-    dirs = out_layout.speaker_directions()
-    names = [c.label for c in out_layout.channels if not c.is_lfe]
-    for label, p in result.track_plans:
-        _print_plan(f"channel {label}", p, dirs, names)
-    write_wav(args.out, cfg.sample_rate_hz, result.audio.samples, _encoding(args))
-    clip = ", CLIPPED" if result.clipped else ""
-    print(
-        f"wrote {args.out} ({result.audio.n_samples} samples, "
-        f"peak {result.peak_level:.4f}{clip})"
-    )
-    return 0
+    return _write_mix(args, cfg, result, "channel {}", args.output_layout, ir_set)
 
 
 def cmd_dataset(args) -> int:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from .dsp import AudioBuffer, binaural_sum, load_audio, load_reverbs, source_ir
+from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
 from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
 from .mixer import MixConfig, TrackObject, _finish, _track_source
-from .wavio import write_wav
+from .wavio import check_encoding, write_wav
 
 AXIS_ORDER = (
     "subject",
@@ -154,15 +154,6 @@ _cached_ir_set.cache_clear = _held.clear
 _cached_ir_set.cache_info = lambda: SimpleNamespace(currsize=len(_held))
 
 
-def _prepare(track: TrackObject, rate: int, reverb_type: int, reverbs) -> AudioBuffer:
-    """A job's source after level gain and reverb. Jobs that differ only in
-    direction, layout or mode share it (read-only) instead of each
-    recomputing the reverb."""
-    sig = _track_source(track, rate, reverb_type, reverbs)
-    sig.samples.flags.writeable = False
-    return sig
-
-
 def _render_group(group) -> list[dict]:
     """Grid jobs that differ only in mode; returns their manifest rows. Runs
     in worker processes. Rows whose blended IRs are bit-identical share one
@@ -203,7 +194,7 @@ def _render_group(group) -> list[dict]:
             prepared = _hold(
                 ("prepared", source_path, data_root, rate, cfg.reverb_type,
                  track.level, track.reverb),
-                _prepare, track, rate, cfg.reverb_type, reverbs,
+                _track_source, track, rate, cfg.reverb_type, reverbs,
             )
             layout = None if cfg.speaker_layout is None else get_layout(cfg.speaker_layout)
             _, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
@@ -222,7 +213,8 @@ def _render_group(group) -> list[dict]:
                 row.update(status="failed", error=" ".join(str(e).split()))
             continue
         for row in members:
-            if row is not members[0]:
+            # identical grid rows share one name, and so the written file
+            if row["file"] != first.name:
                 shutil.copyfile(first, out_dir / row["file"])
             row.update(peak=f"{result.peak_level:.8g}",
                        clipped="1" if result.clipped else "0")
@@ -254,11 +246,14 @@ def run_dataset(
     Jobs that differ only in mode run as one group on one worker; those
     whose blended IRs are bit-identical share one render and one WAV
     encode, and the others get a copy of its bytes, so every output is
-    what its own render would write. ``jobs`` (at least 1) caps the
-    worker processes, and no more start than there are groups. An
-    existing ``manifest.tsv`` in ``out_dir`` is deleted before the first
-    WAV is written.
+    what its own render would write; identical rows share one file.
+    ``jobs`` (an integer, at least 1) caps the worker processes, and no
+    more start than there are groups. Settings are checked before
+    ``out_dir`` is touched; then an existing ``manifest.tsv`` there is
+    deleted before the first WAV is written.
     """
+    check_encoding(encoding)
+    jobs = as_number(jobs, "jobs", int, InvalidArgumentError)
     if jobs < 1:
         raise InvalidArgumentError(f"jobs must be at least 1, got {jobs}")
     count = grid.job_count

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BinauralKitError, FormatError, InvalidArgumentError
-from .geometry import Direction, normalize_direction
+from .geometry import Direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
 from .layouts import SpeakerLayout
@@ -246,10 +246,10 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
     manifest; ids must be in 1..4 (names are fixed). An error about a row
     names the manifest and its line.
     """
+    models = default_reverbs(sample_rate_hz)
     mpath = Path(data_root) / "reverb" / "manifest.tsv"
     if not mpath.is_file():
-        return default_reverbs(sample_rate_hz)
-    models = default_reverbs(sample_rate_hz)
+        return models
     for i, line in enumerate(mpath.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -359,7 +359,6 @@ def source_ir(
     over up to three speakers and their IRs are blended. The speaker IR set
     is resolved once per layout and mode and kept in ``ir_set.speaker_sets``.
     """
-    direction = normalize_direction(direction.azimuth_deg, direction.elevation_deg)
     if layout is not None:
         key = (layout, InterpolationMode.parse(mode))
         speaker_set = ir_set.speaker_sets.get(key)

@@ -277,8 +277,9 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
 
     The manifest directory is resolved once and each row's path is joined
     to it, so a row may step out through ``..`` or a symlink. Errors about
-    a file name its manifest line and WAV path. The header's subject, IR
-    type and rate must match the directory the set is loaded from.
+    a file name its manifest line and WAV path, and set-wide errors (too
+    few rows) name the manifest. The header's subject, IR type and rate
+    must match the directory the set is loaded from.
 
     The rows are copied into one read-only ``(rows, taps, 2)`` float64
     array, checked for non-finite samples once all rows are in; each
@@ -303,9 +304,10 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     def row(k: int) -> str:
         return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
 
-    directions, stack = [], None
-    for k, (az, el, _) in enumerate(manifest.entries):
-        try:
+    # k is the row being read or found bad, else None
+    directions, stack, points, k = [], None, [], None
+    try:
+        for k, (az, el, _) in enumerate(manifest.entries):
             rate, samples = wavio.read_wav(wav_paths[k])
             if samples.shape[1] != 2:
                 raise FormatError(
@@ -329,27 +331,21 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
                     f"{len(samples)} != {stack.shape[1]}"
                 )
             stack[k] = samples
-        except BinauralKitError as e:
-            raise type(e)(f"{row(k)}: {e}") from None
-    points = []
-    if stack is not None:
-        # min and max are NaN or infinite exactly when some sample is, and
-        # need no temporary the size of the set
-        if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
-            k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-            raise InvalidArgumentError(
-                f"{row(k)}: IR buffers contain non-finite samples"
-            )
-        stack.flags.writeable = False
-        points = [IRPoint._view(d, stack[k, :, 0], stack[k, :, 1])
-                  for k, d in enumerate(directions)]
-    try:
+        k = None
+        if stack is not None:
+            # min and max are NaN or infinite exactly when some sample is,
+            # and need no temporary the size of the set
+            if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
+                k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+                raise InvalidArgumentError("IR buffers contain non-finite samples")
+            stack.flags.writeable = False
+            points = [IRPoint._view(d, stack[i, :, 0], stack[i, :, 1])
+                      for i, d in enumerate(directions)]
         return IRSet(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
     except BinauralKitError as e:
-        indices = getattr(e, "point_indices", None)
-        if indices is None:
-            raise
-        raise type(e)(f"{' and '.join(map(row, indices))}: {e}") from None
+        rows = (k,) if k is not None else getattr(e, "point_indices", ())
+        where = " and ".join(map(row, rows)) if rows else mpath
+        raise type(e)(f"{where}: {e}") from None
 
 
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:

@@ -142,8 +142,10 @@ def _check_ir_set(cfg: MixConfig, ir_set: IRSet):
 def _track_source(
     track: TrackObject, sample_rate_hz: int, reverb_type: int, reverbs
 ) -> AudioBuffer:
-    """Level gain then reverb. Reverb at amount 0 is skipped entirely so
-    dry tracks keep their natural length (no silent multi-second tails)."""
+    """Level gain then reverb, as a read-only buffer that jobs differing
+    only in direction, layout or mode may share. Reverb at amount 0 is
+    skipped entirely so dry tracks keep their natural length (no silent
+    multi-second tails)."""
     if track.audio.sample_rate_hz != sample_rate_hz:
         raise InvalidArgumentError(
             f"track {track.name!r}: sample rate {track.audio.sample_rate_hz} "
@@ -152,6 +154,7 @@ def _track_source(
     sig = AudioBuffer(track.audio.samples * track.level, sample_rate_hz)
     if track.reverb > 0.0:
         sig = apply_reverb(sig, reverbs[reverb_type], track.reverb)
+    sig.samples.flags.writeable = False
     return sig
 
 

@@ -102,14 +102,19 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     return int(rate), samples.reshape(-1, channels)
 
 
+def check_encoding(encoding) -> None:
+    """FormatError unless ``encoding`` is one of ENCODINGS."""
+    if encoding not in ENCODINGS:
+        raise FormatError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+
+
 def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm24") -> None:
     """Write samples (frames,) or (frames, channels) as a WAV file.
 
     PCM encodings scale by 2**(bits-1) and clip to the representable range;
     float32 is written as-is.
     """
-    if encoding not in ENCODINGS:
-        raise FormatError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    check_encoding(encoding)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]

@@ -487,3 +487,20 @@ def test_import_sadie_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("rows", [2, 0])
+def test_mix_set_wide_load_error_names_manifest(tmp_path, noise_wav, capsys, rows):
+    assert main(["synth-irs", "--dest", str(tmp_path), "--length", "32"]) == 0
+    mpath = tmp_path / "SYN1" / "HRIR" / "48000" / "manifest.tsv"
+    lines = mpath.read_text().splitlines()
+    mpath.write_text("\n".join(lines[:1 + rows]) + "\n")
+    capsys.readouterr()
+    rc = main(["mix", str(_scene(tmp_path, noise_wav)), "--data-root", str(tmp_path),
+               "-o", str(tmp_path / "out.wav")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        f"error: {mpath}: an IR set needs at least 3 points, got {rows}\n"
+    )
+    assert not (tmp_path / "out.wav").exists()

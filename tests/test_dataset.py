@@ -631,3 +631,47 @@ def test_grid_job_count_property():
         base_dir=None,
     )
     assert grid.job_count == 4
+
+
+def test_repeated_grid_values_share_one_file(tmp_path, data_root, noise_wav, capsys):
+    from binauralkit.cli import main
+
+    axes = _grid_axes(source=[str(noise_wav)], azimuth=[30, 30, 62], mode=["auto", "auto"])
+    grid_path = _write_grid(tmp_path / "grid.json", axes)
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["dataset", str(grid_path), "--data-root", str(data_root),
+                   "--out", str(out), "--jobs", str(jobs)])
+        assert rc == 0, capsys.readouterr().err
+        outs.append(out)
+    lines = (outs[0] / "manifest.tsv").read_text().splitlines()
+    rows = [dict(zip(MANIFEST_COLUMNS, line.split("\t"))) for line in lines[2:]]
+    assert [r["status"] for r in rows] == ["ok"] * 6
+    files = {az: {r["file"] for r in rows if r["azimuth"] == az} for az in ("30", "62")}
+    assert [len(f) for f in files.values()] == [1, 1]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 3  # two WAVs and the manifest
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("setting,error,message", [
+    ({"jobs": 1.5}, InvalidArgumentError, "jobs must be an integer, got 1.5"),
+    ({"jobs": True}, InvalidArgumentError, "jobs must be an integer, got True"),
+    ({"encoding": "pcm8"}, FormatError, "unknown encoding 'pcm8'"),
+])
+def test_run_dataset_checks_settings_before_touching_out_dir(tmp_path, data_root,
+                                                            noise_wav, setting,
+                                                            error, message):
+    grid, _, out = _run(tmp_path, data_root, noise_wav)
+    manifest = (out / "manifest.tsv").read_bytes()
+    files = sorted(out.iterdir())
+    with pytest.raises(error, match=message):
+        run_dataset(grid, data_root, out, **setting)
+    assert (out / "manifest.tsv").read_bytes() == manifest
+    assert sorted(out.iterdir()) == files
+    with pytest.raises(error, match=message):
+        run_dataset(grid, data_root, tmp_path / "fresh", **setting)
+    assert not (tmp_path / "fresh").exists()

@@ -723,3 +723,15 @@ def test_distinctness_at_set_scale_matches_reference():
     expected, got = _distinct_outcomes(dirs)
     assert expected is not None and got == expected
     assert got.startswith("points 6500 (")
+
+
+@pytest.mark.parametrize("rows", [2, 0])
+def test_set_wide_load_error_names_manifest(tmp_path, lebedev_set, rows):
+    from binauralkit.errors import InsufficientPointsError
+
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    lines = mpath.read_text().splitlines()
+    mpath.write_text("\n".join(lines[:1 + rows]) + "\n")
+    with pytest.raises(InsufficientPointsError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == f"{mpath}: an IR set needs at least 3 points, got {rows}"

@@ -374,3 +374,17 @@ def test_surround_silent_program_is_silent(speaker_set):
     assert np.all(res.audio.samples == 0.0)
     assert res.peak_level == 0.0
     assert not res.clipped
+
+
+@pytest.mark.parametrize("reverb", [0.0, 0.4])
+def test_track_source_is_read_only(reverb):
+    # dataset jobs that differ only in direction, layout or mode share it
+    from binauralkit.mixer import _track_source
+
+    track = _noise_track("a", 256, 23, level=0.5, reverb=reverb)
+    sig = _track_source(track, 48000, 3, default_reverbs(48000))
+    assert not sig.samples.flags.writeable
+    assert len(sig.samples) == (256 if reverb == 0.0 else 256 + int(0.3 * 48000) - 1)
+    with pytest.raises(ValueError, match="read-only"):
+        sig.samples[0] = 1.0
+    assert track.audio.samples.flags.writeable  # the track's own samples stay
