@@ -13,7 +13,7 @@ from . import __version__
 from .dataset import parse_grid, run_dataset
 from .dsp import load_audio, load_reverbs
 from .distributions import lebedev50_directions, ring_grid_directions
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_utf8
 from .geometry import (
     Direction,
     apply_frame,
@@ -68,9 +68,10 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
     Track audio paths resolve against the scene file's directory.
     """
     path = Path(path)
+    text = read_utf8(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        data = json.loads(text)
+    except ValueError as e:  # bad JSON, or an integer past Python's digit limit
         raise FormatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(data, dict) or data.get("schema") != SCENE_SCHEMA:
         raise FormatError(f"{path}: expected an object with schema={SCENE_SCHEMA}")
@@ -127,9 +128,7 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
             raise FormatError(
                 f"{path}: track {i} file must be a string, got {t['file']!r}"
             )
-        wav = Path(t["file"])
-        if not wav.is_absolute():
-            wav = path.parent / wav
+        wav = path.parent / t["file"]
         level, reverb, azimuth, elevation = (
             as_number(t.get(key, default), f"{path}: track {i} {key}")
             for key, default in (("level", 1.0), ("reverb", 0.0),

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_utf8
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
 from .mixer import MixConfig, TrackObject, _finish, _track_source
@@ -85,9 +85,10 @@ class DatasetReport:
 
 def parse_grid(path) -> DatasetGrid:
     path = Path(path)
+    text = read_utf8(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        data = json.loads(text)
+    except ValueError as e:  # bad JSON, or an integer past Python's digit limit
         raise FormatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(data, dict) or data.get("schema") != GRID_SCHEMA:
         raise FormatError(f"{path}: expected an object with schema={GRID_SCHEMA}")
@@ -273,9 +274,7 @@ def run_dataset(
     # the manifest keeps the original (possibly relative) source strings
     args = []
     for index, values in enumerate(grid.jobs()):
-        src = Path(str(values["source"]))
-        if not src.is_absolute():
-            src = grid.base_dir / src
+        src = grid.base_dir / str(values["source"])
         args.append((index, values, str(src), str(data_root), str(out_dir),
                      grid.seed, encoding))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BinauralKitError, FormatError, InvalidArgumentError
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, read_utf8
 from .geometry import Direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
@@ -250,7 +250,7 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
     mpath = Path(data_root) / "reverb" / "manifest.tsv"
     if not mpath.is_file():
         return models
-    for i, line in enumerate(mpath.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_utf8(mpath).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         cols = line.split("\t")

@@ -47,3 +47,12 @@ def as_number(value, where: str, kind=float, error=FormatError):
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise error(f"{where} must be {what}, got {value!r}") from None
+
+
+def read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise FormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None

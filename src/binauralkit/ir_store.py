@@ -32,6 +32,7 @@ from .errors import (
     InvalidArgumentError,
     NotFoundError,
     as_number,
+    read_utf8,
 )
 from .geometry import (
     MERGE_TOLERANCE_DEG,
@@ -224,7 +225,7 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
     path = Path(path)
     if not path.is_file():
         raise NotFoundError(f"manifest not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise FormatError(f"{path} is empty")
     header: dict[str, str] = {}
@@ -351,7 +352,6 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:
     """Write an IR set in the manifest layout; returns the manifest path."""
     mpath = manifest_path(root, ir_set.subject_id, ir_set.ir_type, ir_set.sample_rate_hz)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, p in enumerate(ir_set.points):
         name = f"ir_{i:05d}.wav"

@@ -37,7 +37,7 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     try:
         with open(path, "rb", buffering=0) as f:
             raw = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise FormatError(f"cannot read {path}: {e}") from e
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path} is not a RIFF/WAVE file")
@@ -75,30 +75,22 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     if channels < 1:
         raise FormatError(f"{path} declares {channels} channels")
 
-    if tag == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif tag == _FMT_PCM and bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8)
-        if b.size % 3:
-            raise FormatError(f"{path} has a ragged 24-bit data chunk")
-        b = b.reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        samples = ints.astype(np.float64) / float(1 << 23)
-    elif tag == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (tag, bits) not in ((_FMT_PCM, 16), (_FMT_PCM, 24), (_FMT_FLOAT, 32)):
         raise FormatError(
             f"{path}: unsupported encoding (format tag {tag}, {bits} bits); "
             "expected 16/24-bit PCM or 32-bit float"
         )
-
-    if samples.size % channels:
+    if len(data) % (bits // 8 * channels):
         raise FormatError(f"{path}: data size is not a whole number of frames")
+    if bits == 24:
+        # each sample in the top three bytes of an int32: its code * 2**8, signed
+        wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        samples = wide.view("<i4") / float(1 << 31)
+    elif bits == 16:
+        samples = np.frombuffer(data, dtype="<i2") / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     return int(rate), samples.reshape(-1, channels)
 
 

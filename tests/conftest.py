@@ -76,3 +76,21 @@ def empty_wav():
         return path
 
     return write
+
+
+@pytest.fixture
+def ragged_wav():
+    """Writes a 16-bit PCM WAV whose data chunk ends one byte into its last
+    sample, which ``write_wav`` cannot produce; returns the path."""
+
+    def write(path, channels, frames=64, rate=48000):
+        codes = np.arange(frames * channels, dtype="<i2") * 97
+        data = codes.tobytes()[:-1]
+        fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * 2 * channels,
+                          2 * channels, 16)
+        body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(data)) + data + b"\x00")
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        return path
+
+    return write

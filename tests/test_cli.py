@@ -504,3 +504,117 @@ def test_mix_set_wide_load_error_names_manifest(tmp_path, noise_wav, capsys, row
         f"error: {mpath}: an IR set needs at least 3 points, got {rows}\n"
     )
     assert not (tmp_path / "out.wav").exists()
+
+
+def _own_data_root(root):
+    """A fresh SYN1 set under ``root``, safe to corrupt; returns its manifest."""
+    assert main(["synth-irs", "--dest", str(root), "--length", "32"]) == 0
+    return root / "SYN1" / "HRIR" / "48000" / "manifest.tsv"
+
+
+def _reverb_manifest(root, rows="1\tr1.wav\n"):
+    mpath = root / "reverb" / "manifest.tsv"
+    mpath.parent.mkdir(parents=True, exist_ok=True)
+    write_wav(mpath.parent / "r1.wav", 48000, np.linspace(0.5, 0.0, 64), "float32")
+    mpath.write_text(rows)
+    return mpath
+
+
+def _one_error_line(captured, where):
+    """The run ended in exactly one ``error:`` line naming ``where``."""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("kind", ["scene", "grid", "ir_manifest", "reverb_manifest"])
+def test_non_utf8_document_ends_in_one_error_line(tmp_path, noise_wav, capsys, kind):
+    ir_manifest = _own_data_root(tmp_path)
+    reverb_manifest = _reverb_manifest(tmp_path)
+    scene = _scene(tmp_path, noise_wav)
+    grid = tmp_path / "grid.json"
+    bad = {"scene": scene, "grid": grid, "ir_manifest": ir_manifest,
+           "reverb_manifest": reverb_manifest}[kind]
+    bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"{}"))
+    runs = ([["dataset", str(grid), "--out", str(tmp_path / "ds")]] if kind == "grid"
+            else [["mix", str(scene), "-o", str(tmp_path / "out.wav")]])
+    if kind == "ir_manifest":
+        runs.append(["triangulate", "--subject", "SYN1", "--az", "10", "--el", "0"])
+    capsys.readouterr()
+    for argv in runs:
+        rc = main([*argv, "--data-root", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        _one_error_line(captured, f"{bad} is not UTF-8 text: invalid start byte at byte 0")
+
+
+@pytest.mark.parametrize("kind", ["ir_manifest", "reverb_manifest"])
+def test_dataset_non_utf8_manifest_fails_every_row(tmp_path, noise_wav, capsys, kind):
+    ir_manifest = _own_data_root(tmp_path)
+    bad = ir_manifest if kind == "ir_manifest" else _reverb_manifest(tmp_path)
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": 1, "axes": {
+        "subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
+        "azimuth": [0.0, 90.0], "elevation": [0.0], "source": [str(noise_wav)]}}))
+    out = tmp_path / "ds"
+    rc = main(["dataset", str(grid), "--data-root", str(tmp_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    assert "wrote 0/2 files" in captured.out
+    lines = (out / "manifest.tsv").read_text().splitlines()[2:]
+    assert len(lines) == 2
+    for line in lines:
+        assert f"failed\t{bad} is not UTF-8 text: invalid start byte at byte 0" in line
+
+
+def test_scene_integer_past_the_digit_limit_is_an_error_line(tmp_path, data_root, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"schema": 1, "config": {"subject": "SYN1", "sample_rate": '
+                     + "1" * 5000 + '}, "tracks": []}')
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "out.wav")])
+    assert rc == 1
+    _one_error_line(capsys.readouterr(), f"{scene}: invalid JSON: Exceeds the limit")
+
+
+def test_mix_track_file_with_a_nul_byte(tmp_path, data_root, noise_wav, capsys):
+    scene = _scene(tmp_path, noise_wav, tracks=[{"name": "a", "file": "a\0.wav"}])
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "out.wav")])
+    assert rc == 1
+    _one_error_line(capsys.readouterr(),
+                    f"cannot read {tmp_path}/a\0.wav: embedded null byte")
+
+
+def test_ir_manifest_path_with_a_nul_byte_names_the_line(tmp_path, noise_wav, capsys):
+    mpath = _own_data_root(tmp_path)
+    lines = mpath.read_text().splitlines()
+    lines[3] = lines[3] + "\0"
+    mpath.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (["mix", str(_scene(tmp_path, noise_wav)), "-o", str(tmp_path / "o.wav")],
+                 ["triangulate", "--subject", "SYN1", "--az", "10", "--el", "0"]):
+        rc = main([*argv, "--data-root", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        _one_error_line(captured, f"{mpath}:4 (")
+        assert captured.err.endswith(": embedded null byte\n")
+
+
+def test_dataset_nul_source_fails_its_row_alone(tmp_path, data_root, noise_wav, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": 1, "axes": {
+        "subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
+        "azimuth": [0.0], "elevation": [0.0], "source": ["a\0.wav", str(noise_wav)]}}))
+    out = tmp_path / "ds"
+    rc = main(["dataset", str(grid), "--data-root", str(data_root), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    assert "wrote 1/2 files" in captured.out
+    rows = (out / "manifest.tsv").read_text().splitlines()[2:]
+    assert rows[0].endswith(f"failed\tcannot read {tmp_path}/a\0.wav: embedded null byte\t")
+    assert "\tok\t" in rows[1]
+    assert len(list(out.glob("*.wav"))) == 1

@@ -675,3 +675,15 @@ def test_run_dataset_checks_settings_before_touching_out_dir(tmp_path, data_root
     with pytest.raises(error, match=message):
         run_dataset(grid, data_root, tmp_path / "fresh", **setting)
     assert not (tmp_path / "fresh").exists()
+
+
+def test_ragged_source_fails_its_row_alone(tmp_path, data_root, noise_wav, ragged_wav):
+    ragged = ragged_wav(tmp_path / "ragged.wav", channels=1)
+    axes = _grid_axes(source=[str(ragged), str(noise_wav)], azimuth=[0.0])
+    grid, report, out = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert [(r["status"], r["error"]) for r in report.rows] == [
+        ("failed", f"{ragged}: data size is not a whole number of frames"),
+        ("ok", ""),
+    ]
+    assert (out / "manifest.tsv").is_file()
+    assert [p.name for p in out.glob("*.wav")] == [report.rows[1]["file"]]

@@ -735,3 +735,13 @@ def test_set_wide_load_error_names_manifest(tmp_path, lebedev_set, rows):
     with pytest.raises(InsufficientPointsError) as e:
         load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
     assert str(e.value) == f"{mpath}: an IR set needs at least 3 points, got {rows}"
+
+
+def test_import_sadie_skips_ragged_files(tmp_path, ragged_wav):
+    src = tmp_path / "raw"
+    _write_import_fixture(src, [f"azi_{az}_ele_0.wav" for az in (0, 90, 180)])
+    ragged = ragged_wav(src / "azi_270_ele_0.wav", channels=2)
+    with pytest.warns(UserWarning, match=re.escape(
+            f"{ragged}: data size is not a whole number of frames")):
+        manifest = import_sadie(src, tmp_path / "root", "H11", "HRIR", 48000)
+    assert sorted(e[0] for e in manifest.entries) == [0.0, 90.0, 180.0]

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binauralkit.errors import FormatError
 from binauralkit.wavio import read_wav, write_wav
@@ -208,3 +210,77 @@ def test_scipy_reads_written_files(tmp_path, encoding):
         clipped = np.clip(samples, -1.0, 1.0 - lsb)
         assert np.max(np.abs(back - clipped)) <= lsb / 2
     assert np.array_equal(read_wav(path)[1], back)
+
+
+def _ref_decode(data, bits, channels):
+    """An independent per-sample decoder: each sample's bytes as a signed
+    little-endian integer over 2**(bits-1), or as a little-endian float."""
+    width = bits // 8
+    chunks = [data[i:i + width] for i in range(0, len(data), width)]
+    if bits == 32:
+        values = [struct.unpack("<f", c)[0] for c in chunks]
+    else:
+        values = [int.from_bytes(c, "little", signed=True) / 2 ** (bits - 1) for c in chunks]
+    return np.array(values, dtype=np.float64).reshape(-1, channels)
+
+
+_TAGS = {16: 1, 24: 1, 32: 3}
+
+
+def _sample_bytes(bits):
+    if bits == 32:
+        edges = [struct.pack("<f", v) for v in (1.0, -1.0, 0.0, -0.0, float("inf"),
+                                                -float("inf"), 3.4028235e38, 1e-45)]
+        return st.one_of(st.sampled_from(edges), st.binary(min_size=4, max_size=4))
+    full = 1 << (bits - 1)
+    codes = st.one_of(st.sampled_from([-full, full - 1, 0, -1, 1]),
+                      st.integers(-full, full - 1))
+    return codes.map(lambda c: c.to_bytes(bits // 8, "little", signed=True))
+
+
+@st.composite
+def _raw_chunks(draw):
+    bits = draw(st.sampled_from([16, 24, 32]))
+    channels = draw(st.integers(1, 3))
+    frames = draw(st.integers(0, 9))
+    samples = draw(st.lists(_sample_bytes(bits), min_size=frames * channels,
+                            max_size=frames * channels))
+    return bits, channels, b"".join(samples)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_chunks())
+def test_read_decodes_every_encoding_like_a_per_sample_decoder(tmp_path_factory, chunk):
+    bits, channels, data = chunk
+    path = tmp_path_factory.getbasetemp() / "raw.wav"
+    path.write_bytes(_wav_bytes(_TAGS[bits], channels, 48000, bits,
+                                np.frombuffer(data, dtype=np.uint8)))
+    rate, got = read_wav(path)
+    want = _ref_decode(data, bits, channels)
+    assert rate == 48000 and got.dtype == np.float64 and got.shape == want.shape
+    # bit for bit, with any NaN payload compared only as NaN
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+@pytest.mark.parametrize("short", ["byte", "sample"])
+def test_read_rejects_a_partial_sample_or_frame(tmp_path, bits, short):
+    # three whole stereo frames, then one byte short of a sample or one
+    # sample short of a frame; either is a ragged data chunk
+    width = bits // 8
+    data = bytes(range(1, 6 * width + 1))
+    data = data[:-1] if short == "byte" else data[:-width]
+    path = tmp_path / f"ragged{bits}.wav"
+    path.write_bytes(_wav_bytes(_TAGS[bits], 2, 48000, bits,
+                                np.frombuffer(data, dtype=np.uint8)))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: data size is not a whole number of frames")):
+        read_wav(path)
+
+
+def test_read_error_names_a_path_with_a_nul_byte(tmp_path):
+    path = f"{tmp_path}/a\0.wav"
+    with pytest.raises(FormatError, match=re.escape(f"cannot read {path}: ")):
+        read_wav(path)
