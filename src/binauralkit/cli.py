@@ -5,7 +5,6 @@ triangulation inspection, IR import/synthesis, and layout tables.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from . import __version__
 from .dataset import parse_grid, run_dataset
 from .dsp import load_audio, load_reverbs
 from .distributions import lebedev50_directions, ring_grid_directions
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_utf8
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_json
 from .geometry import (
     Direction,
     apply_frame,
@@ -68,11 +67,7 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
     Track audio paths resolve against the scene file's directory.
     """
     path = Path(path)
-    text = read_utf8(path)
-    try:
-        data = json.loads(text)
-    except ValueError as e:  # bad JSON, or an integer past Python's digit limit
-        raise FormatError(f"{path}: invalid JSON: {e}") from None
+    data = read_json(path)
     if not isinstance(data, dict) or data.get("schema") != SCENE_SCHEMA:
         raise FormatError(f"{path}: expected an object with schema={SCENE_SCHEMA}")
     raw_cfg = data.get("config")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_utf8
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_json
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
 from .mixer import MixConfig, TrackObject, _finish, _track_source
@@ -85,11 +84,7 @@ class DatasetReport:
 
 def parse_grid(path) -> DatasetGrid:
     path = Path(path)
-    text = read_utf8(path)
-    try:
-        data = json.loads(text)
-    except ValueError as e:  # bad JSON, or an integer past Python's digit limit
-        raise FormatError(f"{path}: invalid JSON: {e}") from None
+    data = read_json(path)
     if not isinstance(data, dict) or data.get("schema") != GRID_SCHEMA:
         raise FormatError(f"{path}: expected an object with schema={GRID_SCHEMA}")
     raw = data.get("axes")

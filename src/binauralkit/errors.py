@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import json
+
 
 class BinauralKitError(Exception):
     """Base class for every error raised by this package."""
@@ -56,3 +58,14 @@ def read_utf8(path) -> str:
             return f.read()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
+def read_json(path):
+    """The file's JSON value; bytes that are not UTF-8, text that is not
+    JSON, or nesting past Python's recursion limit raise FormatError
+    naming the file."""
+    text = read_utf8(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # ValueError: also an integer past the digit limit
+        raise FormatError(f"{path}: invalid JSON: {e}") from None

@@ -25,6 +25,11 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 ENCODINGS = ("pcm16", "pcm24", "float32")
 
+# samples quantized per pass in write_wav: its temporaries stay in cache
+_CHUNK = 1 << 15
+# the low three bytes of a little-endian int32, as one 3-byte field
+_LOW3 = np.dtype({"names": ["low"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
+
 
 def read_wav(path) -> tuple[int, np.ndarray]:
     """Read a WAV file.
@@ -103,8 +108,10 @@ def check_encoding(encoding) -> None:
 def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm24") -> None:
     """Write samples (frames,) or (frames, channels) as a WAV file.
 
-    PCM encodings scale by 2**(bits-1) and clip to the representable range;
-    float32 is written as-is.
+    PCM encodings scale by 2**(bits-1) and clip to the representable range
+    (±inf clips to full scale); a NaN sample raises FormatError and writes no
+    file. float32 is written as-is. The file is built in one buffer, and PCM
+    is encoded into it ``_CHUNK`` samples at a time.
     """
     check_encoding(encoding)
     x = np.asarray(samples, dtype=np.float64)
@@ -112,36 +119,38 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise FormatError(f"samples must be (frames, channels), got shape {x.shape}")
-    channels = x.shape[1]
-
-    if encoding == "pcm16":
-        full = float(1 << 15)
-        q = np.clip(np.round(x * full), -full, full - 1).astype("<i2")
-        payload = q.tobytes()
-        tag, bits = _FMT_PCM, 16
-    elif encoding == "pcm24":
-        full = float(1 << 23)
-        q = np.clip(np.round(x * full), -full, full - 1).astype("<i4")
-        # the low three bytes of each little-endian int32
-        payload = q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-        tag, bits = _FMT_PCM, 24
-    else:
-        payload = x.astype("<f4").tobytes()
-        tag, bits = _FMT_FLOAT, 32
-
+    frames, channels = x.shape
+    tag, bits = (_FMT_FLOAT, 32) if encoding == "float32" else (_FMT_PCM, int(encoding[3:]))
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", tag, channels, int(sample_rate),
-                      int(sample_rate) * block, block, bits)
-    chunks = [(b"fmt ", fmt)]
+    size = frames * block
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, int(sample_rate),
+                                int(sample_rate) * block, block, bits)
+    fact = b"fact" + struct.pack("<II", 4, frames) if tag == _FMT_FLOAT else b""
+    head = (b"RIFF" + struct.pack("<I", 12 + len(fmt) + len(fact) + size + (size & 1))
+            + b"WAVE" + fmt + fact + b"data" + struct.pack("<I", size))
+    buf = np.zeros(len(head) + size + (size & 1), dtype=np.uint8)
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    data = buf[len(head):]
+    flat = x.reshape(-1)
     if tag == _FMT_FLOAT:
-        chunks.append((b"fact", struct.pack("<I", x.shape[0])))
-    chunks.append((b"data", payload))
-
-    body = b"".join(
-        cid + struct.pack("<I", len(c)) + c + (b"\x00" if len(c) & 1 else b"")
-        for cid, c in chunks
-    )
-    out = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+        data.view("<f4")[:] = flat
+    else:
+        full = float(1 << (bits - 1))
+        t = np.empty(min(flat.size, _CHUNK))
+        for i in range(0, flat.size, _CHUNK):
+            c = flat[i:i + _CHUNK]
+            q = t[:c.size]
+            np.multiply(c, full, out=q)
+            np.rint(q, out=q)
+            np.clip(q, -full, full - 1, out=q)
+            if np.isnan(q).any():
+                raise FormatError(f"{path}: cannot encode a NaN sample as {encoding}")
+            dst = data[bits // 8 * i:bits // 8 * (i + c.size)]
+            if bits == 16:
+                dst.view("<i2")[:] = q
+            else:
+                dst.view("V3")[:] = q.astype("<i4").view(_LOW3)["low"]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(out)
+    with open(path, "wb") as f:
+        f.write(buf)

@@ -579,6 +579,18 @@ def test_scene_integer_past_the_digit_limit_is_an_error_line(tmp_path, data_root
     _one_error_line(capsys.readouterr(), f"{scene}: invalid JSON: Exceeds the limit")
 
 
+@pytest.mark.parametrize("command", ["mix", "dataset"])
+def test_json_nested_past_the_recursion_limit_is_an_error_line(tmp_path, data_root, capsys,
+                                                               command):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000)
+    out = ["-o", str(tmp_path / "out.wav")] if command == "mix" else ["--out", str(tmp_path / "ds")]
+    rc = main([command, str(doc), "--data-root", str(data_root), *out])
+    assert rc == 1
+    _one_error_line(capsys.readouterr(), f"{doc}: invalid JSON: maximum recursion depth")
+    assert not (tmp_path / "out.wav").exists() and not (tmp_path / "ds").exists()
+
+
 def test_mix_track_file_with_a_nul_byte(tmp_path, data_root, noise_wav, capsys):
     scene = _scene(tmp_path, noise_wav, tracks=[{"name": "a", "file": "a\0.wav"}])
     rc = main(["mix", str(scene), "--data-root", str(data_root),

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binauralkit.errors import FormatError
-from binauralkit.wavio import read_wav, write_wav
+from binauralkit.wavio import _CHUNK, read_wav, write_wav
 
 
 def test_float32_round_trip_exact(tmp_path):
@@ -284,3 +285,96 @@ def test_read_error_names_a_path_with_a_nul_byte(tmp_path):
     path = f"{tmp_path}/a\0.wav"
     with pytest.raises(FormatError, match=re.escape(f"cannot read {path}: ")):
         read_wav(path)
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24"])
+@pytest.mark.parametrize("at", [1, _CHUNK + 5])
+def test_pcm_write_rejects_nan_and_writes_no_file(tmp_path, encoding, at):
+    samples = np.full(_CHUNK + 8, 0.5)
+    samples[at] = np.nan
+    path = tmp_path / "sub" / "nan.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: cannot encode a NaN")):
+            write_wav(path, 48000, samples, encoding)
+    assert not path.parent.exists()
+
+
+def test_float32_write_keeps_nan(tmp_path):
+    path = tmp_path / "nan.wav"
+    write_wav(path, 48000, np.array([np.nan, 0.5]), "float32")
+    back = read_wav(path)[1][:, 0]
+    assert np.isnan(back[0]) and back[1] == 0.5
+
+
+def _ref_wav(samples, encoding, rate):
+    """An independent writer: the header laid out field by field, then each
+    sample clipped, rounded half to even and packed by Python, or packed as
+    a little-endian float."""
+    frames, channels = samples.shape
+    tag, bits = (3, 32) if encoding == "float32" else (1, int(encoding[3:]))
+    if bits == 32:
+        payload = b"".join(struct.pack("<f", v) for v in samples.ravel())
+    else:
+        full = 1 << (bits - 1)
+        payload = b"".join(
+            round(max(-full, min(full - 1, v * full))).to_bytes(bits // 8, "little", signed=True)
+            for v in samples.ravel())
+    block = channels * bits // 8
+    chunks = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * block, block, bits)
+    if tag == 3:
+        chunks += b"fact" + struct.pack("<II", 4, frames)
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _full(encoding):
+    return 1 << (15 if encoding == "pcm16" else 23)
+
+
+def _edges(full):
+    """Values at and beyond full scale, one step from zero, and signed zeros."""
+    return [1.0, -1.0, (full - 1) / full, -(full - 1) / full, 1 / full, -1 / full,
+            0.0, -0.0, 1.5, -1.5, 123.0, -1e9, 1e30, float("inf"), -float("inf")]
+
+
+@st.composite
+def _writes(draw):
+    encoding = draw(st.sampled_from(["pcm16", "pcm24", "float32"]))
+    if draw(st.booleans()):
+        channels, frames = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    else:
+        # a total sample count at, or up to 4 either side of, a chunk boundary
+        total = draw(st.integers(1, 2)) * _CHUNK + draw(st.integers(-4, 4))
+        channels = draw(st.sampled_from([c for c in (1, 2, 3) if total % c == 0]))
+        frames = total // channels
+    full = _full(encoding)
+    ties = st.integers(-full - 2, full + 1).map(lambda k: (k + 0.5) / full)
+    edges = st.sampled_from(_edges(full))
+    pool = draw(st.lists(st.one_of(edges, ties, st.floats(-2.0, 2.0)), min_size=1, max_size=12))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = np.array(pool)[pick.integers(len(pool), size=(frames, channels))]
+    return encoding, samples
+
+
+@settings(max_examples=140, deadline=None, derandomize=True)
+@given(_writes())
+def test_write_matches_a_per_sample_writer(tmp_path_factory, case):
+    encoding, samples = case
+    path = tmp_path_factory.getbasetemp() / "oracle.wav"
+    write_wav(path, 44100, samples, encoding)
+    assert path.read_bytes() == _ref_wav(samples, encoding, 44100)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_write_matches_a_per_sample_writer_around_a_chunk_boundary(tmp_path, k):
+    # every mono total from _CHUNK - 4 to _CHUNK + 4 samples, so the last
+    # chunk is missing up to four samples or holds one to four
+    rng = np.random.default_rng(k + 4)
+    path = tmp_path / "edge.wav"
+    for encoding in ("pcm16", "pcm24", "float32"):
+        full = _full(encoding)
+        pool = _edges(full) + [(j + 0.5) / full for j in rng.integers(-full, full, 8)]
+        samples = np.array(pool)[rng.integers(len(pool), size=(_CHUNK + k, 1))]
+        write_wav(path, 44100, samples, encoding)
+        assert path.read_bytes() == _ref_wav(samples, encoding, 44100)
