@@ -12,7 +12,8 @@ from . import __version__
 from .dataset import parse_grid, run_dataset
 from .dsp import load_audio, load_reverbs
 from .distributions import lebedev50_directions, ring_grid_directions
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_json
+from .errors import (BinauralKitError, FormatError, InvalidArgumentError, as_number,
+                     printable, read_json)
 from .geometry import (
     Direction,
     apply_frame,
@@ -123,22 +124,16 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
             raise FormatError(
                 f"{path}: track {i} file must be a string, got {t['file']!r}"
             )
-        wav = path.parent / t["file"]
         level, reverb, azimuth, elevation = (
             as_number(t.get(key, default), f"{path}: track {i} {key}")
             for key, default in (("level", 1.0), ("reverb", 0.0),
                                  ("azimuth", 0.0), ("elevation", 0.0))
         )
-        tracks.append(
-            TrackObject(
-                name=str(t["name"]),
-                audio=load_audio(wav),
-                level=level,
-                reverb=reverb,
-                azimuth_deg=azimuth,
-                elevation_deg=elevation,
-            )
-        )
+        audio = load_audio(path.parent / t["file"])  # its errors name the file
+        try:
+            tracks.append(TrackObject(str(t["name"]), audio, level, reverb, azimuth, elevation))
+        except BinauralKitError as e:  # a NaN level or reverb, or a file that is not mono
+            raise type(e)(f"{path}: {e}") from None
     return cfg, tracks
 
 
@@ -190,7 +185,10 @@ def cmd_mix(args) -> int:
     ir_set = load_ir_set(args.data_root, cfg.subject_id, cfg.ir_type,
                          cfg.sample_rate_hz)
     reverbs = load_reverbs(args.data_root, cfg.sample_rate_hz)
-    result = mix_tracks_binaural(tracks, cfg, ir_set, reverbs)
+    try:
+        result = mix_tracks_binaural(tracks, cfg, ir_set, reverbs)
+    except BinauralKitError as e:  # the scene asks what the inputs cannot give
+        raise type(e)(f"{args.scene}: {e}") from None
     return _write_mix(args, cfg, result, "track {!r}", cfg.speaker_layout, ir_set)
 
 
@@ -224,7 +222,7 @@ def cmd_dataset(args) -> int:
     )
     for row in report.rows:
         if row["status"] != "ok":
-            print(f"job {row['index']} failed: {row['error']}", file=sys.stderr)
+            print(f"job {row['index']} failed: {printable(row['error'])}", file=sys.stderr)
     print(
         f"wrote {len(report.rows) - report.n_failed}/{len(report.rows)} files, "
         f"manifest {report.manifest_path}"
@@ -459,7 +457,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BinauralKitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {printable(e)}", file=sys.stderr)
         return 1
 
 

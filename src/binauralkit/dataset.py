@@ -18,7 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_number, read_json
+from .errors import (BinauralKitError, FormatError, InvalidArgumentError, as_number,
+                     printable, read_json)
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
 from .mixer import MixConfig, TrackObject, _finish, _track_source
@@ -116,7 +117,7 @@ def job_filename(values: dict, seed: int) -> str:
     every parameter value plus the seed keeps distinct jobs collision-free.
     """
     tail = "|".join(str(values[k]) for k in AXIS_ORDER)
-    h8 = hashlib.sha1(f"{tail}|{seed}".encode()).hexdigest()[:8]
+    h8 = hashlib.sha1(f"{tail}|{seed}".encode(errors="surrogatepass")).hexdigest()[:8]
     layout = values["layout"] if values["layout"] is not None else "none"
     return (
         f"{values['subject']}_{IRType.parse(values['ir_type']).value}_"
@@ -161,8 +162,8 @@ def _render_group(group) -> list[dict]:
         rows.append(row)
         for k in AXIS_ORDER:
             v = values[k]
-            # shortest round-trip float repr keeps rows re-renderable byte-exactly
-            row[k] = "none" if v is None else repr(v) if isinstance(v, float) else str(v)
+            # a float's str, numpy's too, is its shortest round-trip repr
+            row[k] = "none" if v is None else str(v)
         try:
             row["file"] = job_filename(values, seed)
             rate = _axis_number(values, "sample_rate", int)
@@ -225,7 +226,6 @@ def run_dataset(
     jobs: int = 1,
     force: bool = False,
     encoding: str = "pcm24",
-    job_cap: int = DEFAULT_JOB_CAP,
 ) -> DatasetReport:
     """Render every grid combination; write WAVs and manifest.tsv.
 
@@ -253,9 +253,9 @@ def run_dataset(
     if jobs < 1:
         raise InvalidArgumentError(f"jobs must be at least 1, got {jobs}")
     count = grid.job_count
-    if count > job_cap and not force:
+    if count > DEFAULT_JOB_CAP and not force:
         raise InvalidArgumentError(
-            f"grid expands to {count} jobs, over the cap of {job_cap}; "
+            f"grid expands to {count} jobs, over the cap of {DEFAULT_JOB_CAP}; "
             "pass force=True (--force) to run anyway"
         )
     out_dir = Path(out_dir)
@@ -303,6 +303,6 @@ def run_dataset(
     lines = [f"# schema={GRID_SCHEMA}\tseed={grid.seed}\tjobs={count}"]
     lines.append("\t".join(MANIFEST_COLUMNS))
     for row in rows:
-        lines.append("\t".join(row[c] for c in MANIFEST_COLUMNS))
+        lines.append("\t".join(printable(row[c]) for c in MANIFEST_COLUMNS))
     mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return DatasetReport(mpath, tuple(rows))

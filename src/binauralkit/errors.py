@@ -35,6 +35,12 @@ class EmptyImportError(BinauralKitError):
     """An import scan produced zero usable IR files."""
 
 
+def printable(text) -> str:
+    """``str(text)`` with each character ``str.isprintable`` rejects written as
+    its ``repr`` escape (``\\x1b``), so no control code reaches a terminal."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(text))
+
+
 def as_number(value, where: str, kind=float, error=FormatError):
     """``kind(value)``; a boolean, a value that does not convert, or for
     ``int`` a number with a fractional part raises ``error`` naming

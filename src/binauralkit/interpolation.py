@@ -2,8 +2,8 @@
 
 A plan names which stored points contribute to a requested direction and
 with what weights. Weights are inverse cartesian (chord) distance,
-normalized. Requests within the snap threshold of a stored point collapse
-to that single point regardless of the requested mode.
+normalized. Requests within ``SNAP_THRESHOLD_DEG`` of a stored point
+collapse to that single point regardless of the requested mode.
 """
 
 from __future__ import annotations
@@ -153,17 +153,12 @@ def _column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
     return [members[k], members[k + 1]]
 
 
-def _plan(index: PointIndex, requested: Direction, mode,
-          snap_threshold_deg: float) -> InterpolationPlan:
+def _plan(index: PointIndex, requested: Direction, mode) -> InterpolationPlan:
     mode = InterpolationMode.parse(mode)
     requested = normalize_direction(requested.azimuth_deg, requested.elevation_deg)
-    if snap_threshold_deg < 0.0:
-        raise InvalidArgumentError(
-            f"snap threshold must be >= 0, got {snap_threshold_deg}"
-        )
     q = to_cartesian(requested)
     nearest, nearest_dist = index.nearest_to(q)
-    if nearest_dist <= snap_threshold_deg or mode is InterpolationMode.NEAREST:
+    if nearest_dist <= SNAP_THRESHOLD_DEG or mode is InterpolationMode.NEAREST:
         return _finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested, q)
 
     def triangle() -> InterpolationPlan:
@@ -217,7 +212,6 @@ def plan_over_directions(
     dirs: Sequence[Direction],
     requested: Direction,
     mode,
-    snap_threshold_deg: float = SNAP_THRESHOLD_DEG,
     *,
     triangulation: Triangulation | None = None,
 ) -> InterpolationPlan:
@@ -225,17 +219,12 @@ def plan_over_directions(
 
     ``triangulation``, when given, must be ``build_triangulation(dirs)``.
     """
-    return _plan(PointIndex(dirs, triangulation), requested, mode, snap_threshold_deg)
+    return _plan(PointIndex(dirs, triangulation), requested, mode)
 
 
-def plan(
-    ir_set,
-    requested: Direction,
-    mode,
-    snap_threshold_deg: float = SNAP_THRESHOLD_DEG,
-) -> InterpolationPlan:
+def plan(ir_set, requested: Direction, mode) -> InterpolationPlan:
     """Plan an interpolation over an IR set's stored directions."""
-    return _plan(ir_set.index, requested, mode, snap_threshold_deg)
+    return _plan(ir_set.index, requested, mode)
 
 
 def blend(ir_set, plan: InterpolationPlan):

@@ -109,9 +109,9 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     """Write samples (frames,) or (frames, channels) as a WAV file.
 
     PCM encodings scale by 2**(bits-1) and clip to the representable range
-    (±inf clips to full scale); a NaN sample raises FormatError and writes no
-    file. float32 is written as-is. The file is built in one buffer, and PCM
-    is encoded into it ``_CHUNK`` samples at a time.
+    (±inf clips to full scale); float32 keeps ±inf and NaN. A NaN PCM sample,
+    or a finite float32 one beyond its range, raises FormatError and writes no
+    file. One buffer holds the file; PCM goes in ``_CHUNK`` samples at a time.
     """
     check_encoding(encoding)
     x = np.asarray(samples, dtype=np.float64)
@@ -133,7 +133,11 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     data = buf[len(head):]
     flat = x.reshape(-1)
     if tag == _FMT_FLOAT:
-        data.view("<f4")[:] = flat
+        try:
+            with np.errstate(over="raise"):
+                data.view("<f4")[:] = flat
+        except FloatingPointError:
+            raise FormatError(f"{path}: a finite sample is beyond float32's range") from None
     else:
         full = float(1 << (bits - 1))
         t = np.empty(min(flat.size, _CHUNK))

@@ -597,7 +597,21 @@ def test_mix_track_file_with_a_nul_byte(tmp_path, data_root, noise_wav, capsys):
                "-o", str(tmp_path / "out.wav")])
     assert rc == 1
     _one_error_line(capsys.readouterr(),
-                    f"cannot read {tmp_path}/a\0.wav: embedded null byte")
+                    f"cannot read {tmp_path}/a\\x00.wav: embedded null byte")
+
+
+@pytest.mark.parametrize("name,shown", [("a\x1b[31mred.wav", "a\\x1b[31mred.wav"),
+                                        ("a\n.wav", "a\\n.wav")])
+def test_mix_error_line_escapes_control_characters(tmp_path, data_root, noise_wav, capsys,
+                                                   name, shown):
+    scene = _scene(tmp_path, noise_wav, tracks=[{"name": "a", "file": name}])
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "out.wav")])
+    assert rc == 1
+    path = f"{tmp_path}/{shown}"
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_ir_manifest_path_with_a_nul_byte_names_the_line(tmp_path, noise_wav, capsys):
@@ -627,6 +641,26 @@ def test_dataset_nul_source_fails_its_row_alone(tmp_path, data_root, noise_wav, 
     assert "Traceback" not in captured.err
     assert "wrote 1/2 files" in captured.out
     rows = (out / "manifest.tsv").read_text().splitlines()[2:]
-    assert rows[0].endswith(f"failed\tcannot read {tmp_path}/a\0.wav: embedded null byte\t")
+    error = f"cannot read {tmp_path}/a\\x00.wav: embedded null byte"
+    assert rows[0].endswith(f"failed\t{error}\t")
+    assert captured.err == f"job 0 failed: {error}\n"
     assert "\tok\t" in rows[1]
     assert len(list(out.glob("*.wav"))) == 1
+
+
+def test_dataset_row_error_escapes_control_characters(tmp_path, data_root, noise_wav,
+                                                      capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": 1, "axes": {
+        "subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
+        "azimuth": [0.0], "elevation": [0.0],
+        "source": [str(noise_wav), "a\x1b[31mred.wav"]}}))
+    out = tmp_path / "ds"
+    rc = main(["dataset", str(grid), "--data-root", str(data_root), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    path = f"{tmp_path}/a\\x1b[31mred.wav"
+    error = f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    assert captured.err == f"job 1 failed: {error}\n"
+    row = (out / "manifest.tsv").read_text().splitlines()[3]
+    assert row.split("\t")[-3:] == ["failed", error, ""]

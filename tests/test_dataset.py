@@ -330,13 +330,16 @@ def test_held_values_are_bounded_per_kind(monkeypatch):
     assert len(dataset._held) == dataset._HELD_PER_KIND + 1
 
 
-def test_run_dataset_cap(tmp_path, data_root, noise_wav):
+def test_run_dataset_cap(tmp_path, data_root, noise_wav, monkeypatch):
+    import binauralkit.dataset as dataset
+
+    monkeypatch.setattr(dataset, "DEFAULT_JOB_CAP", 2)
     axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0, 10.0, 20.0])
     grid_path = _write_grid(tmp_path / "grid.json", axes)
     grid = parse_grid(grid_path)
     with pytest.raises(InvalidArgumentError, match="over the cap"):
-        run_dataset(grid, data_root, tmp_path / "out", job_cap=2)
-    report = run_dataset(grid, data_root, tmp_path / "out", job_cap=2, force=True)
+        run_dataset(grid, data_root, tmp_path / "out")
+    report = run_dataset(grid, data_root, tmp_path / "out", force=True)
     assert len(report.rows) == 3
 
 
@@ -395,6 +398,25 @@ def test_run_dataset_rerun_is_byte_identical(tmp_path, data_root, noise_wav):
     assert files1 == files2 and len(files1) == 5  # 4 wavs + manifest
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_numpy_axes_write_what_their_json_grid_writes(tmp_path, data_root, noise_wav):
+    # numpy scalars print as np.float64(...) under repr; a manifest cell holds
+    # what float() reads back, as for the JSON grid
+    import dataclasses
+
+    axes = _grid_axes(source=[str(noise_wav)], azimuth=[0.0, 30.0], elevation=[12.5],
+                      level=[0.7], reverb_amount=[0.25])
+    grid, report, out = _run(tmp_path / "json", data_root, noise_wav, axes=axes)
+    numpy_axes = dict(grid.axes, azimuth=tuple(np.arange(0.0, 60.0, 30.0)),
+                      elevation=(np.float64(12.5),), level=(np.float64(0.7),),
+                      reverb_amount=(np.float64(0.25),), sample_rate=(np.int64(48000),))
+    run_dataset(dataclasses.replace(grid, axes=numpy_axes), data_root, tmp_path / "np")
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "np").iterdir()) and len(names) == 3
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "np" / name).read_bytes(), name
+    assert report.rows[1]["azimuth"] == "30.0"
 
 
 def _mode_layout_axes(source):

@@ -1,11 +1,13 @@
 import warnings
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import binauralkit.interpolation as interpolation
 from binauralkit.distributions import lebedev50_directions, ring_grid_directions
 from binauralkit.errors import (
     BinauralKitError,
@@ -67,7 +69,7 @@ def test_exact_point_any_mode(lebedev_set):
         assert p.mode_used is InterpolationMode.NEAREST
 
 
-def test_snap_rule_all_modes(ring_set):
+def test_snap_rule_all_modes(ring_set, monkeypatch):
     base = ring_set.points[40].direction
     q = Direction(base.azimuth_deg + 1.4, base.elevation_deg - 0.9)
     for mode in ALL_MODES:
@@ -75,8 +77,9 @@ def test_snap_rule_all_modes(ring_set):
         assert len(p.entries) == 1
         assert p.entries[0][1] == 1.0
         assert p.mode_used is InterpolationMode.NEAREST
-    # snapping is tunable
-    p = plan(ring_set, q, "three_point", snap_threshold_deg=0.5)
+    # the snap follows the module constant
+    monkeypatch.setattr(interpolation, "SNAP_THRESHOLD_DEG", 0.5)
+    p = plan(ring_set, q, "three_point")
     assert len(p.entries) == 3
 
 
@@ -148,11 +151,12 @@ def test_auto_dominates_concrete_modes(lebedev_set):
             assert best.achieved_error_deg <= p.achieved_error_deg + 1e-12
 
 
-def test_auto_prefers_fewer_entries_on_ties(lebedev_set):
+def test_auto_prefers_fewer_entries_on_ties(lebedev_set, monkeypatch):
     # at a stored point every mode collapses to the same answer; auto
     # must report the snapped single-entry plan
+    monkeypatch.setattr(interpolation, "SNAP_THRESHOLD_DEG", 0.0)
     d = lebedev_set.points[5].direction
-    p = plan(lebedev_set, d, "auto", snap_threshold_deg=0.0)
+    p = plan(lebedev_set, d, "auto")
     assert len(p.entries) == 1
 
 
@@ -193,17 +197,18 @@ def test_auto_without_rings_or_columns_does_not_warn():
     assert p == plan(ir_set, q, "three_point")
 
 
-def test_three_point_names_input_points_past_a_merged_duplicate():
+def test_three_point_names_input_points_past_a_merged_duplicate(monkeypatch):
     dirs = lebedev50_directions()
     copy = Direction(dirs[0].azimuth_deg + 0.001, dirs[0].elevation_deg)
     dirs.insert(1, copy)
     rng = np.random.default_rng(25)
     queries = [Direction(77.0, 33.0)] + _sphere_directions(rng, 40)
+    monkeypatch.setattr(interpolation, "SNAP_THRESHOLD_DEG", 0.0)
     with pytest.warns(UserWarning, match="merged 1 duplicate"):
         tri = build_triangulation(dirs)
-        plans = [plan_over_directions(dirs, q, "three_point", 0.0) for q in queries]
+        plans = [plan_over_directions(dirs, q, "three_point") for q in queries]
     for q, p in zip(queries, plans):
-        assert p == plan_over_directions(dirs, q, "three_point", 0.0, triangulation=tri)
+        assert p == plan_over_directions(dirs, q, "three_point", triangulation=tri)
         enc = find_enclosing_triangle(tri, q)
         planned = {
             normalize_direction(dirs[i].azimuth_deg, dirs[i].elevation_deg)
@@ -213,7 +218,7 @@ def test_three_point_names_input_points_past_a_merged_duplicate():
     assert plans[0].achieved_error_deg < 5.0
 
 
-def test_raw_angles_plan_like_their_normalized_list():
+def test_raw_angles_plan_like_their_normalized_list(monkeypatch):
     # a ring given with azimuths -30 and 400 (330 and 40), and points given
     # past the pole at elevation 100 (80 on the far side)
     raw = [Direction(az, 0.0) for az in (-30.0, 0.0, 30.0, 400.0)] + [Direction(0.0, 60.0)]
@@ -228,8 +233,9 @@ def test_raw_angles_plan_like_their_normalized_list():
                     plan_over_directions, normalized, q, mode, snap
                 ), (q, mode, snap)
     # 345 lies between the ring's 330 and 0, on the ring
+    monkeypatch.setattr(interpolation, "SNAP_THRESHOLD_DEG", 0.0)
     for mode in ("planar", "two_point", "auto"):
-        p = plan_over_directions(raw, Direction(345.0, 0.0), mode, 0.0)
+        p = plan_over_directions(raw, Direction(345.0, 0.0), mode)
         assert sorted(i for i, _ in p.entries) == [0, 1]
         assert p.achieved_error_deg < 1e-9
 
@@ -260,11 +266,12 @@ def test_plans_build_clusters_and_triangulation_once(monkeypatch):
     monkeypatch.setattr(geometry, "_cluster", cluster)
     monkeypatch.setattr(geometry, "build_triangulation", triangulate)
     monkeypatch.setattr(geometry.PointIndex, "vertex_indices", counted)
+    monkeypatch.setattr(interpolation, "SNAP_THRESHOLD_DEG", 0.0)
     ir_set = synthesize_ir_set("lebedev50", 48000, 64, seed=4)
     rng = np.random.default_rng(26)
     for q in _sphere_directions(rng, 20):
         for mode in ALL_MODES:
-            plan(ir_set, q, mode, snap_threshold_deg=0.0)
+            plan(ir_set, q, mode)
     # one elevation clustering (rings), one azimuth clustering (columns);
     # the triangulation reuses the set's index and its near-duplicate search
     assert calls == {"cluster": 2, "triangulate": 1, "vertex_indices": 1}
@@ -285,8 +292,6 @@ def test_auto_skips_failed_modes():
 
 def test_auto_propagates_internal_errors(monkeypatch):
     # auto skips modes that fail with a package error; a bug is not one
-    import binauralkit.interpolation as interpolation
-
     def broken(*args, **kwargs):
         raise RuntimeError("internal bug")
 
@@ -510,10 +515,14 @@ def _ref_plan(index: PointIndex, requested: Direction, mode,
 
 
 def _outcome(planner, index, q, mode, snap):
-    with warnings.catch_warnings():
+    """The plan's repr, or the package error raised, under snap threshold
+    ``snap``: passed to the reference planner, set as the library's
+    constant for the others."""
+    args = (snap,) if planner is _ref_plan else ()
+    with warnings.catch_warnings(), patch.object(interpolation, "SNAP_THRESHOLD_DEG", snap):
         warnings.simplefilter("ignore")
         try:
-            return repr(planner(index, q, mode, snap))
+            return repr(planner(index, q, mode, *args))
         except BinauralKitError as e:
             return f"{type(e).__name__}: {e}"
 

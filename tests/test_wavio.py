@@ -307,6 +307,34 @@ def test_float32_write_keeps_nan(tmp_path):
     assert np.isnan(back[0]) and back[1] == 0.5
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+# the last is halfway from the largest float32 to the next power of two,
+# which rounds to infinity
+@pytest.mark.parametrize("value", [1e39, -1e300, 2.0**128 - 2.0**103])
+def test_float32_write_rejects_a_finite_sample_beyond_its_range(tmp_path, value):
+    path = tmp_path / "sub" / "big.wav"
+    message = f"{path}: a finite sample is beyond float32's range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            write_wav(path, 48000, np.array([0.5, value]), "float32")
+    assert not path.parent.exists()
+
+
+# the last rounds down to the largest float32
+@pytest.mark.parametrize("value", [np.inf, -np.inf, _F32_MAX, -_F32_MAX,
+                                   2.0**128 - 2.0**103 - 2.0**80])
+def test_float32_write_keeps_infinities_and_values_in_range(tmp_path, value):
+    path = tmp_path / "edge.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_wav(path, 48000, np.array([value, 0.5]), "float32")
+    back = read_wav(path)[1][:, 0]
+    assert back[0] == np.float32(value) and back[1] == 0.5
+
+
 def _ref_wav(samples, encoding, rate):
     """An independent writer: the header laid out field by field, then each
     sample clipped, rounded half to even and packed by Python, or packed as
