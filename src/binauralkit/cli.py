@@ -35,10 +35,10 @@ from .ir_store import (
 )
 from .layouts import LAYOUT_NAMES, get_layout
 from .mixer import (
+    CONFIG_FIELDS,
+    NORMALIZE_MODES,
     MixConfig,
     TrackObject,
-    check_normalize,
-    check_reverb_type,
     mix_tracks_binaural,
     render_surround_to_binaural,
 )
@@ -47,19 +47,7 @@ from .wavio import write_wav
 
 SCENE_SCHEMA = 1
 
-_CONFIG_KEYS = {
-    "subject", "sample_rate", "ir_type", "layout", "mode",
-    "reverb_type", "keep_tail", "normalize",
-}
 _TRACK_KEYS = {"name", "file", "level", "reverb", "azimuth", "elevation"}
-# checked in parse_scene before MixConfig, so that an error names the key
-_CONFIG_CHECKS = {
-    "ir_type": IRType.parse,
-    "layout": lambda v: v is None or get_layout(v),
-    "mode": InterpolationMode.parse,
-    "normalize": check_normalize,
-    "reverb_type": check_reverb_type,
-}
 
 
 def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
@@ -74,37 +62,16 @@ def parse_scene(path) -> tuple[MixConfig, list[TrackObject]]:
     raw_cfg = data.get("config")
     if not isinstance(raw_cfg, dict):
         raise FormatError(f"{path}: missing config object")
-    unknown = set(raw_cfg) - _CONFIG_KEYS
+    unknown = set(raw_cfg) - set(CONFIG_FIELDS)
     if unknown:
         raise FormatError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     for req in ("subject", "sample_rate"):
         if req not in raw_cfg:
             raise FormatError(f"{path}: config is missing {req!r}")
-    rate, reverb_type = (
-        as_number(raw_cfg.get(key, 1), f"{path}: config {key}", int)
-        for key in ("sample_rate", "reverb_type")
-    )
-    keep_tail = raw_cfg.get("keep_tail", True)
-    if not isinstance(keep_tail, bool):
-        raise FormatError(
-            f"{path}: config keep_tail must be true or false, got {keep_tail!r}"
-        )
-    for key, check in _CONFIG_CHECKS.items():
-        try:
-            if key in raw_cfg:
-                check(raw_cfg[key])
-        except BinauralKitError as e:
-            raise type(e)(f"{path}: config {key}: {e}") from None
-    cfg = MixConfig(
-        subject_id=str(raw_cfg["subject"]),
-        sample_rate_hz=rate,
-        ir_type=raw_cfg.get("ir_type", "HRIR"),
-        speaker_layout=raw_cfg.get("layout"),
-        interpolation_mode=raw_cfg.get("mode", "auto"),
-        reverb_type=reverb_type,
-        keep_tail=keep_tail,
-        normalize=raw_cfg.get("normalize", "off"),
-    )
+    try:
+        cfg = MixConfig(**{CONFIG_FIELDS[key]: v for key, v in raw_cfg.items()})
+    except BinauralKitError as e:  # its message starts with the key
+        raise type(e)(f"{path}: config {e}") from None
     raw_tracks = data.get("tracks")
     if not isinstance(raw_tracks, list) or not raw_tracks:
         raise FormatError(f"{path}: tracks must be a non-empty list")
@@ -263,6 +230,8 @@ def _triangulate_source(args):
             ring_grid_directions(args.step, _elevations(args.elevations)),
             None,
         )
+    if args.data_root is None:
+        raise InvalidArgumentError("--subject needs --data-root")
     ir_set = load_ir_set(args.data_root, args.subject, args.ir_type, args.rate)
     return (
         f"{args.subject}/{IRType.parse(args.ir_type).value}/{args.rate}",
@@ -367,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="output WAV path")
     p.add_argument("--float32", action="store_true",
                    help="write 32-bit float instead of 24-bit PCM")
-    p.add_argument("--normalize", choices=["off", "peak"], default=None,
+    p.add_argument("--normalize", choices=NORMALIZE_MODES, default=None,
                    help="override the scene's normalize setting")
     p.set_defaults(func=cmd_mix)
 
@@ -382,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ir-type", default="HRIR")
     p.add_argument("--rate", type=int, required=True)
     p.add_argument("--mode", default="auto")
-    p.add_argument("--normalize", choices=["off", "peak"], default=None)
+    p.add_argument("--normalize", choices=NORMALIZE_MODES, default=None)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--float32", action="store_true")
     p.set_defaults(func=cmd_render_surround)

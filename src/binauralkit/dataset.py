@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import (BinauralKitError, FormatError, InvalidArgumentError, as_num
                      printable, read_json)
 from .ir_store import IRType, load_ir_set
 from .layouts import get_layout
-from .mixer import MixConfig, TrackObject, _finish, _track_source
+from .mixer import CONFIG_FIELDS, MixConfig, TrackObject, _finish, _track_source
 from .wavio import check_encoding, write_wav
 
 AXIS_ORDER = (
@@ -115,17 +116,22 @@ def job_filename(values: dict, seed: int) -> str:
 
     Grep-friendly axes go in the name at display precision; a short hash of
     every parameter value plus the seed keeps distinct jobs collision-free.
+    Each path separator is written as ``_``, so the name is one path
+    component whatever a subject, layout or mode holds.
     """
     tail = "|".join(str(values[k]) for k in AXIS_ORDER)
     h8 = hashlib.sha1(f"{tail}|{seed}".encode(errors="surrogatepass")).hexdigest()[:8]
     layout = values["layout"] if values["layout"] is not None else "none"
-    return (
+    name = (
         f"{values['subject']}_{IRType.parse(values['ir_type']).value}_"
         f"{_axis_number(values, 'sample_rate', int)}_{layout}_{values['mode']}_"
         f"az{_axis_number(values, 'azimuth'):05.1f}_"
         f"el{_axis_number(values, 'elevation'):+05.1f}_"
         f"{h8}.wav"
     )
+    for sep in filter(None, (os.sep, os.altsep)):
+        name = name.replace(sep, "_")
+    return name
 
 
 def _hold(key, make, *args):
@@ -166,9 +172,10 @@ def _render_group(group) -> list[dict]:
             row[k] = "none" if v is None else str(v)
         try:
             row["file"] = job_filename(values, seed)
-            rate = _axis_number(values, "sample_rate", int)
-            ir_set = _cached_ir_set(data_root, str(values["subject"]),
-                                    IRType.parse(values["ir_type"]).value, rate)
+            cfg = MixConfig(**{field: values[key] for key, field in CONFIG_FIELDS.items()
+                               if key in values})
+            rate = cfg.sample_rate_hz
+            ir_set = _cached_ir_set(data_root, cfg.subject_id, cfg.ir_type.value, rate)
             audio = _hold(("audio", source_path), load_audio, source_path)
             # validates and clamps level and reverb, warning when out of range
             track = TrackObject(
@@ -178,14 +185,6 @@ def _render_group(group) -> list[dict]:
                 _axis_number(values, "reverb_amount"),
                 _axis_number(values, "azimuth"),
                 _axis_number(values, "elevation"),
-            )
-            cfg = MixConfig(
-                subject_id=str(values["subject"]),
-                sample_rate_hz=rate,
-                ir_type=values["ir_type"],
-                speaker_layout=values["layout"],
-                interpolation_mode=values["mode"],
-                reverb_type=_axis_number(values, "reverb_type", int),
             )
             reverbs = _hold(("reverbs", data_root, rate), load_reverbs, data_root, rate)
             prepared = _hold(
@@ -211,7 +210,7 @@ def _render_group(group) -> list[dict]:
             continue
         for row in members:
             # identical grid rows share one name, and so the written file
-            if row["file"] != first.name:
+            if row["file"] != members[0]["file"]:
                 shutil.copyfile(first, out_dir / row["file"])
             row.update(peak=f"{result.peak_level:.8g}",
                        clipped="1" if result.clipped else "0")

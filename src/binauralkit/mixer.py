@@ -19,7 +19,8 @@ from .dsp import (
     pan_constant_power,
     source_ir,
 )
-from .errors import FormatError, InvalidArgumentError, NotFoundError, as_number
+from .errors import (BinauralKitError, FormatError, InvalidArgumentError, NotFoundError,
+                     as_number)
 from .geometry import Direction, normalize_direction
 from .interpolation import SNAP_THRESHOLD_DEG, InterpolationMode, InterpolationPlan
 from .ir_store import IRSet, IRType
@@ -28,26 +29,25 @@ from .layouts import get_layout
 _LFE_GAIN = 2.0 ** -0.5  # diotic LFE feed, -3 dB into each ear
 
 NORMALIZE_MODES = ("off", "peak")
+# each mix setting's scene config key (also its grid axis, if it has one) -> MixConfig field
+CONFIG_FIELDS = {
+    "subject": "subject_id",
+    "sample_rate": "sample_rate_hz",
+    "ir_type": "ir_type",
+    "layout": "speaker_layout",
+    "mode": "interpolation_mode",
+    "reverb_type": "reverb_type",
+    "keep_tail": "keep_tail",
+    "normalize": "normalize",
+}
 
 
-def check_normalize(value) -> str:
-    """``value`` if it is one of NORMALIZE_MODES, else InvalidArgumentError."""
-    if value not in NORMALIZE_MODES:
-        raise InvalidArgumentError(
-            f"normalize must be one of {NORMALIZE_MODES}, got {value!r}"
-        )
-    return value
-
-
-def check_reverb_type(value) -> int:
-    """``value`` as an int if it is a key of REVERB_NAMES, else
-    InvalidArgumentError."""
-    value = as_number(value, "reverb_type", int, InvalidArgumentError)
-    if value not in REVERB_NAMES:
-        raise InvalidArgumentError(
-            f"reverb_type must be one of {sorted(REVERB_NAMES)}, got {value}"
-        )
-    return value
+def _keyed(key: str, parse, value):
+    """``parse(value)``; its error gains the prefix ``key: ``."""
+    try:
+        return parse(value)
+    except BinauralKitError as e:
+        raise type(e)(f"{key}: {e}") from None
 
 
 def _clamp01(value: float, what: str, track: str) -> float:
@@ -78,6 +78,11 @@ class TrackObject:
     def __post_init__(self):
         if self.audio.n_channels != 1:
             raise InvalidArgumentError(f"track {self.name!r}: audio must be mono")
+        self.level, self.reverb, self.azimuth_deg, self.elevation_deg = (
+            as_number(getattr(self, f), f"track {self.name!r}: {f}", float,
+                      InvalidArgumentError)
+            for f in ("level", "reverb", "azimuth_deg", "elevation_deg")
+        )
         self.level = _clamp01(self.level, "level", self.name)
         self.reverb = _clamp01(self.reverb, "reverb", self.name)
 
@@ -100,15 +105,32 @@ class MixConfig:
     normalize: str = "off"
 
     def __post_init__(self):
-        self.sample_rate_hz = as_number(
-            self.sample_rate_hz, "sample_rate_hz", int, InvalidArgumentError
+        """Converts and checks every setting; each error starts with the
+        setting's key in CONFIG_FIELDS."""
+        self.subject_id = str(self.subject_id)
+        self.sample_rate_hz, self.reverb_type = (
+            as_number(value, key, int, InvalidArgumentError)
+            for key, value in (("sample_rate", self.sample_rate_hz),
+                               ("reverb_type", self.reverb_type))
         )
-        self.ir_type = IRType.parse(self.ir_type)
-        self.interpolation_mode = InterpolationMode.parse(self.interpolation_mode)
-        self.reverb_type = check_reverb_type(self.reverb_type)
-        check_normalize(self.normalize)
+        if not isinstance(self.keep_tail, bool):
+            raise InvalidArgumentError(
+                f"keep_tail must be true or false, got {self.keep_tail!r}"
+            )
+        self.ir_type = _keyed("ir_type", IRType.parse, self.ir_type)
         if self.speaker_layout is not None:
-            get_layout(self.speaker_layout)  # validate the name early
+            _keyed("layout", get_layout, self.speaker_layout)
+        self.interpolation_mode = _keyed("mode", InterpolationMode.parse,
+                                         self.interpolation_mode)
+        if self.normalize not in NORMALIZE_MODES:
+            raise InvalidArgumentError(
+                f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}"
+            )
+        if self.reverb_type not in REVERB_NAMES:
+            raise InvalidArgumentError(
+                f"reverb_type must be one of {sorted(REVERB_NAMES)}, "
+                f"got {self.reverb_type}"
+            )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from binauralkit.cli import main
+from binauralkit.errors import BinauralKitError
 from binauralkit.ir_store import load_ir_set
+from binauralkit.mixer import MixConfig
 from binauralkit.wavio import read_wav, write_wav
 
 pytestmark = pytest.mark.filterwarnings("ignore:mix peak")
@@ -156,14 +158,12 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     ({}, [{"name": "a", "level": False}], "track 0 level must be a number, got False"),
     ({"keep_tail": "false"}, None, "config keep_tail must be true or false, got 'false'"),
     ({"keep_tail": 0}, None, "config keep_tail must be true or false, got 0"),
-    ({"normalize": 5}, None,
-     "config normalize: normalize must be one of ('off', 'peak'), got 5"),
+    ({"normalize": 5}, None, "config normalize must be one of ('off', 'peak'), got 5"),
     ({"mode": "fastest"}, None, "config mode: unknown interpolation mode 'fastest'"),
     ({"layout": "22.2"}, None, "config layout: unsupported layout '22.2'"),
     ({"layout": 5}, None, "config layout: unsupported layout 5"),
     ({"ir_type": 5}, None, "config ir_type: unknown IR type 5; expected HRIR or BRIR"),
-    ({"reverb_type": 7}, None,
-     "config reverb_type: reverb_type must be one of [1, 2, 3, 4], got 7"),
+    ({"reverb_type": 7}, None, "config reverb_type must be one of [1, 2, 3, 4], got 7"),
 ])
 def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, capsys,
                                                config, tracks, message):
@@ -174,6 +174,43 @@ def test_mix_bad_scene_value_names_file_and_key(tmp_path, data_root, noise_wav, 
     captured = capsys.readouterr()
     assert rc == 1
     assert f"error: {scene}: {message}" in captured.err
+
+
+# one bad value per mix setting: its scene key (also its grid axis, if any),
+# its MixConfig field, the value, and whether a grid row can carry it
+@pytest.mark.parametrize("key,field,value,in_grid", [
+    ("sample_rate", "sample_rate_hz", "fast", True),
+    ("ir_type", "ir_type", "hrtf", False),  # a row fails first in job_filename
+    ("layout", "speaker_layout", "22.2", True),
+    ("mode", "interpolation_mode", "fastest", True),
+    ("reverb_type", "reverb_type", 7, True),
+    ("keep_tail", "keep_tail", 0, False),
+    ("normalize", "normalize", "loud", False),
+])
+def test_scene_grid_and_config_name_a_bad_setting_alike(tmp_path, data_root, noise_wav,
+                                                       capsys, key, field, value,
+                                                       in_grid):
+    with pytest.raises(BinauralKitError) as e:
+        MixConfig(**{"subject_id": "SYN1", "sample_rate_hz": 48000, field: value})
+    body = str(e.value)
+    assert body.startswith(key) and repr(value) in body
+
+    scene = _scene(tmp_path, noise_wav, config={key: value})
+    rc = main(["mix", str(scene), "--data-root", str(data_root),
+               "-o", str(tmp_path / "x.wav")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {scene}: config {body}\n"
+
+    if in_grid:
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps({"schema": 1, "axes": {
+            "subject": ["SYN1"], "ir_type": ["HRIR"], "sample_rate": [48000],
+            "azimuth": [0.0], "elevation": [0.0], "source": [str(noise_wav)],
+            key: [value]}}))
+        rc = main(["dataset", str(gpath), "--data-root", str(data_root),
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"job 0 failed: {body}\n"
 
 
 @pytest.mark.parametrize("file", [5, None, ["a.wav"]])
@@ -407,6 +444,12 @@ def test_triangulate_requires_one_source(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "choose exactly one" in captured.err
+
+
+def test_triangulate_subject_needs_data_root(capsys):
+    rc = main(["triangulate", "--az", "0", "--el", "0", "--subject", "SYN1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --subject needs --data-root\n"
 
 
 def test_triangulate_uncovered_direction_fails(capsys):

@@ -14,6 +14,7 @@ from binauralkit.dataset import (
     run_dataset,
 )
 from binauralkit.errors import FormatError, InvalidArgumentError
+from binauralkit.ir_store import save_ir_set, synthesize_ir_set
 from binauralkit.wavio import write_wav
 
 # hot synthetic IRs push some renders past full scale; that path is
@@ -184,7 +185,7 @@ def test_run_dataset_records_failures_and_continues(tmp_path, data_root, noise_w
     ("reverb_type", "hall", "reverb_type must be an integer, got 'hall'"),
     ("azimuth", "left", "azimuth must be a number, got 'left'"),
     ("elevation", {"deg": 3}, "elevation must be a number, got {'deg': 3}"),
-    ("layout", ["5.1"], "unsupported layout ['5.1']; expected one of: "),
+    ("layout", ["5.1"], "layout: unsupported layout ['5.1']; expected one of: "),
     # int() would truncate these to Theatre and 48000
     ("reverb_type", 1.7, "reverb_type must be an integer, got 1.7"),
     ("reverb_type", True, "reverb_type must be an integer, got True"),
@@ -674,6 +675,34 @@ def test_repeated_grid_values_share_one_file(tmp_path, data_root, noise_wav, cap
     assert [len(f) for f in files.values()] == [1, 1]
     names = sorted(p.name for p in outs[0].iterdir())
     assert len(names) == 3  # two WAVs and the manifest
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_nested_subjects_stay_inside_out_dir(tmp_path, noise_wav):
+    # a subject holding a path separator still names one file in out_dir
+    root = tmp_path / "data" / "root"
+    subjects = ["SADIE/D1", "../escaped/SYN1"]
+    for seed, subject in enumerate(subjects):
+        save_ir_set(synthesize_ir_set("lebedev50", 48000, 64, seed, subject_id=subject),
+                    root)
+    before = set(tmp_path.rglob("*"))
+    axes = _grid_axes(subject=subjects, source=[str(noise_wav)], azimuth=[30.0],
+                      mode=["auto", "three_point"])
+    outs = []
+    for jobs in (1, 2):
+        _, report, out = _run(tmp_path / f"jobs{jobs}", root, noise_wav, axes=axes,
+                              jobs=jobs)
+        assert [r["status"] for r in report.rows] == ["ok"] * 4
+        for row in report.rows:
+            assert (out / row["file"]).parent == out and (out / row["file"]).is_file()
+        outs.append(out)
+    made = set(tmp_path.rglob("*")) - before
+    # each run's directory, its grid.json and out/, and files directly in out/
+    assert all(p.parent in (tmp_path, *(o.parent for o in outs)) or
+               (p.parent in outs and p.is_file()) for p in made)
+    names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -74,6 +74,14 @@ def test_track_object_rejects_nan_amounts(field):
             TrackObject("n", AudioBuffer(np.ones(8), 48000), **{field: float("nan")})
 
 
+@pytest.mark.parametrize("field", ["level", "reverb", "azimuth_deg", "elevation_deg"])
+@pytest.mark.parametrize("value", ["x", None, True])
+def test_track_object_rejects_non_numeric_settings(field, value):
+    with pytest.raises(InvalidArgumentError) as e:
+        TrackObject("a", AudioBuffer(np.ones(8), 48000), **{field: value})
+    assert str(e.value) == f"track 'a': {field} must be a number, got {value!r}"
+
+
 def test_mix_config_validation():
     cfg = _cfg(ir_type="hrir", interpolation_mode="three_point")
     assert cfg.ir_type is IRType.HRIR
@@ -89,7 +97,7 @@ def test_mix_config_validation():
     # int() would truncate these to Office and 48000
     with pytest.raises(InvalidArgumentError, match="reverb_type must be an integer, got 2.9"):
         _cfg(reverb_type=2.9)
-    with pytest.raises(InvalidArgumentError, match="sample_rate_hz must be an integer"):
+    with pytest.raises(InvalidArgumentError, match="sample_rate must be an integer"):
         _cfg(sample_rate_hz=48000.5)
     assert _cfg(sample_rate_hz=48000.0, reverb_type=2.0).reverb_type == 2
 
