@@ -116,8 +116,9 @@ def job_filename(values: dict, seed: int) -> str:
 
     Grep-friendly axes go in the name at display precision; a short hash of
     every parameter value plus the seed keeps distinct jobs collision-free.
-    Each path separator is written as ``_``, so the name is one path
-    component whatever a subject, layout or mode holds.
+    Each path separator, and a leading ``.``, is written as ``_``, so the
+    name is one path component, and not a hidden file, whatever a subject,
+    layout or mode holds.
     """
     tail = "|".join(str(values[k]) for k in AXIS_ORDER)
     h8 = hashlib.sha1(f"{tail}|{seed}".encode(errors="surrogatepass")).hexdigest()[:8]
@@ -131,7 +132,7 @@ def job_filename(values: dict, seed: int) -> str:
     )
     for sep in filter(None, (os.sep, os.altsep)):
         name = name.replace(sep, "_")
-    return name
+    return "_" + name[1:] if name.startswith(".") else name
 
 
 def _hold(key, make, *args):

@@ -588,6 +588,13 @@ class PointIndex:
         if triangulation is not None:
             self.triangulation = triangulation
 
+    @classmethod
+    def _normalized(cls, directions: tuple[Direction, ...]) -> "PointIndex":
+        """An index over directions that are already normalized."""
+        index = cls.__new__(cls)
+        index.directions = directions
+        return index
+
     @cached_property
     def cartesians(self) -> np.ndarray:
         m = np.array([_unit_vector(d) for d in self.directions])

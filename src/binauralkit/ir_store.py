@@ -197,10 +197,15 @@ class IRManifest:
 
 
 def manifest_path(root, subject_id: str, ir_type, sample_rate_hz: int) -> Path:
+    """Where a set's manifest lives under ``root``. A subject may nest, as
+    in ``SADIE/D1``, but may not leave ``root``."""
+    subject = Path(subject_id)
+    if subject.anchor or ".." in subject.parts:
+        raise InvalidArgumentError(
+            f"{root}: subject {subject_id!r} must be a relative path with no '..' component"
+        )
     ir_type = IRType.parse(ir_type)
-    return (
-        Path(root) / subject_id / ir_type.value / str(int(sample_rate_hz)) / MANIFEST_NAME
-    )
+    return Path(root) / subject / ir_type.value / str(int(sample_rate_hz)) / MANIFEST_NAME
 
 
 def write_manifest(manifest: IRManifest, path) -> None:
@@ -282,9 +287,12 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     few rows) name the manifest. The header's subject, IR type and rate
     must match the directory the set is loaded from.
 
-    The rows are copied into one read-only ``(rows, taps, 2)`` float64
+    The rows are decoded into one read-only ``(rows, taps, 2)`` float64
     array, checked for non-finite samples once all rows are in; each
-    point's ``left`` and ``right`` are views of it.
+    point's ``left`` and ``right`` are views of it. Each file is read once.
+    The first row's header is parsed; a later row of the same length whose
+    bytes outside its data body equal the first row's has the same header,
+    and any other row is parsed on its own.
     """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
@@ -309,29 +317,39 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     directions, stack, points, k = [], None, [], None
     try:
         for k, (az, el, _) in enumerate(manifest.entries):
-            rate, samples = wavio.read_wav(wav_paths[k])
-            if samples.shape[1] != 2:
+            raw = wavio.read_bytes(wav_paths[k])
+            if (stack is not None and len(raw) == size
+                    and raw.startswith(before) and raw.endswith(after)):
+                # the first row's header, and so its checks, hold
+                directions.append(normalize_direction(az, el))
+                wavio.decode_into(raw, first, flat[k])
+                continue
+            head = wavio.parse_header(raw, wav_paths[k])
+            if head.channels != 2:
                 raise FormatError(
-                    f"IR files must have 2 channels, got {samples.shape[1]}"
+                    f"IR files must have 2 channels, got {head.channels}"
                 )
-            if rate != sample_rate_hz:
+            if head.rate != sample_rate_hz:
                 raise FormatError(
-                    f"sample rate {rate} does not match manifest rate "
+                    f"sample rate {head.rate} does not match manifest rate "
                     f"{sample_rate_hz}"
                 )
             directions.append(normalize_direction(az, el))
-            if not len(samples):
+            if not head.frames:
                 raise InvalidArgumentError(
                     "IR buffers must share a nonzero length, got 0 and 0"
                 )
             if stack is None:
-                stack = np.empty((len(wav_paths), len(samples), 2))
-            elif len(samples) != stack.shape[1]:
+                stack = np.empty((len(wav_paths), head.frames, 2))
+                flat = stack.reshape(len(wav_paths), -1)
+                first, size = head, len(raw)
+                before, after = raw[:head.start], raw[head.end:]
+            elif head.frames != stack.shape[1]:
                 raise FormatError(
                     f"IR length mismatch in set {manifest.subject_id}: "
-                    f"{len(samples)} != {stack.shape[1]}"
+                    f"{head.frames} != {stack.shape[1]}"
                 )
-            stack[k] = samples
+            wavio.decode_into(raw, head, flat[k])
         k = None
         if stack is not None:
             # min and max are NaN or infinite exactly when some sample is,
@@ -342,7 +360,11 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
             stack.flags.writeable = False
             points = [IRPoint._view(d, stack[i, :, 0], stack[i, :, 1])
                       for i, d in enumerate(directions)]
-        return IRSet(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
+        # the set's index takes the directions as normalized above
+        ir_set = IRSet.__new__(IRSet)
+        ir_set.index = PointIndex._normalized(tuple(directions))
+        ir_set.__init__(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
+        return ir_set
     except BinauralKitError as e:
         rows = (k,) if k is not None else getattr(e, "point_indices", ())
         where = " and ".join(map(row, rows)) if rows else mpath

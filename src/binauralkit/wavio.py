@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +32,46 @@ _CHUNK = 1 << 15
 _LOW3 = np.dtype({"names": ["low"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
 
 
-def read_wav(path) -> tuple[int, np.ndarray]:
-    """Read a WAV file.
+class WavHeader(NamedTuple):
+    """What :func:`parse_header` finds: the encoding, and the data body
+    ``raw[start:end]``, a whole number of frames."""
 
-    Returns (sample_rate, samples) where samples has shape (frames, channels)
-    and dtype float64. PCM data is scaled to [-1, 1) by 2**(bits-1).
-    ``path`` is a str or os.PathLike, opened as given.
-    """
-    path = os.fspath(path)
+    rate: int
+    channels: int
+    bits: int
+    start: int
+    end: int
+
+    @property
+    def frames(self) -> int:
+        return (self.end - self.start) // (self.bits // 8 * self.channels)
+
+
+def read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``; FormatError naming it if it cannot
+    be read."""
     try:
-        with open(path, "rb", buffering=0) as f:
-            raw = f.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            raw = os.read(fd, size + 1)
+            # a short read of a regular file is its end; a longer one is not
+            while len(raw) > size and (more := os.read(fd, 1 << 20)):
+                raw += more
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        if isinstance(e, OSError):
+            e.filename = path  # os.read names no file, as open would
         raise FormatError(f"cannot read {path}: {e}") from e
+    return raw
+
+
+def parse_header(raw: bytes, path: str) -> WavHeader:
+    """Walk the chunks of a WAV file's bytes and check its fmt and data
+    chunks; errors name ``path``. Only the bytes outside the data body are
+    read, so a file that matches another outside its data body, at the same
+    length, has the same header."""
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path} is not a RIFF/WAVE file")
 
@@ -58,11 +86,10 @@ def read_wav(path) -> tuple[int, np.ndarray]:
                 f"{path}: chunk {cid!r} declares {size} bytes but only "
                 f"{len(raw) - pos - 8} remain (truncated file?)"
             )
-        body = raw[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
-            fmt = body
+            fmt = raw[pos + 8:pos + 8 + size]
         elif cid == b"data":
-            data = body
+            data = (pos + 8, pos + 8 + size)
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise FormatError(f"{path} is missing a fmt or data chunk")
@@ -85,18 +112,39 @@ def read_wav(path) -> tuple[int, np.ndarray]:
             f"{path}: unsupported encoding (format tag {tag}, {bits} bits); "
             "expected 16/24-bit PCM or 32-bit float"
         )
-    if len(data) % (bits // 8 * channels):
+    if (data[1] - data[0]) % (bits // 8 * channels):
         raise FormatError(f"{path}: data size is not a whole number of frames")
-    if bits == 24:
+    return WavHeader(int(rate), channels, bits, *data)
+
+
+def decode_into(raw: bytes, head: WavHeader, out: np.ndarray) -> None:
+    """Decode the data body of ``raw`` into ``out``, a one-dimensional
+    float64 array of head.frames * head.channels samples, frame after frame.
+    PCM is scaled by 2**(bits-1)."""
+    if head.bits == 24:
         # each sample in the top three bytes of an int32: its code * 2**8, signed
-        wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
-        wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        samples = wide.view("<i4") / float(1 << 31)
-    elif bits == 16:
-        samples = np.frombuffer(data, dtype="<i2") / 32768.0
+        wide = np.zeros((out.size, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(raw, np.uint8, 3 * out.size, head.start).reshape(-1, 3)
+        np.divide(wide.view("<i4")[:, 0], float(1 << 31), out=out)
+    elif head.bits == 16:
+        np.divide(np.frombuffer(raw, "<i2", out.size, head.start), 32768.0, out=out)
     else:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    return int(rate), samples.reshape(-1, channels)
+        np.copyto(out, np.frombuffer(raw, "<f4", out.size, head.start))
+
+
+def read_wav(path) -> tuple[int, np.ndarray]:
+    """Read a WAV file.
+
+    Returns (sample_rate, samples) where samples has shape (frames, channels)
+    and dtype float64. PCM data is scaled to [-1, 1) by 2**(bits-1).
+    ``path`` is a str or os.PathLike, opened as given.
+    """
+    path = os.fspath(path)
+    raw = read_bytes(path)
+    head = parse_header(raw, path)
+    samples = np.empty(head.frames * head.channels)
+    decode_into(raw, head, samples)
+    return head.rate, samples.reshape(-1, head.channels)
 
 
 def check_encoding(encoding) -> None:

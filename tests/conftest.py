@@ -94,3 +94,40 @@ def ragged_wav():
         return path
 
     return write
+
+
+_PCM16 = struct.pack("<HHIIHH", 1, 2, 48000, 192000, 4, 16)
+_PCM_GUID = struct.pack("<IHH", 1, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# fmt chunk bodies that each fail one of read_wav's fmt checks, and the error
+_BAD_FMT = {
+    "truncated fmt": (_PCM16[:14], "{} has a truncated fmt chunk"),
+    "short extensible": (struct.pack("<HHIIHHH", 0xFFFE, 2, 48000, 192000, 4, 16, 0),
+                         "{} has a truncated extensible fmt chunk"),
+    "unknown subformat": (struct.pack("<HHIIHHHHI", 0xFFFE, 2, 48000, 192000, 4, 16,
+                                      22, 16, 3) + _PCM_GUID[:-1] + b"\x72",
+                          "{} has an unknown extensible subformat"),
+    "zero channels": (struct.pack("<HHIIHH", 1, 0, 48000, 0, 0, 16),
+                      "{} declares 0 channels"),
+    "unsupported tag": (struct.pack("<HHIIHH", 6, 2, 48000, 96000, 2, 8),
+                        "{}: unsupported encoding (format tag 6, 8 bits); "
+                        "expected 16/24-bit PCM or 32-bit float"),
+    "unsupported bits": (struct.pack("<HHIIHH", 1, 2, 48000, 384000, 8, 32),
+                         "{}: unsupported encoding (format tag 1, 32 bits); "
+                         "expected 16/24-bit PCM or 32-bit float"),
+}
+
+
+@pytest.fixture(params=sorted(_BAD_FMT))
+def bad_fmt_wav(request):
+    """Writes a stereo WAV of 128 frames whose fmt chunk fails one check;
+    returns read_wav's error for it, naming ``path``."""
+    fmt, message = _BAD_FMT[request.param]
+
+    def write(path):
+        data = bytes(512)
+        body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(data)) + data)
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        return message.format(path)
+
+    return write

@@ -681,9 +681,10 @@ def test_repeated_grid_values_share_one_file(tmp_path, data_root, noise_wav, cap
 
 
 def test_nested_subjects_stay_inside_out_dir(tmp_path, noise_wav):
-    # a subject holding a path separator still names one file in out_dir
+    # a subject holding a path separator still names one file in out_dir,
+    # and one starting with a dot names no hidden file
     root = tmp_path / "data" / "root"
-    subjects = ["SADIE/D1", "../escaped/SYN1"]
+    subjects = ["SADIE/D1", ".hidden/SYN1"]
     for seed, subject in enumerate(subjects):
         save_ir_set(synthesize_ir_set("lebedev50", 48000, 64, seed, subject_id=subject),
                     root)
@@ -704,8 +705,37 @@ def test_nested_subjects_stay_inside_out_dir(tmp_path, noise_wav):
                (p.parent in outs and p.is_file()) for p in made)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == 5 and not any(name.startswith(".") for name in names)
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_subjects_outside_the_data_root_fail_their_rows(tmp_path, noise_wav, lebedev_set):
+    # a set waits where each bad subject leads, its header naming that
+    # subject, yet only the SYN1 row renders
+    root = tmp_path / "data" / "root"
+    save_ir_set(lebedev_set, root)
+    subjects = ["SYN1", "../escaped/SYN1", str(tmp_path / "abs" / "SYN1")]
+    for subject, under in ((subjects[1], tmp_path / "data" / "escaped"),
+                           (subjects[2], tmp_path / "abs")):
+        mpath = save_ir_set(lebedev_set, under)
+        mpath.write_text(mpath.read_text().replace("subject=SYN1", f"subject={subject}", 1))
+    axes = _grid_axes(subject=subjects, source=[str(noise_wav)], azimuth=[30.0])
+    _, report, out = _run(tmp_path / "run", root, noise_wav, axes=axes)
+    assert [(r["status"], r["error"]) for r in report.rows] == [("ok", "")] + [
+        ("failed", f"{root}: subject {s!r} must be a relative path with no '..' component")
+        for s in subjects[1:]]
+    assert [p.name for p in out.glob("*.wav")] == [report.rows[0]["file"]]
+
+
+def test_job_filename_escapes_a_leading_dot():
+    values = {"subject": ".hidden", "ir_type": "HRIR", "sample_rate": 48000,
+              "layout": None, "mode": "auto", "azimuth": 30.0, "elevation": 0.0,
+              "level": 1.0, "reverb_amount": 0.0, "reverb_type": 1, "source": "a.wav"}
+    name = job_filename(values, 7)
+    assert name.startswith("_hidden_HRIR_48000_none_auto_az030.0_el+00.0_")
+    values["subject"] = "..x/SYN1"
+    assert job_filename(values, 7).startswith("_.x_SYN1_HRIR_")
 
 
 @pytest.mark.parametrize("setting,error,message", [

@@ -5,6 +5,8 @@ mutated and run through ``cli.main``. The CLI contract, not any output
 value, is the oracle: no exception escapes; the exit code is 0 or 1; a
 request that fails prints exactly one printable ``error:`` line naming a
 file; and in ``dataset`` a bad row fails alone while the other rows render.
+A scene or grid subject that would leave the data root fails, though a set
+waits where it leads.
 """
 
 import contextlib
@@ -45,6 +47,8 @@ _GRID = {
              "reverb_type": [2], "source": ["src.wav"]},
 }
 
+# stands for an absolute subject naming a set in the example's directory
+_ABSOLUTE = "<example>/escaped/SYN1"
 _TEXT = st.one_of(
     st.sampled_from(["src.wav", "missing.wav", "SYN1", "GHOST", "HRIR", "BRIR",
                      "7.1.4", "5.1", "auto", "three_point", "peak", "", "..", "/"]),
@@ -200,7 +204,7 @@ def _cases(draw, wavs: list[bytes]):
     """(kind, files): the scene, grid and WAV files an example writes, one
     of them mutated unless ``kind`` names a manifest."""
     kind = draw(st.sampled_from(["scene", "grid", "row", "ir_manifest",
-                                 "reverb_manifest", "wav"]))
+                                 "reverb_manifest", "wav", "subject"]))
     files = {"scene.json": json.dumps(_SCENE).encode(),
              "grid.json": json.dumps(_GRID).encode(),
              "src.wav": draw(st.sampled_from(wavs))}
@@ -212,6 +216,16 @@ def _cases(draw, wavs: list[bytes]):
         grid = copy.deepcopy(_GRID)
         grid["axes"][draw(st.sampled_from(sorted(grid["axes"])))].append(draw(_TEXT | _VALUE))
         files["grid.json"] = json.dumps(grid).encode("utf-8", "surrogatepass")
+    elif kind == "subject":
+        # a subject outside the data root, where a good set waits: the scene
+        # and the grid's second row must fail rather than load it
+        subject = draw(st.sampled_from(["../escaped/SYN1", _ABSOLUTE]))
+        scene = copy.deepcopy(_SCENE)
+        scene["config"]["subject"] = subject
+        grid = copy.deepcopy(_GRID)
+        grid["axes"]["subject"].append(subject)
+        files.update({"scene.json": json.dumps(scene).encode(),
+                      "grid.json": json.dumps(grid).encode()})
     elif kind == "wav":
         files["bad.wav"] = draw(_mutated_wav(files["src.wav"]))
         scene = copy.deepcopy(_SCENE)
@@ -221,6 +235,10 @@ def _cases(draw, wavs: list[bytes]):
         files.update({"scene.json": json.dumps(scene).encode(),
                       "grid.json": json.dumps(grid).encode()})
     return kind, files
+
+
+def _with_example_dir(data: bytes, ex: Path) -> bytes:
+    return data.replace(_ABSOLUTE.encode(), str(ex / "escaped" / "SYN1").encode())
 
 
 def _run(argv):
@@ -287,16 +305,23 @@ def test_mutated_inputs_keep_the_cli_contract(root, data):
                            ("data/reverb/manifest.tsv", "reverb_manifest")):
         text = (shared / manifest).read_text()
         files[name] = data.draw(_mutated_tsv(text)) if kind == manifest else text.encode()
+    if kind == "subject":
+        subject = json.loads(files["scene.json"])["config"]["subject"]
+        text = (shared / "ir_manifest").read_text()
+        files["escaped/SYN1/HRIR/48000/manifest.tsv"] = text.replace(
+            "subject=SYN1", f"subject={subject}", 1).encode()
     ex = Path(tempfile.mkdtemp(dir=root))
     try:
         for name, content in files.items():
             (ex / name).parent.mkdir(parents=True, exist_ok=True)
-            (ex / name).write_bytes(content)
+            (ex / name).write_bytes(_with_example_dir(content, ex))
         data_root = ["--data-root", str(ex / "data")]
         if kind not in ("grid", "row"):
             rc, err = _run(["mix", str(ex / "scene.json"), *data_root,
                             "-o", str(ex / "out.wav")])
             _check_request(rc, err, root)
+            if kind == "subject":
+                assert rc == 1 and "must be a relative path with no '..' component" in err
         if kind == "ir_manifest":
             rc, err = _run(["triangulate", "--subject", "SYN1", "--az", "30", "--el", "10",
                             *data_root])
@@ -306,6 +331,8 @@ def test_mutated_inputs_keep_the_cli_contract(root, data):
                             "--out", str(ex / "ds")])
             # job 0 takes only the base grid's values and a good source
             _check_dataset(rc, err, root, ex / "ds",
-                           [0] if kind in ("row", "wav") else [])
+                           [0] if kind in ("row", "wav", "subject") else [])
+            if kind == "subject":
+                assert rc == 1 and err.startswith("job 1 failed: ")
     finally:
         shutil.rmtree(ex)

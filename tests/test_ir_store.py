@@ -1,6 +1,11 @@
 import math
 import os
 import re
+import shutil
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from binauralkit import wavio
+from binauralkit import geometry, ir_store, wavio
 from binauralkit.distributions import ring_grid_directions
 from binauralkit.geometry import (
     MERGE_TOLERANCE_DEG,
@@ -145,6 +150,32 @@ def test_synthesize_custom_directions():
 def test_manifest_path_layout(tmp_path):
     p = manifest_path(tmp_path, "D1", "hrir", 48000)
     assert p == tmp_path / "D1" / "HRIR" / "48000" / "manifest.tsv"
+
+
+@pytest.mark.parametrize("subject", ["../escaped/SYN1", "..", "a/../../b", "{tmp}/abs/SYN1"])
+def test_manifest_path_keeps_the_subject_under_its_root(tmp_path, lebedev_set, subject):
+    root, subject = tmp_path / "root", subject.format(tmp=tmp_path)
+    message = f"{root}: subject {subject!r} must be a relative path with no '..' component"
+    with pytest.raises(InvalidArgumentError) as e:
+        manifest_path(root, subject, "HRIR", 48000)
+    assert str(e.value) == message
+    ir_set = IRSet(subject, "HRIR", 48000, lebedev_set.points)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        save_ir_set(ir_set, root)
+    assert list(tmp_path.rglob("*")) == []
+    # nor is a set loaded from where ../escaped/SYN1 or the absolute subject lead
+    save_ir_set(IRSet("escaped/SYN1", "HRIR", 48000, lebedev_set.points), tmp_path)
+    save_ir_set(IRSet("SYN1", "HRIR", 48000, lebedev_set.points), tmp_path / "abs")
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        load_ir_set(root, subject, "HRIR", 48000)
+
+
+@pytest.mark.parametrize("subject", ["SADIE/D1", "./D1", "..D1/x"])
+def test_nested_subjects_load(tmp_path, lebedev_set, subject):
+    ir_set = IRSet(subject, "HRIR", 48000, lebedev_set.points)
+    mpath = save_ir_set(ir_set, tmp_path)
+    assert mpath == tmp_path / subject / "HRIR" / "48000" / "manifest.tsv"
+    _assert_same_set(load_ir_set(tmp_path, subject, "HRIR", 48000), ir_set)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -466,17 +497,38 @@ def test_load_dotdot_rows_under_symlinked_root(tmp_path):
 
 def test_load_reads_each_row_once(tmp_path, monkeypatch):
     save_ir_set(_pcm16_grid_set(), tmp_path)
-    read = wavio.read_wav
+    read = wavio.read_bytes
     seen = []
 
     def counting_read(path):
         seen.append(os.fspath(path))
         return read(path)
 
-    monkeypatch.setattr(wavio, "read_wav", counting_read)
+    monkeypatch.setattr(wavio, "read_bytes", counting_read)
     loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
     assert len(seen) == len(loaded.points) == 50
     assert len(set(seen)) == 50
+
+
+def test_load_normalizes_each_direction_once(tmp_path, monkeypatch):
+    s = _pcm16_grid_set()
+    save_ir_set(s, tmp_path)
+    seen = []
+
+    def counting(az, el):
+        seen.append((az, el))
+        return normalize_direction(az, el)
+
+    monkeypatch.setattr(geometry, "normalize_direction", counting)
+    monkeypatch.setattr(ir_store, "normalize_direction", counting)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    # building the index's facts normalizes nothing again
+    loaded.index.cartesians, loaded.index.rings, loaded.index.columns
+    assert len(seen) == len(loaded.points) == 50
+    # the index holds the very directions of the points, as PointIndex makes them
+    assert [repr(d) for d in loaded.index.directions] == [
+        repr(d) for d in PointIndex(s.directions).directions]
+    assert loaded.index.directions == loaded.directions
 
 
 # --- load error messages ---------------------------------------------------
@@ -588,6 +640,28 @@ def test_load_error_names_second_row_when_first_is_odd_length(tmp_path, lebedev_
     )
 
 
+def test_load_error_names_row_for_each_bad_fmt_chunk(tmp_path, lebedev_set, bad_fmt_wav):
+    # row 3 fails the header row 0 passed, so it is parsed on its own
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = os.path.realpath(mpath.parent / "ir_00003.wav")
+    message = bad_fmt_wav(Path(wav))
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == f"{mpath}:5 ({wav}): {message}"
+
+
+def test_load_error_names_row_for_a_directory(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = os.path.realpath(mpath.parent / "ir_00003.wav")
+    os.unlink(wav)
+    os.mkdir(wav)
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({wav}): cannot read {wav}: [Errno 21] Is a directory: '{wav}'"
+    )
+
+
 @pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_load_error_names_row_for_non_finite_angle(tmp_path, lebedev_set, column, angle):
@@ -607,6 +681,117 @@ def test_load_error_names_row_for_non_finite_angle(tmp_path, lebedev_set, column
 
 
 # --- stacked load ----------------------------------------------------------
+
+
+def _riff(chunks: bytes) -> bytes:
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+_PCM_GUID = struct.pack("<IHH", 1, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# a trailing LIST chunk of 5 bytes and its pad byte, and one of 6 bytes at the
+# same length, whose size field alone differs
+_LIST_ODD = b"LIST" + struct.pack("<I", 5) + b"INFOa\x00"
+_LIST_EVEN = b"LIST" + struct.pack("<I", 6) + b"INFOa\x00"
+
+
+def _write_row(path, variant: str, samples: np.ndarray) -> None:
+    """A stereo WAV of ``samples`` in one of the encodings and layouts a
+    loader meets: plain float32, pcm16 or pcm24 as write_wav writes them,
+    pcm24 in the extensible wrapper, float32 with a trailing LIST chunk, or
+    pcm16 behind a junk chunk that brings it to pcm24's length."""
+    encoding = {"extensible": "pcm24", "list_odd": "float32", "list_even": "float32",
+                "junk": "pcm16"}.get(variant, variant)
+    write_wav(path, 48000, samples, encoding)
+    raw = path.read_bytes()
+    if variant == "extensible":
+        data = raw[44:]  # after write_wav's RIFF, fmt and data headers
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 2, 48000, 48000 * 6, 6, 24,
+                          22, 24, 3) + _PCM_GUID
+        path.write_bytes(_riff(b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                               + b"data" + struct.pack("<I", len(data)) + data))
+    elif variant == "junk":
+        junk = samples.size - 8  # pcm24 holds one byte more per sample
+        path.write_bytes(_riff(raw[12:36] + b"junk" + struct.pack("<I", junk)
+                               + bytes(junk) + raw[36:]))
+    elif variant.startswith("list"):
+        path.write_bytes(_riff(raw[12:] + (_LIST_ODD if variant == "list_odd"
+                                            else _LIST_EVEN)))
+
+
+_VARIANTS = ("float32", "pcm16", "pcm24", "extensible", "list_odd", "list_even", "junk")
+
+
+def _write_rows(root, variants, seed=0, taps=32) -> list[str]:
+    """A set SYN1 of one row per variant on the horizon; returns the real
+    path of each row's WAV."""
+    mpath = manifest_path(root, "SYN1", "HRIR", 48000)
+    mpath.parent.mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    entries = []
+    for k, variant in enumerate(variants):
+        _write_row(mpath.parent / f"{k}.wav", variant, 0.5 * rng.standard_normal((taps, 2)))
+        entries.append((40.0 * k, 0.0, f"{k}.wav"))
+    write_manifest(IRManifest(1, "SYN1", IRType.HRIR, 48000, tuple(entries)), mpath)
+    return [os.path.realpath(mpath.parent / rel) for _, _, rel in entries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(variants=st.lists(st.sampled_from(_VARIANTS), min_size=3, max_size=9),
+       seed=st.integers(0, 2**16))
+def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, seed):
+    """Rows whose header bytes equal row 0's share its parse and every other
+    row is parsed on its own; either way the stack is what read_wav gives
+    row by row, bit for bit."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    try:
+        paths = _write_rows(root, variants, seed)
+        with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
+            loaded = load_ir_set(root, "SYN1", "HRIR", 48000)
+        want = np.stack([read_wav(p)[1] for p in paths])
+        assert loaded.points[0].left.base.tobytes() == want.tobytes()
+        # write_wav writes the same header for the same encoding and length
+        parsed = [c.args[1] for c in parse.call_args_list]
+        assert parsed == [p for p, v in zip(paths, variants) if p == paths[0] or v != variants[0]]
+    finally:
+        shutil.rmtree(root)
+
+
+def test_row_with_one_more_byte_is_parsed_on_its_own(tmp_path):
+    paths = _write_rows(tmp_path, ["list_odd"] * 5)
+    with open(paths[3], "ab") as f:
+        f.write(b"\x00")
+    with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
+        loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert [c.args[1] for c in parse.call_args_list] == [paths[0], paths[3]]
+    want = np.stack([read_wav(p)[1] for p in paths])
+    assert loaded.points[0].left.base.tobytes() == want.tobytes()
+
+
+def test_load_error_names_row_with_one_more_byte_after_its_data(tmp_path):
+    # row 3 starts and ends as row 0 does, but its LIST chunk moved a byte on
+    paths = _write_rows(tmp_path, ["list_odd"] * 5)
+    raw = Path(paths[3]).read_bytes()
+    Path(paths[3]).write_bytes(raw[:-len(_LIST_ODD)] + b"\x00" + _LIST_ODD)
+    with pytest.raises(FormatError) as want:
+        read_wav(paths[3])
+    assert "declares" in str(want.value)
+    mpath = manifest_path(tmp_path, "SYN1", "HRIR", 48000)
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == f"{mpath}:5 ({paths[3]}): {want.value}"
+
+
+def test_load_error_names_row_with_a_truncated_trailing_chunk(tmp_path):
+    paths = _write_rows(tmp_path, ["list_odd"] * 5)
+    with open(paths[3], "r+b") as f:
+        f.truncate(os.path.getsize(paths[3]) - 2)  # the pad byte and one of LIST
+    mpath = manifest_path(tmp_path, "SYN1", "HRIR", 48000)
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (
+        f"{mpath}:5 ({paths[3]}): {paths[3]}: chunk b'LIST' declares 5 bytes "
+        "but only 4 remain (truncated file?)"
+    )
 
 
 def test_loaded_buffers_are_read_only_views_of_one_stack(tmp_path, lebedev_set):

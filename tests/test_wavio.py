@@ -406,3 +406,17 @@ def test_write_matches_a_per_sample_writer_around_a_chunk_boundary(tmp_path, k):
         samples = np.array(pool)[rng.integers(len(pool), size=(_CHUNK + k, 1))]
         write_wav(path, 44100, samples, encoding)
         assert path.read_bytes() == _ref_wav(samples, encoding, 44100)
+
+
+def test_read_rejects_each_bad_fmt_chunk(tmp_path, bad_fmt_wav):
+    path = tmp_path / "bad.wav"
+    message = bad_fmt_wav(path)
+    with pytest.raises(FormatError) as e:
+        read_wav(path)
+    assert str(e.value) == message
+
+
+def test_read_error_names_a_directory(tmp_path):
+    with pytest.raises(FormatError) as e:
+        read_wav(tmp_path)
+    assert str(e.value) == f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
