@@ -333,16 +333,13 @@ def resolve_speaker_ir_set(ir_set: IRSet, layout: SpeakerLayout, mode) -> IRSet:
     so a speaker within ``interpolation.SNAP_THRESHOLD_DEG`` (2 degrees) of
     a stored point takes that point's IR unchanged.
     """
-    points = []
-    for d in layout.speaker_directions():
+    dirs = layout.speaker_directions()
+    irs = np.empty((len(dirs), ir_set.ir_length, 2))
+    for k, d in enumerate(dirs):
         src = blend(ir_set, plan(ir_set, d, mode))
-        points.append(IRPoint(d, src.left, src.right))
-    return IRSet(
-        f"{ir_set.subject_id}:{layout.name}",
-        ir_set.ir_type,
-        ir_set.sample_rate_hz,
-        tuple(points),
-    )
+        irs[k, :, 0], irs[k, :, 1] = src.left, src.right
+    return IRSet._stacked(f"{ir_set.subject_id}:{layout.name}", ir_set.ir_type,
+                          ir_set.sample_rate_hz, dirs, irs)
 
 
 def source_ir(

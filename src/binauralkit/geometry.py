@@ -125,16 +125,24 @@ def angular_distance(a: Direction, b: Direction) -> float:
     """Great-circle distance in degrees via arccos of the dot product."""
     na = normalize_direction(a.azimuth_deg, a.elevation_deg)
     nb = normalize_direction(b.azimuth_deg, b.elevation_deg)
-    return angular_distance_from(na, to_cartesian(na), nb)
+    return angular_distances_from(na, to_cartesian(na), [nb])[0]
 
 
-def angular_distance_from(a: Direction, a_cartesian: np.ndarray, b: Direction) -> float:
-    """:func:`angular_distance` of normalized directions, given a's cartesian."""
-    if a == b:
-        # arccos loses ~1e-6 deg of precision near 0; equal directions are 0
-        return 0.0
-    dot = float(np.dot(a_cartesian, to_cartesian(b)))
-    return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
+def angular_distances_from(a: Direction, a_cartesian: np.ndarray,
+                           bs: Sequence[Direction]) -> list[float]:
+    """:func:`angular_distance` from ``a`` to each of ``bs``, all normalized,
+    given a's cartesian; one numpy call takes every dot."""
+    dots = _rowdots(np.array([_unit_vector(b) for b in bs]), a_cartesian).tolist()
+    # arccos loses ~1e-6 deg of precision near 0; equal directions are 0
+    return [0.0 if a == b else math.degrees(math.acos(max(-1.0, min(1.0, t))))
+            for b, t in zip(bs, dots)]
+
+
+def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of ``a`` dotted with row i of ``b``, or with ``b`` if it is one
+    vector, bit-equal to ``a[i].dot(b[i])``: a stack of row-by-column
+    products takes the same vector dot per row."""
+    return (a[:, None, :] @ b[..., None]).ravel()
 
 
 def apply_frame(d: Direction, rotated_azimuth: bool, rotated_elevation: bool) -> Direction:
@@ -609,7 +617,7 @@ class PointIndex:
     def nearest_to(self, cartesian: np.ndarray) -> tuple[int, float]:
         """:meth:`nearest` for a direction given by its unit vector."""
         dots = self.cartesians @ cartesian
-        idx = int(np.argmax(dots))
+        idx = int(dots.argmax())
         return idx, math.degrees(math.acos(max(-1.0, min(1.0, float(dots[idx])))))
 
     @cached_property

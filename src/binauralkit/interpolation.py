@@ -9,7 +9,6 @@ collapse to that single point regardless of the requested mode.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -22,12 +21,14 @@ from .geometry import (
     Direction,
     PointIndex,
     Triangulation,
-    angular_distance_from,
+    _rowdots,
+    angular_distances_from,
     find_enclosing_triangle,
     from_cartesian,
     normalize_direction,
     to_cartesian,
 )
+from .ir_store import IRPoint
 
 SNAP_THRESHOLD_DEG = 2.0
 
@@ -65,42 +66,53 @@ class InterpolationPlan:
     achieved_error_deg: float
 
 
-def _finish(mode: InterpolationMode, indices: list[int], weights: list[float],
-            index: PointIndex, requested: Direction, q: np.ndarray) -> InterpolationPlan:
-    """Assemble a plan: normalize weights, derive achieved direction/error.
-    ``q`` is the requested direction's cartesian."""
-    # left-to-right float sums, the order np.sum takes for under 8 values
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    x = y = z = 0.0
-    for w, (cx, cy, cz) in zip(weights, index.cartesians[indices].tolist()):
-        x += w * cx
-        y += w * cy
-        z += w * cz
-    centroid = (x, y, z)
-    # np.linalg.norm decides only near 1e-12, where a plain sum of squares
-    # could round to the other side
-    if x * x + y * y + z * z < 2e-24 and np.linalg.norm(centroid) < 1e-12:
-        # antipodal degenerate blend; fall back to the heaviest point
-        achieved = index.directions[indices[weights.index(max(weights))]]
-    else:
-        achieved = from_cartesian(centroid)
-    err = angular_distance_from(requested, q, achieved)
-    return InterpolationPlan(mode, tuple(zip(indices, weights)), achieved, err)
-
-
-def _weighted(mode: InterpolationMode, indices: list[int], index: PointIndex,
-              requested: Direction, q: np.ndarray) -> InterpolationPlan:
-    """Inverse-chord-distance weights for the given stored points."""
-    chords = [math.sqrt(d.dot(d)) for d in index.cartesians[indices] - q]
-    for i, c in zip(indices, chords):
-        if c < _COINCIDENT_CHORD:
-            return _finish(mode, [i], [1.0], index, requested, q)
-    return _finish(mode, indices, [1.0 / c for c in chords], index, requested, q)
-
-
-def _circular_diff(a: float, b: float) -> float:
-    return abs((a - b + 180.0) % 360.0 - 180.0)
+def _best(groups: list[list[tuple[InterpolationMode, list[int]]]], index: PointIndex,
+          requested: Direction, q: np.ndarray) -> InterpolationPlan:
+    """The plan of the candidate (mode, stored points) of least error within
+    its group, then of least error, fewest entries and first place across
+    groups. Each weighs its points by inverse chord distance to ``q``, the
+    request's cartesian, or takes a coincident point alone."""
+    flat = [c for group in groups for c in group]
+    carts = index.cartesians.take([i for _, indices in flat for i in indices], axis=0)
+    d = carts - q
+    chords = np.sqrt(_rowdots(d, d)).tolist()
+    rows = carts.tolist()
+    built, end = [], 0
+    for mode, indices in flat:
+        start, end = end, end + len(indices)
+        cs, rs = chords[start:end], rows[start:end]
+        if min(cs) < _COINCIDENT_CHORD:
+            k = next(j for j, c in enumerate(cs) if c < _COINCIDENT_CHORD)
+            indices, weights, rs = [indices[k]], [1.0], [rs[k]]
+        else:
+            weights = [1.0 / c for c in cs]
+            # left to right, the order np.sum takes for under 8 values; the
+            # builtin sum compensates its rounding from Python 3.12 on
+            total = 0.0
+            for w in weights:
+                total += w
+            weights = [w / total for w in weights]
+        x = y = z = 0.0
+        for w, (cx, cy, cz) in zip(weights, rs):
+            x += w * cx
+            y += w * cy
+            z += w * cz
+        # np.linalg.norm decides only near 1e-12, where a plain sum of squares
+        # could round to the other side
+        if x * x + y * y + z * z < 2e-24 and np.linalg.norm((x, y, z)) < 1e-12:
+            # antipodal degenerate blend; fall back to the heaviest point
+            achieved = index.directions[indices[weights.index(max(weights))]]
+        else:
+            achieved = from_cartesian((x, y, z))
+        built.append((mode, indices, weights, achieved))
+    errors = angular_distances_from(requested, q, [b[3] for b in built])
+    winners, end = [], 0
+    for group in groups:
+        start, end = end, end + len(group)
+        winners.append(min(range(start, end), key=errors.__getitem__))
+    best = min(winners, key=lambda j: (errors[j], len(built[j][1])))
+    mode, indices, weights, achieved = built[best]
+    return InterpolationPlan(mode, tuple(zip(indices, weights)), achieved, errors[best])
 
 
 def _nearest_key(keys: list[float], x: float) -> int:
@@ -145,7 +157,8 @@ def _column_pair(index: PointIndex, requested: Direction) -> list[int] | None:
     # the nearest is a cyclic neighbour of the query
     i = bisect_left(azimuths, qaz)
     near = (i - 1, i % len(azimuths))
-    c = min(near, key=lambda k: (_circular_diff(azimuths[k], qaz), azimuths[k]))
+    c = min(near, key=lambda k: (abs((azimuths[k] - qaz + 180.0) % 360.0 - 180.0),
+                                  azimuths[k]))
     members = index.columns[c][1]
     # the first pair holding the query; outside the span, the nearest end pair
     k = bisect_left(elevations[c], requested.elevation_deg) - 1
@@ -157,55 +170,43 @@ def _plan(index: PointIndex, requested: Direction, mode) -> InterpolationPlan:
     mode = InterpolationMode.parse(mode)
     requested = normalize_direction(requested.azimuth_deg, requested.elevation_deg)
     q = to_cartesian(requested)
-    nearest, nearest_dist = index.nearest_to(q)
+    i, nearest_dist = index.nearest_to(q)
+    nearest = [(InterpolationMode.NEAREST, [i])]
     if nearest_dist <= SNAP_THRESHOLD_DEG or mode is InterpolationMode.NEAREST:
-        return _finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested, q)
+        return _best([nearest], index, requested, q)
 
-    def triangle() -> InterpolationPlan:
+    def triangle() -> list[tuple[InterpolationMode, list[int]]]:
         enc = find_enclosing_triangle(index.triangulation, requested)
-        vertices = [index.vertex_indices[i] for i in enc.vertex_indices]
-        return _weighted(InterpolationMode.THREE_POINT, vertices, index, requested, q)
+        return [(InterpolationMode.THREE_POINT,
+                 [index.vertex_indices[i] for i in enc.vertex_indices])]
 
     if mode is InterpolationMode.THREE_POINT:
-        return triangle()
+        return _best([triangle()], index, requested, q)
     ring = _ring_pair(index, requested)
     if mode is InterpolationMode.PLANAR:
-        if ring is None:
-            # stacklevel names the caller of plan / plan_over_directions
-            warnings.warn(
-                "planar: no elevation ring with two points; falling back "
-                "to three_point",
-                stacklevel=3,
-            )
-            return triangle()
-        return _weighted(mode, ring, index, requested, q)
-    pairs = [
-        _weighted(InterpolationMode.TWO_POINT, pair, index, requested, q)
-        for pair in (ring, _column_pair(index, requested))
-        if pair is not None
-    ]
-    two_point = min(pairs, key=lambda p: p.achieved_error_deg) if pairs else None
-    if mode is InterpolationMode.TWO_POINT:
-        if two_point is None:
-            warnings.warn(
-                "two_point: no usable ring or column; falling back to "
-                "three_point",
-                stacklevel=3,
-            )
-            return triangle()
-        return two_point
+        pairs = [] if ring is None else [(mode, ring)]
+    else:
+        # the ring pair wins a tie with the column pair
+        pairs = [(InterpolationMode.TWO_POINT, pair)
+                 for pair in (ring, _column_pair(index, requested)) if pair is not None]
+    if mode is not InterpolationMode.AUTO:
+        if pairs:
+            return _best([pairs], index, requested, q)
+        lacking = ("elevation ring with two points" if mode is InterpolationMode.PLANAR
+                   else "usable ring or column")
+        # stacklevel names the caller of plan / plan_over_directions
+        warnings.warn(f"{mode.value}: no {lacking}; falling back to three_point", stacklevel=3)
+        return _best([triangle()], index, requested, q)
 
     # auto: the least error, then the fewest entries, then the first of
     # nearest, two_point, three_point. Planar is the ring plan, which
     # two_point matches at a lower rank or beats, or else three_point's.
-    candidates = [_finish(InterpolationMode.NEAREST, [nearest], [1.0], index, requested, q)]
-    if two_point is not None:
-        candidates.append(two_point)
+    groups = [nearest, pairs]
     try:
-        candidates.append(triangle())
+        groups.append(triangle())
     except BinauralKitError:
         pass
-    return min(candidates, key=lambda p: (p.achieved_error_deg, len(p.entries)))
+    return _best([g for g in groups if g], index, requested, q)
 
 
 def plan_over_directions(
@@ -228,16 +229,15 @@ def plan(ir_set, requested: Direction, mode) -> InterpolationPlan:
 
 
 def blend(ir_set, plan: InterpolationPlan):
-    """Weighted sum of the planned IR pairs at the achieved direction."""
-    from .ir_store import IRPoint
-
-    n = len(ir_set.points)
-    for i, _ in plan.entries:
-        if not 0 <= i < n:
-            raise InvalidArgumentError(f"plan entry index {i} out of range 0..{n - 1}")
-    left = np.zeros(ir_set.ir_length)
-    right = np.zeros(ir_set.ir_length)
+    """Weighted sum of the planned IR pairs at the achieved direction: each
+    entry's ``(taps, 2)`` block of ``ir_set.irs`` added onto zeros in turn."""
+    irs = ir_set.irs
+    out = np.zeros(irs.shape[1:])
     for i, w in plan.entries:
-        left += w * ir_set.points[i].left
-        right += w * ir_set.points[i].right
-    return IRPoint(plan.achieved_direction, left, right)
+        if not 0 <= i < len(irs):
+            raise InvalidArgumentError(f"plan entry index {i} out of range 0..{len(irs) - 1}")
+        out += w * irs[i]
+    if not np.isfinite(out).all():
+        raise InvalidArgumentError("IR buffers contain non-finite samples")
+    out.flags.writeable = False
+    return IRPoint._view(plan.achieved_direction, out[:, 0], out[:, 1])

@@ -159,9 +159,33 @@ class IRSet:
                 f"{MERGE_TOLERANCE_DEG} degrees"
             ), j, i)
 
+    @classmethod
+    def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
+                 directions: Sequence[Direction], irs: np.ndarray,
+                 index: PointIndex | None = None) -> "IRSet":
+        """A set whose points view ``irs``, a finite ``(rows, taps, 2)``
+        float64 array, made read-only here; ``index``, when given, is the
+        set's index over ``directions``."""
+        irs.flags.writeable = False
+        ir_set = cls.__new__(cls)
+        ir_set.irs = irs
+        if index is not None:
+            ir_set.index = index
+        ir_set.__init__(subject_id, ir_type, sample_rate_hz, (
+            IRPoint._view(d, irs[i, :, 0], irs[i, :, 1]) for i, d in enumerate(directions)))
+        return ir_set
+
     @property
     def ir_length(self) -> int:
         return self.points[0].ir_length
+
+    @cached_property
+    def irs(self) -> np.ndarray:
+        """The points' buffers as one read-only ``(rows, taps, 2)`` array:
+        the one they view when the set was built over it, else a copy."""
+        irs = np.stack([np.column_stack((p.left, p.right)) for p in self.points])
+        irs.flags.writeable = False
+        return irs
 
     @cached_property
     def directions(self) -> tuple[Direction, ...]:
@@ -288,8 +312,9 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     must match the directory the set is loaded from.
 
     The rows are decoded into one read-only ``(rows, taps, 2)`` float64
-    array, checked for non-finite samples once all rows are in; each
-    point's ``left`` and ``right`` are views of it. Each file is read once.
+    array, checked for non-finite samples once all rows are in and kept as
+    the set's ``irs``; each point's ``left`` and ``right`` are views of it.
+    Each file is read once.
     The first row's header is parsed; a later row of the same length whose
     bytes outside its data body equal the first row's has the same header,
     and any other row is parsed on its own.
@@ -314,7 +339,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
         return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
 
     # k is the row being read or found bad, else None
-    directions, stack, points, k = [], None, [], None
+    directions, stack, k = [], None, None
     try:
         for k, (az, el, _) in enumerate(manifest.entries):
             raw = wavio.read_bytes(wav_paths[k])
@@ -357,14 +382,10 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
             if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
                 k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
                 raise InvalidArgumentError("IR buffers contain non-finite samples")
-            stack.flags.writeable = False
-            points = [IRPoint._view(d, stack[i, :, 0], stack[i, :, 1])
-                      for i, d in enumerate(directions)]
         # the set's index takes the directions as normalized above
-        ir_set = IRSet.__new__(IRSet)
-        ir_set.index = PointIndex._normalized(tuple(directions))
-        ir_set.__init__(manifest.subject_id, ir_type, sample_rate_hz, tuple(points))
-        return ir_set
+        return IRSet._stacked(manifest.subject_id, ir_type, sample_rate_hz, directions,
+                              np.empty((0, 1, 2)) if stack is None else stack,
+                              PointIndex._normalized(tuple(directions)))
     except BinauralKitError as e:
         rows = (k,) if k is not None else getattr(e, "point_indices", ())
         where = " and ".join(map(row, rows)) if rows else mpath
@@ -551,8 +572,8 @@ def synthesize_ir_set(
     rng = np.random.default_rng(seed)
     base_delay = 16
     envelope = np.exp(-6.0 * np.arange(n) / n)
-    points = []
-    for d in dirs:
+    irs = np.empty((len(dirs), n, 2))
+    for k, d in enumerate(dirs):
         itd = _woodworth_itd_s(d) * sample_rate_hz
         lead = base_delay
         lag = base_delay + int(round(abs(itd)))
@@ -564,13 +585,11 @@ def synthesize_ir_set(
         )
         gains = (1.0 + 0.4 * s, 1.0 - 0.4 * s)
         noise = rng.standard_normal((2, n))
-        chans = []
         for ear, (onset, gain) in enumerate(zip((left_onset, right_onset), gains)):
             x = np.zeros(n)
             x[onset] = gain
             tail = n - onset - 1
             if tail > 0:
                 x[onset + 1:] = 1e-3 * gain * noise[ear, :tail] * envelope[:tail]
-            chans.append(x.astype(np.float32).astype(np.float64))
-        points.append(IRPoint(d, chans[0], chans[1]))
-    return IRSet(subject_id, IRType.parse(ir_type), sample_rate_hz, tuple(points))
+            irs[k, :, ear] = x.astype(np.float32)
+    return IRSet._stacked(subject_id, IRType.parse(ir_type), sample_rate_hz, dirs, irs)

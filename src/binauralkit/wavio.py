@@ -122,10 +122,11 @@ def decode_into(raw: bytes, head: WavHeader, out: np.ndarray) -> None:
     float64 array of head.frames * head.channels samples, frame after frame.
     PCM is scaled by 2**(bits-1)."""
     if head.bits == 24:
-        # each sample in the top three bytes of an int32: its code * 2**8, signed
-        wide = np.zeros((out.size, 4), dtype=np.uint8)
-        wide[:, 1:] = np.frombuffer(raw, np.uint8, 3 * out.size, head.start).reshape(-1, 3)
-        np.divide(wide.view("<i4")[:, 0], float(1 << 31), out=out)
+        # each sample's three bytes as the top of an int32 read from one byte
+        # before them, a stride of 3 apart; the mask clears that low byte,
+        # leaving its code * 2**8, signed
+        codes = np.ndarray((out.size,), "<i4", raw, head.start - 1, (3,)) & -256
+        np.divide(codes, float(1 << 31), out=out)
     elif head.bits == 16:
         np.divide(np.frombuffer(raw, "<i2", out.size, head.start), 32768.0, out=out)
     else:

@@ -1,3 +1,4 @@
+import math
 import warnings
 from typing import Sequence
 from unittest.mock import patch
@@ -34,7 +35,8 @@ from binauralkit.interpolation import (
     plan,
     plan_over_directions,
 )
-from binauralkit.ir_store import synthesize_ir_set
+from binauralkit.dsp import resolve_speaker_ir_set
+from binauralkit.ir_store import IRPoint, IRSet, load_ir_set, save_ir_set, synthesize_ir_set
 from binauralkit.layouts import get_layout
 
 ALL_MODES = [
@@ -337,11 +339,83 @@ def test_blend_convex_bound(lebedev_set):
 
 
 def test_blend_validates_indices(lebedev_set):
-    bogus = InterpolationPlan(
-        InterpolationMode.NEAREST, ((99, 1.0),), Direction(0, 0), 0.0
-    )
-    with pytest.raises(InvalidArgumentError):
+    for entries in (((99, 1.0),), ((-1, 1.0),), ((0, 0.5), (50, 0.5))):
+        bogus = InterpolationPlan(
+            InterpolationMode.NEAREST, entries, Direction(0, 0), 0.0
+        )
+        with pytest.raises(InvalidArgumentError, match="out of range 0..49"):
+            blend(lebedev_set, bogus)
+
+
+def _signed_zero_set():
+    """A synthetic set with every other point negated, so its buffers hold
+    -0.0 before each onset, built from separate points."""
+    base = synthesize_ir_set("lebedev50", 48000, 64, seed=4)
+    points = [IRPoint(p.direction, -p.left, -p.right) if i % 2 else p
+              for i, p in enumerate(base.points)]
+    return IRSet("SGN", "HRIR", 48000, points)
+
+
+@pytest.mark.parametrize("kind", ["points", "loaded", "synthesized", "7.1.4"])
+def test_blend_is_the_per_entry_sum_bit_for_bit(kind, tmp_path):
+    """Each blend equals zeros plus w * buffer entry by entry, -0.0 included,
+    and leaves the set's stacked array read-only and unchanged."""
+    ir_set = _signed_zero_set()
+    if kind == "loaded":
+        save_ir_set(ir_set, tmp_path)
+        ir_set = load_ir_set(tmp_path, "SGN", "HRIR", 48000)
+    elif kind == "synthesized":
+        ir_set = synthesize_ir_set("lebedev50", 48000, 64, seed=5)
+    elif kind == "7.1.4":
+        ir_set = resolve_speaker_ir_set(ir_set, get_layout("7.1.4"), "auto")
+    negative_zeros = sum(int((np.signbit(p.left) & (p.left == 0.0)).sum()) for p in ir_set.points)
+    assert (negative_zeros > 0) == (kind in ("points", "loaded"))
+    irs = ir_set.irs
+    assert irs.shape == (len(ir_set.points), ir_set.ir_length, 2)
+    before = irs.copy()
+    n = len(ir_set.points)
+    rng = np.random.default_rng(33)
+    plans = []
+    for q in _sphere_directions(rng, 20):
+        for mode in ALL_MODES:
+            try:  # three_point finds no triangle below the 7.1.4 speakers
+                plans.append(plan(ir_set, q, mode))
+            except NoEnclosingTriangleError:
+                assert kind == "7.1.4"
+    # hand-built: negative and zero weights, a repeated entry, a -0.0 product
+    plans += [InterpolationPlan(InterpolationMode.PLANAR, entries, Direction(1.0, 2.0), 0.0)
+              for entries in (((1, -1.0),), ((1, 0.0), (0, -0.0)),
+                              ((n - 1, 0.25), (0, -1.5), (n - 1, 0.25)))]
+    for p in plans:
+        left = np.zeros(ir_set.ir_length)
+        right = np.zeros(ir_set.ir_length)
+        for i, w in p.entries:
+            left += w * ir_set.points[i].left
+            right += w * ir_set.points[i].right
+        out = blend(ir_set, p)
+        assert out.direction == p.achieved_direction
+        assert out.left.tobytes() == left.tobytes() and out.right.tobytes() == right.tobytes()
+        assert not (out.left.flags.writeable or out.right.flags.writeable)
+    assert not irs.flags.writeable
+    with pytest.raises(ValueError):
+        irs[0, 0, 0] = 1.0
+    assert ir_set.irs is irs and irs.tobytes() == before.tobytes()
+    for i, p in enumerate(ir_set.points):
+        assert p.left.tobytes() == irs[i, :, 0].tobytes()
+        assert p.right.tobytes() == irs[i, :, 1].tobytes()
+
+
+@pytest.mark.parametrize("entries", [((16, 1e308), (16, 1e308)), ((3, math.nan),),
+                                     ((3, math.inf),)])
+def test_blend_rejects_a_non_finite_sum(lebedev_set, entries):
+    """Finite weights whose sum overflows, and non-finite weights."""
+    assert lebedev_set.irs[16].max() >= 1.0
+    bogus = InterpolationPlan(InterpolationMode.TWO_POINT, entries, Direction(0, 0), 0.0)
+    # numpy's own overflow and invalid-value warnings are not under test
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidArgumentError, match="non-finite"):
         blend(lebedev_set, bogus)
+
 
 
 def test_plan_on_degenerate_collinear_set_auto_works():
@@ -569,6 +643,21 @@ def test_plans_match_reference_planner(name):
     queries = _sphere_directions(rng, 100) + _integer_queries(rng, 100)
     queries += _tie_queries(rng, dirs, 100)
     queries += [Direction(d.azimuth_deg + 0.5, d.elevation_deg) for d in dirs]
+    _assert_plans_match_reference(dirs, queries)
+
+
+def test_plans_match_reference_planner_on_the_dense_ring_grid():
+    """5 degree rings every 15 degrees from -75 to 75 (792 points), queried
+    at cell centres, ring and column edge midpoints, across the 0/360 seam
+    and at both poles."""
+    els = range(-75, 76, 15)
+    dirs = ring_grid_directions(5.0, els)
+    queries = [Direction(az + 2.5, el + de) for az in range(0, 360, 5) for el in els
+               for de in (0.0, 7.5) if el + de <= 75.0]
+    queries += [Direction(float(az), el + 7.5) for az in range(0, 360, 5) for el in els[:-1]]
+    queries += [Direction(az, el) for az in (0.0, 1e-9, 359.9999999, 360.0, -2.5)
+                for el in (-80.0, -75.0, -7.5, 0.0, 3.0, 75.0, 82.5)]
+    queries += [Direction(az, el) for az in (0.0, 137.0) for el in (-90.0, 90.0)]
     _assert_plans_match_reference(dirs, queries)
 
 
