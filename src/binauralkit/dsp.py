@@ -17,7 +17,7 @@ from .geometry import Direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
 from .layouts import SpeakerLayout
-from .wavio import read_wav
+from .wavio import decode_into, expect_format, read_bytes, read_wav
 
 
 @dataclass
@@ -263,15 +263,12 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
         if rid not in REVERB_NAMES:
             raise FormatError(f"{mpath}:{i}: reverb id must be 1..4, got {rid}")
         try:
-            rate, samples = read_wav(mpath.parent / cols[1])
-            if samples.shape[1] != 1:
-                raise FormatError("reverb IRs must be mono")
-            if rate != sample_rate_hz:
-                raise FormatError(
-                    f"reverb rate {rate} != working rate {sample_rate_hz}"
-                )
-            models[rid] = ReverbModel(rid, REVERB_NAMES[rid], sample_rate_hz,
-                                      samples[:, 0])
+            path = str(mpath.parent / cols[1])
+            raw = read_bytes(path)
+            head = expect_format(raw, path, 1, sample_rate_hz)
+            ir = np.empty(head.frames)
+            decode_into(raw, head, ir)
+            models[rid] = ReverbModel(rid, REVERB_NAMES[rid], sample_rate_hz, ir)
         except BinauralKitError as e:
             raise type(e)(f"{mpath}:{i}: {e}") from None
     return models

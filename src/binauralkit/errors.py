@@ -32,7 +32,7 @@ class FormatError(BinauralKitError, ValueError):
 
 
 class EmptyImportError(BinauralKitError):
-    """An import scan produced zero usable IR files."""
+    """An import scan kept fewer than three usable IR files."""
 
 
 def printable(text) -> str:

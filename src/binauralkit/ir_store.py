@@ -32,6 +32,7 @@ from .errors import (
     InvalidArgumentError,
     NotFoundError,
     as_number,
+    printable,
     read_utf8,
 )
 from .geometry import (
@@ -349,16 +350,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
                 directions.append(normalize_direction(az, el))
                 wavio.decode_into(raw, first, flat[k])
                 continue
-            head = wavio.parse_header(raw, wav_paths[k])
-            if head.channels != 2:
-                raise FormatError(
-                    f"IR files must have 2 channels, got {head.channels}"
-                )
-            if head.rate != sample_rate_hz:
-                raise FormatError(
-                    f"sample rate {head.rate} does not match manifest rate "
-                    f"{sample_rate_hz}"
-                )
+            head = wavio.expect_format(raw, wav_paths[k], 2, sample_rate_hz)
             directions.append(normalize_direction(az, el))
             if not head.frames:
                 raise InvalidArgumentError(
@@ -437,8 +429,13 @@ def import_sadie(
     Angles are parsed from filenames with a regex exposing ``azimuth`` and
     ``elevation`` groups; comma decimal separators are accepted. With
     ``inclination`` the elevation group is read as inclination from zenith
-    (elevation = 90 - value). Unparsable names, files with the wrong channel
-    count or rate, and duplicate directions are skipped and reported.
+    (elevation = 90 - value). A file is skipped, with a warning naming it,
+    unless its angles parse, its manifest path is printable (without
+    ``copy_files``, that path runs through the source directories), and it
+    holds finite samples in 2 channels at ``sample_rate_hz``, as many frames
+    as the first kept file and a direction no kept file has, so each kept
+    row loads. Fewer than 3 kept files raise EmptyImportError before
+    anything is copied or written.
     """
     source_dir = Path(source_dir)
     if not source_dir.is_dir():
@@ -455,10 +452,8 @@ def import_sadie(
         )
 
     mpath = manifest_path(dest_root, subject_id, ir_type, sample_rate_hz)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
-
     files = sorted(p for p in source_dir.iterdir() if p.suffix.lower() == ".wav")
-    candidates: list[tuple[Path, Direction]] = []
+    candidates: list[tuple[str, Direction, str]] = []
     skipped: list[str] = []
     for f in files:
         m = pattern.search(f.name)
@@ -473,44 +468,42 @@ def import_sadie(
             skipped.append(f"{f.name}: angles {m.group('azimuth')!r}, "
                            f"{m.group('elevation')!r} are not finite numbers")
             continue
+        rel = f.name if copy_files else os.path.relpath(f, mpath.parent)
+        if not rel.isprintable():
+            skipped.append(f"{f.name}: manifest path {rel!r} is not printable")
+            continue
         try:
-            rate, samples = wavio.read_wav(f)
-        except FormatError as e:
-            skipped.append(str(e))
+            raw = wavio.read_bytes(str(f))
+            head = wavio.expect_format(raw, f, 2, sample_rate_hz)
+            samples = np.empty((head.frames, 2))
+            wavio.decode_into(raw, head, samples.reshape(-1))
+            IRPoint(d, samples[:, 0], samples[:, 1])  # a nonzero length, finite samples
+        except BinauralKitError as e:
+            skipped.append(f"{f.name}: {e}")
             continue
-        if samples.shape[1] != 2:
-            skipped.append(f"{f.name}: expected 2 channels, got {samples.shape[1]}")
+        if candidates and head.frames != taps:
+            skipped.append(f"{f.name}: {head.frames} frames, but {candidates[0][0]} has {taps}")
             continue
-        if rate != sample_rate_hz:
-            skipped.append(f"{f.name}: rate {rate} != {sample_rate_hz}")
-            continue
-        candidates.append((f, d))
+        taps = head.frames
+        candidates.append((f.name, d, rel))
 
     # the same test IRSet applies on load, so every kept row loads
-    kept = set(PointIndex(d for _, d in candidates).vertex_indices)
-    entries = []
-    for k, (f, d) in enumerate(candidates):
-        if k not in kept:
-            skipped.append(f"{f.name}: duplicate direction "
-                           f"({d.azimuth_deg}, {d.elevation_deg})")
-            continue
-        if copy_files:
-            shutil.copy2(f, mpath.parent / f.name)
-            rel = f.name
-        else:
-            rel = os.path.relpath(str(f), str(mpath.parent))
-        entries.append((d.azimuth_deg, d.elevation_deg, rel))
-
+    kept = set(PointIndex(d for _, d, _ in candidates).vertex_indices)
+    skipped += [f"{name}: duplicate direction ({d.azimuth_deg}, {d.elevation_deg})"
+                for k, (name, d, _) in enumerate(candidates) if k not in kept]
+    entries = tuple((d.azimuth_deg, d.elevation_deg, rel)
+                    for k, (_, d, rel) in enumerate(candidates) if k in kept)
     for msg in skipped:
-        warnings.warn(f"import: skipped {msg}", stacklevel=2)
-    if not entries:
+        warnings.warn(f"import: skipped {printable(msg)}", stacklevel=2)
+    if len(entries) < 3:
         raise EmptyImportError(
-            f"no usable IR files found in {source_dir} "
-            f"(pattern {filename_pattern!r}, {len(skipped)} skipped)"
-        )
-    manifest = IRManifest(
-        MANIFEST_SCHEMA, subject_id, ir_type, sample_rate_hz, tuple(entries)
-    )
+            f"{source_dir}: an IR set needs at least 3 usable IR files, got {len(entries)} "
+            f"(pattern {filename_pattern!r}, {len(skipped)} skipped)")
+    if copy_files:
+        mpath.parent.mkdir(parents=True, exist_ok=True)
+        for _, _, rel in entries:
+            shutil.copy2(source_dir / rel, mpath.parent / rel)
+    manifest = IRManifest(MANIFEST_SCHEMA, subject_id, ir_type, sample_rate_hz, entries)
     write_manifest(manifest, mpath)
     return manifest
 

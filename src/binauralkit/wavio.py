@@ -117,6 +117,16 @@ def parse_header(raw: bytes, path: str) -> WavHeader:
     return WavHeader(int(rate), channels, bits, *data)
 
 
+def expect_format(raw: bytes, path, channels: int, rate: int) -> WavHeader:
+    """``parse_header(raw, path)``, or FormatError naming ``path`` unless
+    the file holds ``channels`` channels at ``rate`` Hz."""
+    head = parse_header(raw, path)
+    if (head.channels, head.rate) != (channels, rate):
+        raise FormatError(f"{path}: expected {channels} channel(s) at sample rate {rate}, "
+                          f"got {head.channels} at {head.rate}")
+    return head
+
+
 def decode_into(raw: bytes, head: WavHeader, out: np.ndarray) -> None:
     """Decode the data body of ``raw`` into ``out``, a one-dimensional
     float64 array of head.frames * head.channels samples, frame after frame.

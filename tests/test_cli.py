@@ -6,7 +6,7 @@ import pytest
 
 from binauralkit.cli import main
 from binauralkit.errors import BinauralKitError
-from binauralkit.ir_store import load_ir_set
+from binauralkit.ir_store import DEFAULT_IMPORT_PATTERN, load_ir_set
 from binauralkit.mixer import MixConfig
 from binauralkit.wavio import read_wav, write_wav
 
@@ -529,7 +529,10 @@ def test_import_sadie_cli(tmp_path, capsys):
                "--subject", "D2", "--rate", "48000"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "error:" in captured.err
+    assert captured.err == (
+        f"error: {empty}: an IR set needs at least 3 usable IR files, got 0 "
+        f"(pattern {DEFAULT_IMPORT_PATTERN!r}, 0 skipped)\n")
+    assert not (dest / "D2").exists()
 
 
 @pytest.mark.parametrize("rows", [2, 0])

@@ -277,6 +277,17 @@ def test_apply_reverb_clamps_amount():
     assert np.allclose(hi.samples, apply_reverb(dry, model, 1.0).samples)
 
 
+@pytest.mark.parametrize("samples, rate, amount, message", [
+    (np.ones((16, 2)), 48000, 0.5, "apply_reverb expects a mono buffer"),
+    (np.ones(16), 44100, 0.5, "sample rate mismatch: signal 44100 != reverb 48000"),
+    (np.ones(16), 48000, float("nan"), "reverb amount must be finite, got nan"),
+])
+def test_apply_reverb_rejects_bad_arguments(samples, rate, amount, message):
+    with pytest.raises(InvalidArgumentError) as e:
+        apply_reverb(AudioBuffer(samples, rate), default_reverbs(48000)[3], amount)
+    assert str(e.value) == message
+
+
 def _reverb_reference(x, ir, amount):
     out = np.zeros(len(x) + len(ir) - 1)
     out[:len(x)] = (1.0 - amount) * x
@@ -452,11 +463,16 @@ def test_load_reverbs_rejects_bad_rows(tmp_path):
     with pytest.raises(FormatError, match="cannot read"):
         load_reverbs(tmp_path, 48000)
 
-    write_wav(tmp_path / "reverb" / "slow.wav", 44100, np.ones((32, 1)),
-              encoding="float32")
-    (tmp_path / "reverb" / "manifest.tsv").write_text("2\tslow.wav\n")
-    with pytest.raises(FormatError, match="rate"):
-        load_reverbs(tmp_path, 48000)
+    mpath = tmp_path / "reverb" / "manifest.tsv"
+    for name, rate, channels, got in [("slow.wav", 44100, 1, "1 at 44100"),
+                                      ("wide.wav", 48000, 2, "2 at 48000")]:
+        write_wav(tmp_path / "reverb" / name, rate, np.ones((32, channels)),
+                  encoding="float32")
+        mpath.write_text(f"2\t{name}\n")
+        with pytest.raises(FormatError, match="rate") as e:
+            load_reverbs(tmp_path, 48000)
+        assert str(e.value) == (f"{mpath}:1: {mpath.parent / name}: expected 1 "
+                                f"channel(s) at sample rate 48000, got {got}")
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -503,8 +519,13 @@ def test_render_blend_equals_post_convolution_mix(lebedev_set):
 
 def test_render_rejects_rate_mismatch(lebedev_set):
     sig = AudioBuffer(np.zeros(32) + 0.5, 44100)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as e:
         render_source_binaural(sig, Direction(0, 0), lebedev_set)
+    assert str(e.value) == "sample rate mismatch: source 44100 != IR set 48000"
+    stereo = AudioBuffer(np.zeros((32, 2)) + 0.5, 48000)
+    with pytest.raises(InvalidArgumentError) as e:
+        render_source_binaural(stereo, Direction(0, 0), lebedev_set)
+    assert str(e.value) == "render_source_binaural expects a mono source"
 
 
 def test_resolve_speaker_ir_set_snaps_stored_points(speaker_set):

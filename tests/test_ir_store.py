@@ -4,6 +4,7 @@ import re
 import shutil
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binauralkit.errors import (
+    BinauralKitError,
     EmptyImportError,
     FormatError,
     InsufficientPointsError,
@@ -201,14 +203,15 @@ def test_load_errors(tmp_path, lebedev_set):
     with pytest.raises(NotFoundError, match="SYN1"):
         load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
     mpath = save_ir_set(lebedev_set, tmp_path)
-    # corrupt one referenced file: wrong channel count
-    write_wav(mpath.parent / "ir_00003.wav", 48000, np.zeros(16), "float32")
-    with pytest.raises(FormatError, match="ir_00003"):
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
-    # wrong rate
-    write_wav(mpath.parent / "ir_00003.wav", 44100, np.zeros((16, 2)), "float32")
-    with pytest.raises(FormatError, match="ir_00003"):
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    wav = os.path.join(os.path.realpath(mpath.parent), "ir_00003.wav")
+    # corrupt one referenced file: wrong channel count, then wrong rate
+    for rate, samples, got in [(48000, np.zeros(16), "1 at 48000"),
+                               (44100, np.zeros((16, 2)), "2 at 44100")]:
+        write_wav(wav, rate, samples, "float32")
+        with pytest.raises(FormatError, match="ir_00003") as e:
+            load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        assert str(e.value) == (f"{mpath}:5 ({wav}): {wav}: expected 2 channel(s) "
+                                f"at sample rate 48000, got {got}")
 
 
 def test_read_manifest_rejects_bad_header(tmp_path):
@@ -294,12 +297,13 @@ def test_import_sadie_basic(tmp_path):
 
 def test_import_sadie_comma_decimals_and_inclination(tmp_path):
     src = tmp_path / "raw"
-    _write_import_fixture(src, ["azi_7,5_ele_100.wav"])
+    _write_import_fixture(
+        src, ["azi_7,5_ele_100.wav", "azi_90_ele_90.wav", "azi_180_ele_45.wav"])
     manifest = import_sadie(
         src, tmp_path / "root", "H4", "BRIR", 48000, inclination=True
     )
-    assert manifest.entries[0][0] == 7.5
-    assert manifest.entries[0][1] == -10.0  # 90 - 100
+    # elevation = 90 - inclination; file names sort azi_180, azi_7,5, azi_90
+    assert [e[:2] for e in manifest.entries] == [(180.0, 45.0), (7.5, -10.0), (90.0, 0.0)]
 
 
 def test_import_sadie_skips_unparsable_with_warning(tmp_path):
@@ -330,22 +334,29 @@ def test_import_sadie_skips_non_numeric_captures(tmp_path):
 
 def test_import_sadie_skips_wrong_shape_files(tmp_path):
     src = tmp_path / "raw"
-    _write_import_fixture(src, ["azi_0_ele_0.wav", "azi_90_ele_0.wav"])
+    _write_import_fixture(src, ["azi_0_ele_0.wav", "azi_90_ele_0.wav", "azi_0_ele_45.wav"])
     _write_import_fixture(src, ["azi_180_ele_0.wav"], channels=1)
     _write_import_fixture(src, ["azi_270_ele_0.wav"], rate=44100)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         manifest = import_sadie(src, tmp_path / "root", "H6", "HRIR", 48000)
-    assert len(manifest.entries) == 2
+    assert len(manifest.entries) == 3
+    assert [str(w.message) for w in caught] == [
+        f"import: skipped azi_180_ele_0.wav: {src / 'azi_180_ele_0.wav'}: "
+        "expected 2 channel(s) at sample rate 48000, got 1 at 48000",
+        f"import: skipped azi_270_ele_0.wav: {src / 'azi_270_ele_0.wav'}: "
+        "expected 2 channel(s) at sample rate 48000, got 2 at 44100",
+    ]
 
 
 def test_import_sadie_duplicate_first_wins(tmp_path):
     src = tmp_path / "raw"
     _write_import_fixture(
-        src, ["azi_10_ele_0.wav", "azi_10,0_ele_0.wav", "azi_20_ele_0.wav"]
+        src, ["azi_10_ele_0.wav", "azi_10,0_ele_0.wav", "azi_20_ele_0.wav",
+              "azi_0_ele_45.wav"]
     )
     with pytest.warns(UserWarning, match="duplicate"):
         manifest = import_sadie(src, tmp_path / "root", "H7", "HRIR", 48000)
-    assert len(manifest.entries) == 2
+    assert len(manifest.entries) == 3
 
 
 def test_import_sadie_empty_errors(tmp_path):
@@ -416,6 +427,71 @@ def test_import_keeps_what_load_accepts_at_the_tolerance(tmp_path):
         (d.azimuth_deg, d.elevation_deg) for d in kept]
     loaded = load_ir_set(tmp_path / "root", "D2", "HRIR", 48000)
     assert loaded.directions == tuple(kept)
+
+
+def _noise(frames, channels=2):
+    return 0.1 * np.random.default_rng(frames * channels).standard_normal((frames, channels))
+
+
+def _nan_noise(path):
+    x = _noise(256)
+    x[5, 1] = np.nan
+    write_wav(path, 48000, x, "float32")
+
+
+# one file added to three good 256-frame stereo files, by what is wrong with it
+_ORACLE_ADDS = {
+    "mono": lambda src, **_: write_wav(src / "azi_180_ele_0.wav", 48000, _noise(256, 1)),
+    "44.1 kHz": lambda src, **_: write_wav(src / "azi_180_ele_0.wav", 44100, _noise(256)),
+    "ragged": lambda src, ragged_wav, **_: ragged_wav(src / "azi_180_ele_0.wav", 2, 256),
+    "128 frames": lambda src, **_: write_wav(src / "azi_180_ele_0.wav", 48000, _noise(128)),
+    "NaN": lambda src, **_: _nan_noise(src / "azi_180_ele_0.wav"),
+    "zero frames": lambda src, empty_wav, **_: empty_wav(src / "azi_180_ele_0.wav", 2),
+    "tab": lambda src, **_: write_wav(src / "azi_180_ele_0\t.wav", 48000, _noise(256)),
+    "newline": lambda src, **_: write_wav(src / "azi_180_ele_0\n.wav", 48000, _noise(256)),
+    "NEL": lambda src, **_: write_wav(src / "azi_180_ele_0\x85.wav", 48000, _noise(256)),
+    "duplicate": lambda src, **_: write_wav(src / "azi_0,0_ele_0.wav", 48000, _noise(256)),
+    "two good": lambda src, **_: (src / "azi_0_ele_45.wav").unlink(),
+}
+
+
+@pytest.mark.parametrize("copy_files", [True, False], ids=["copy", "no-copy"])
+@pytest.mark.parametrize("case", sorted(_ORACLE_ADDS))
+def test_import_writes_only_sets_that_load(tmp_path, empty_wav, ragged_wav, case, copy_files):
+    """Either the import fails and writes no manifest and copies no WAV, or
+    the set it wrote loads with exactly the manifest's rows."""
+    src, dest = tmp_path / "raw", tmp_path / "root"
+    src.mkdir()
+    for name in ("azi_0_ele_0.wav", "azi_90_ele_0.wav", "azi_0_ele_45.wav"):
+        write_wav(src / name, 48000, _noise(256), "float32")
+    _ORACLE_ADDS[case](src, empty_wav=empty_wav, ragged_wav=ragged_wav)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        try:
+            manifest = import_sadie(src, dest, "S", "HRIR", 48000, copy_files=copy_files)
+        except BinauralKitError:
+            assert case == "two good"
+            assert not [p for p in dest.rglob("*") if p.is_file()]
+            return
+    assert len(manifest.entries) == 3
+    loaded = load_ir_set(dest, "S", "HRIR", 48000)
+    assert loaded.directions == tuple(normalize_direction(az, el)
+                                      for az, el, _ in manifest.entries)
+    mdir = manifest_path(dest, "S", "HRIR", 48000).parent
+    for irs, (_, _, rel) in zip(loaded.irs, manifest.entries):
+        assert np.array_equal(irs, read_wav(mdir / rel)[1])
+
+
+@pytest.mark.parametrize("char, spelled", [("\x1b", "\\x1b"), ("\n", "\\n")])
+def test_import_skip_warning_spells_out_control_characters(tmp_path, char, spelled):
+    bad = f"azi_180_ele_0{char}[31m.wav"
+    _write_import_fixture(tmp_path / "raw", ["azi_0_ele_0.wav", "azi_90_ele_0.wav",
+                                             "azi_0_ele_45.wav", bad])
+    with pytest.warns(UserWarning) as caught:
+        import_sadie(tmp_path / "raw", tmp_path / "root", "S", "HRIR", 48000)
+    shown = bad.replace(char, spelled)
+    assert [str(w.message) for w in caught] == [
+        f"import: skipped {shown}: manifest path '{shown}' is not printable"]
 
 
 # --- load equivalence ------------------------------------------------------

@@ -110,6 +110,13 @@ def test_mix_rejects_mismatched_ir_set(lebedev_set):
         mix_tracks_binaural([t], _cfg(sample_rate_hz=44100), lebedev_set)
 
 
+def test_mix_rejects_a_track_at_another_rate(lebedev_set):
+    t = TrackObject("a", AudioBuffer(np.ones(64), 44100))
+    with pytest.raises(InvalidArgumentError) as e:
+        mix_tracks_binaural([t], _cfg(), lebedev_set)
+    assert str(e.value) == "track 'a': sample rate 44100 != config rate 48000"
+
+
 def test_mix_requires_tracks(lebedev_set):
     with pytest.raises(InvalidArgumentError):
         mix_tracks_binaural([], _cfg(), lebedev_set)
@@ -286,6 +293,13 @@ def test_surround_channel_count_mismatch(speaker_set):
         render_surround_to_binaural(
             prog, "7.1", "7.1", _cfg(subject_id="RING5"), speaker_set
         )
+
+
+def test_surround_rejects_a_program_at_another_rate(speaker_set):
+    prog = AudioBuffer(np.zeros((64, 8)) + 0.1, 44100)
+    with pytest.raises(InvalidArgumentError) as e:
+        render_surround_to_binaural(prog, "7.1", "7.1", _cfg(subject_id="RING5"), speaker_set)
+    assert str(e.value) == "program sample rate 44100 != config rate 48000"
 
 
 def test_surround_same_layout_requires_stored_points(lebedev_set):
