@@ -271,11 +271,9 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
 
     coords must hold pairwise-distinct rows. Returns triangles as sorted
     index triples in sorted order. Raises InsufficientPointsError when the
-    points are all collinear.
+    points are all collinear, as fewer than three always are.
     """
     n = len(coords)
-    if n < 3:
-        raise InsufficientPointsError(f"need at least 3 points, got {n}")
     pts = np.vstack([coords, np.array(_SUPER)])
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
@@ -295,8 +293,7 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
     ccy = np.empty(cap)
     lim = np.empty(cap)  # prefilter bound on the squared centre distance
     tris: list[tuple[int, int, int] | None] = []
-    # corners counter-clockwise, or None when the three are collinear
-    corners: list[tuple[float, ...] | None] = []
+    corners: list[tuple[float, ...]] = []  # each triangle's, counter-clockwise
     free: list[int] = []
 
     def add_triangle(i: int, j: int, k: int) -> None:
@@ -308,7 +305,7 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
         if free:
             t = free.pop()
             tris[t] = (i, j, k)
-            corners[t] = ccw if o else None
+            corners[t] = ccw
         else:
             t = len(tris)
             if t == cap:
@@ -317,7 +314,7 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
                 ccy = np.resize(ccy, cap)
                 lim = np.resize(lim, cap)
             tris.append((i, j, k))
-            corners.append(ccw if o else None)
+            corners.append(ccw)
         ccx[t] = ux
         ccy[t] = uy
         lim[t] = r2 * 1.0001 + 1e-4
@@ -331,10 +328,7 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
         # generous float prefilter; the in-circle test decides each candidate
         bad: list[int] = []
         for t in np.flatnonzero(d2 <= lim[:count]).tolist():
-            abc = corners[t]
-            if abc is None:
-                continue  # a zero-area triangle has no strict inside
-            ax, ay, bx, by, cx, cy = abc
+            ax, ay, bx, by, cx, cy = corners[t]
             if fast:
                 adx = ax - px
                 ady = ay - py

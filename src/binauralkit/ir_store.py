@@ -223,7 +223,10 @@ class IRManifest:
 
 def manifest_path(root, subject_id: str, ir_type, sample_rate_hz: int) -> Path:
     """Where a set's manifest lives under ``root``. A subject may nest, as
-    in ``SADIE/D1``, but may not leave ``root``."""
+    in ``SADIE/D1``, but may not leave ``root``, and must be printable, as
+    the manifest header holds it."""
+    if not subject_id.isprintable():
+        raise InvalidArgumentError(f"{root}: subject {subject_id!r} must be printable")
     subject = Path(subject_id)
     if subject.anchor or ".." in subject.parts:
         raise InvalidArgumentError(
@@ -431,11 +434,11 @@ def import_sadie(
     ``inclination`` the elevation group is read as inclination from zenith
     (elevation = 90 - value). A file is skipped, with a warning naming it,
     unless its angles parse, its manifest path is printable (without
-    ``copy_files``, that path runs through the source directories), and it
-    holds finite samples in 2 channels at ``sample_rate_hz``, as many frames
-    as the first kept file and a direction no kept file has, so each kept
-    row loads. Fewer than 3 kept files raise EmptyImportError before
-    anything is copied or written.
+    ``copy_files``, the path from the resolved set directory, which is what
+    a load joins it to), and it holds finite samples in 2 channels at
+    ``sample_rate_hz``, as many frames as the first kept file and a
+    direction no kept file has, so each kept row loads. Fewer than 3 kept
+    files raise EmptyImportError before anything is copied or written.
     """
     source_dir = Path(source_dir)
     if not source_dir.is_dir():
@@ -452,6 +455,7 @@ def import_sadie(
         )
 
     mpath = manifest_path(dest_root, subject_id, ir_type, sample_rate_hz)
+    base = os.path.realpath(mpath.parent)  # what load_ir_set joins rows to
     files = sorted(p for p in source_dir.iterdir() if p.suffix.lower() == ".wav")
     candidates: list[tuple[str, Direction, str]] = []
     skipped: list[str] = []
@@ -468,7 +472,7 @@ def import_sadie(
             skipped.append(f"{f.name}: angles {m.group('azimuth')!r}, "
                            f"{m.group('elevation')!r} are not finite numbers")
             continue
-        rel = f.name if copy_files else os.path.relpath(f, mpath.parent)
+        rel = f.name if copy_files else os.path.relpath(f, base)
         if not rel.isprintable():
             skipped.append(f"{f.name}: manifest path {rel!r} is not printable")
             continue

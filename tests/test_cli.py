@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from binauralkit.cli import main
-from binauralkit.errors import BinauralKitError
+from binauralkit.cli import main, parse_scene
+from binauralkit.errors import BinauralKitError, FormatError
 from binauralkit.ir_store import DEFAULT_IMPORT_PATTERN, load_ir_set
 from binauralkit.mixer import MixConfig
 from binauralkit.wavio import read_wav, write_wav
@@ -142,6 +142,33 @@ def test_mix_rejects_unknown_scene_keys(tmp_path, data_root, noise_wav, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "unknown config keys: loudness" in captured.err
+
+
+@pytest.mark.parametrize("scene,message", [
+    ({"schema": 1, "config": [], "tracks": []}, "missing config object"),
+    ({"schema": 1, "config": {"subject": "SYN1", "sample_rate": 48000}, "tracks": ["a.wav"]},
+     "track 0 must be an object"),
+])
+def test_parse_scene_rejects_non_object_config_or_track(tmp_path, scene, message):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    with pytest.raises(FormatError) as e:
+        parse_scene(path)
+    assert str(e.value) == f"{path}: {message}"
+
+
+def test_mix_error_from_the_scene_names_the_scene(tmp_path, data_root, noise_wav, capsys):
+    # three_point over 7.1.4, whose speakers cover no direction below the
+    # horizon: the mix fails naming the scene file that asked for it
+    scene = _scene(tmp_path, noise_wav, config={"mode": "three_point", "layout": "7.1.4"},
+                   tracks=[{"name": "a", "file": str(noise_wav), "elevation": -60}])
+    out = tmp_path / "x.wav"
+    rc = main(["mix", str(scene), "--data-root", str(data_root), "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {scene}: no enclosing triangle for direction (0.0000, -60.0000) "
+        "in any projection frame\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config,tracks,message", [
@@ -410,6 +437,18 @@ def test_triangulate_distribution_with_plot(tmp_path, capsys):
     assert "enclosing" in classes and "query" in classes
 
 
+def test_triangulate_plots_the_rotated_frame_that_holds_the_query(tmp_path, capsys):
+    svg = tmp_path / "p.svg"
+    rc = main(["triangulate", "--az", "350", "--el", "20",
+               "--distribution", "lebedev50", "--plot", str(svg)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "rotation: azimuth_180=True elevation_rotated=False\n" in captured.out
+    (caption,) = (e.text for e in ET.fromstring(svg.read_text()).iter()
+                  if e.get("class") == "caption")
+    assert caption == "lebedev50 | query (350, 20) | frame az180=True elrot=False"
+
+
 def test_triangulate_builds_the_triangulation_once(monkeypatch, capsys):
     import binauralkit.cli as cli
     import binauralkit.geometry as geometry
@@ -484,6 +523,15 @@ def test_synth_irs_then_loadable(tmp_path, capsys):
     assert "synthesized 50 IRs ->" in captured.out
     ir_set = load_ir_set(tmp_path, "CLI1", "HRIR", 48000)
     assert len(ir_set.points) == 50
+
+
+def test_synth_irs_refuses_a_subject_that_is_not_printable(tmp_path, capsys):
+    dest = tmp_path / "data"
+    rc = main(["synth-irs", "--dest", str(dest), "--length", "32", "--subject", "A\tB"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {dest}: subject 'A\\tB' must be printable\n"
+    assert not dest.exists()
 
 
 def test_synth_irs_ring_with_pole_then_loadable(tmp_path, capsys):

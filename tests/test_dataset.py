@@ -74,6 +74,14 @@ def test_parse_grid_rejects_bad_files(tmp_path):
         parse_grid(missing)
 
 
+def test_parse_grid_needs_an_axes_object(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"schema": 1, "seed": 7}))
+    with pytest.raises(FormatError) as e:
+        parse_grid(path)
+    assert str(e.value) == f"{path}: missing axes object"
+
+
 def test_job_order_is_axis_order(tmp_path):
     axes = _grid_axes(azimuth=[10.0, 20.0], level=[0.5, 1.0])
     grid = parse_grid(_write_grid(tmp_path / "g.json", axes))
@@ -504,6 +512,20 @@ def test_mode_groups_render_each_distinct_blend_once(tmp_path, data_root, noise_
     # share (the snapped direction), others render several blends
     assert convolved == [(128, 2)] * len(blends)
     assert len({b[0] for b in blends}) < len(blends) < 2 * 4 * 3 * 2
+
+
+def test_a_shared_render_that_cannot_be_written_fails_every_row(tmp_path, data_root):
+    # auto and nearest at a stored point blend the same IR and share one
+    # render; a source near float32's limit renders past it, so the one
+    # write fails and every row sharing it records that failure
+    loud = tmp_path / "loud.wav"
+    write_wav(loud, 48000, np.full(64, 3e38), "float32")
+    axes = _grid_axes(source=[str(loud)], mode=["auto", "nearest"], azimuth=[90.0])
+    grid, report, out = _run(tmp_path, data_root, None, axes=axes, encoding="float32")
+    first = out / report.rows[0]["file"]
+    assert [(r["status"], r["error"]) for r in report.rows] == [
+        ("failed", f"{first}: a finite sample is beyond float32's range")] * 2
+    assert not list(out.glob("*.wav"))
 
 
 def test_each_job_is_planned_once(tmp_path, data_root, noise_wav, monkeypatch):

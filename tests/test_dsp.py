@@ -249,6 +249,13 @@ def test_reverb_model_normalizes():
         ReverbModel(8, "Silent", 48000, np.zeros(10))
 
 
+@pytest.mark.parametrize("ir", [np.ones((4, 2)), np.zeros(0)])
+def test_reverb_model_needs_a_non_empty_mono_ir(ir):
+    with pytest.raises(InvalidArgumentError) as e:
+        ReverbModel(8, "Bad", 48000, ir)
+    assert str(e.value) == "reverb IR must be non-empty mono"
+
+
 def test_apply_reverb_extremes_and_midpoint():
     rng = np.random.default_rng(32)
     dry = AudioBuffer(rng.standard_normal(400), 48000)

@@ -28,7 +28,7 @@ from binauralkit.geometry import (
     rotated_frame,
     to_cartesian,
 )
-from binauralkit.layouts import get_layout
+from binauralkit.layouts import LAYOUT_NAMES, get_layout
 
 
 def _raw_cartesian(az_deg, el_deg):
@@ -122,6 +122,14 @@ def test_cartesian_round_trip():
     for d in _sphere_directions(rng, 500):
         back = from_cartesian(to_cartesian(d))
         assert np.allclose(to_cartesian(back), to_cartesian(d), atol=1e-12)
+
+
+@pytest.mark.parametrize("v,text", [((0.0, 0.0, 0.0), "0.0, 0.0, 0.0"),
+                                     ((float("nan"), 0.0, 1.0), "nan, 0.0, 1.0")])
+def test_from_cartesian_rejects_a_zero_or_nan_vector(v, text):
+    with pytest.raises(InvalidArgumentError) as e:
+        from_cartesian(v)
+    assert str(e.value) == f"cannot normalize vector ({text})"
 
 
 def test_angular_distance_anchors():
@@ -557,6 +565,79 @@ def test_filtered_triangulation_matches_exact_reference_property(coords):
     )
 
 
+def _near_collinear_sets():
+    """Planar sets on or one ulp off a line, each with a point off it."""
+    line = [(7.5 * i, 3.75 * i) for i in range(12)]
+    nudged = [(x, math.nextafter(y, math.inf if i % 2 else -math.inf))
+              for i, (x, y) in enumerate(line)]
+    yield np.array(line + [(40.0, 30.0)])
+    yield np.array(nudged + [(40.0, 30.0)])
+    yield np.array(nudged)
+    yield np.array([(float(x), 0.0) for x in range(20)] + [(9.5, 1e-9), (3.0, -1e-12)])
+
+
+def test_bowyer_watson_creates_no_zero_area_triangle(monkeypatch):
+    # every inserted point lies strictly inside each cavity triangle's
+    # circumcircle, so no cavity boundary edge is collinear with it; the
+    # exact orientation of every triangle made, super-triangle ones too,
+    # is nonzero: over cocircular ring grids, lebedev50 and every layout
+    # in all four frames, random sphere sets, near-collinear planar sets
+    # and sets below 2**-100 that take the exact path
+    made = []
+
+    def recording(*corners):
+        made.append(geometry._orient_sign(*corners))
+        return circumcircle(*corners)
+
+    monkeypatch.setattr(geometry, "circumcircle", recording)
+    rng = np.random.default_rng(11)
+    sphere_sets = [ring_grid_directions(5.0, range(-75, 76, 15)),
+                   ring_grid_directions(15.0, [-90, -60, -30, 0, 30, 60, 90]),
+                   ring_grid_directions(10.0, [-45, 0, 45]),
+                   lebedev50_directions(),
+                   *(get_layout(name).speaker_directions() for name in LAYOUT_NAMES),
+                   *(_sphere_directions(rng, n) for n in (5, 40, 300))]
+    planes = [_frame_plane([normalize_direction(d.azimuth_deg, d.elevation_deg)
+                            for d in dirs], raz, rel)
+              for dirs in sphere_sets for raz, rel in geometry._FRAME_ORDER]
+    tiny = np.array([[i, j] for i in range(6) for j in range(6)], dtype=float) * 2.0 ** -110
+    assert not geometry._float_filter_safe(tiny)
+    # at 2**-1000 the float circumcircle underflows to its degenerate
+    # return, though no triangle there has zero area
+    assert circumcircle(0.0, 0.0, 2.0 ** -1000, 0.0, 0.0, 2.0 ** -1000)[2] == math.inf
+    planes += [*_near_collinear_sets(), tiny, tiny * 2.0 ** -890,
+               rng.uniform(-180.0, 360.0, (200, 2))]
+    built = 0
+    for coords in planes:
+        try:
+            geometry._triangulate_plane(coords)
+        except InsufficientPointsError:
+            continue  # a bed-only layout is collinear in the first two frames
+        built += 1
+    assert built == len(planes) - 6  # 5.1, 7.1 and 9.1
+    assert len(made) > 80_000
+    assert made.count(0) == 0
+
+
+def test_fewer_than_three_rows_are_collinear():
+    for rows in ([], [[0.0, 0.0]], [[0.0, 0.0], [10.0, 5.0]]):
+        coords = np.array(rows).reshape(-1, 2)
+        with pytest.raises(InsufficientPointsError) as e:
+            geometry._triangulate_plane(coords)
+        assert str(e.value) == f"all {len(rows)} points are collinear in the projection plane"
+    # a caller-made triangulation of two points and no triangles: no frame
+    # holds the query, and no rotated frame can be built
+    dirs = [Direction(180.0, -60.0), Direction(180.0, 0.0)]
+    tri = geometry.Triangulation(dirs, [], _frame_plane(dirs, False, False))
+    assert tri._locate(180.0, -30.0) is None
+    for raz, rel in geometry._FRAME_ORDER[1:]:
+        assert rotated_frame(tri, raz, rel) is None
+    with pytest.raises(NoEnclosingTriangleError) as e:
+        find_enclosing_triangle(tri, Direction(180.0, -30.0))
+    assert str(e.value) == ("no enclosing triangle for direction (180.0000, -30.0000) "
+                            "in any projection frame")
+
+
 # --- enclosing triangle ----------------------------------------------------
 
 
@@ -617,6 +698,29 @@ def test_hemisphere_cap_set_raises():
     tri = build_triangulation(get_layout("7.1.4").speaker_directions())
     with pytest.raises(NoEnclosingTriangleError):
         find_enclosing_triangle(tri, Direction(0, -85))
+
+
+def test_degenerate_rotated_frames_are_skipped():
+    # a meridian with both poles: the azimuth-shifted frames are collinear,
+    # and the elevation-rotated frame, nearly collinear, keeps no triangle
+    # clear of the super triangle
+    dirs = [Direction(180, -60), Direction(180, 0), Direction(180, 60),
+            Direction(0, 90), Direction(0, -90)]
+    tri = build_triangulation(dirs)
+    assert tri.triangles == ((0, 1, 4), (1, 2, 3), (1, 3, 4))
+    assert rotated_frame(tri, True, False) is None
+    assert rotated_frame(tri, True, True) is None
+    assert rotated_frame(tri, False, True).triangles == ()
+    with pytest.raises(NoEnclosingTriangleError) as e:
+        find_enclosing_triangle(tri, Direction(270, 0))
+    assert str(e.value) == ("no enclosing triangle for direction (270.0000, 0.0000) "
+                            "in any projection frame")
+
+
+def test_columns_join_across_the_azimuth_seam():
+    index = PointIndex([Direction(359.995, 10), Direction(0.0, 20), Direction(90, 0),
+                        Direction(0.004, -30)])
+    assert index.columns == ((359.995, (3, 0, 1)),)
 
 
 def test_rotated_frame_preserves_vertex_count_and_is_cached():

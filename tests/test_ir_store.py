@@ -172,6 +172,28 @@ def test_manifest_path_keeps_the_subject_under_its_root(tmp_path, lebedev_set, s
         load_ir_set(root, subject, "HRIR", 48000)
 
 
+@pytest.mark.parametrize("subject", ["A\tB", "A\nB", "A\x85B", "A\x1b[31mB", "../A\tB"])
+def test_a_subject_that_is_not_printable_is_refused(tmp_path, lebedev_set, subject):
+    # the manifest header holds the subject: a tab or a line break would
+    # split it, so no writer writes such a set and no reader looks for one
+    root = tmp_path / "root"
+    message = f"{root}: subject {subject!r} must be printable"
+    with pytest.raises(InvalidArgumentError) as e:
+        manifest_path(root, subject, "HRIR", 48000)
+    assert str(e.value) == message
+    with pytest.raises(InvalidArgumentError) as e:
+        save_ir_set(IRSet(subject, "HRIR", 48000, lebedev_set.points), root)
+    assert str(e.value) == message
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(root, subject, "HRIR", 48000)
+    assert str(e.value) == message
+    _write_import_fixture(tmp_path / "raw", [f"azi_{az}_ele_0.wav" for az in (0, 90, 180)])
+    with pytest.raises(InvalidArgumentError) as e:
+        import_sadie(tmp_path / "raw", root, subject, "HRIR", 48000)
+    assert str(e.value) == message
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("subject", ["SADIE/D1", "./D1", "..D1/x"])
 def test_nested_subjects_load(tmp_path, lebedev_set, subject):
     ir_set = IRSet(subject, "HRIR", 48000, lebedev_set.points)
@@ -330,6 +352,41 @@ def test_import_sadie_skips_non_numeric_captures(tmp_path):
         "import: skipped azi_45_ele_nan.wav: angles '45', 'nan' are not finite numbers",
         "import: skipped azi_45_ele_up.wav: angles '45', 'up' are not finite numbers",
     ]
+
+
+@pytest.mark.parametrize("dest", ["link", "deep/a/b"])
+def test_import_without_copying_into_a_symlinked_dest_loads(tmp_path, dest):
+    # rows are relative to the resolved set directory, which load_ir_set
+    # joins them to, however deep the symlink leads
+    src = tmp_path / "raw"
+    names = ["azi_0_ele_0.wav", "azi_90_ele_0.wav", "azi_0_ele_45.wav"]
+    _write_import_fixture(src, names)
+    (tmp_path / "deep" / "a" / "b").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "deep" / "a" / "b")
+    manifest = import_sadie(src, tmp_path / dest, "S", "HRIR", 48000, copy_files=False)
+    assert [rel for _, _, rel in manifest.entries] == [f"../../../../../../raw/{n}"
+                                                       for n in sorted(names)]
+    loaded = load_ir_set(tmp_path / dest, "S", "HRIR", 48000)
+    for name, point in zip(sorted(names), loaded.points):
+        _, samples = read_wav(src / name)
+        assert np.array_equal(point.left, samples[:, 0])
+        assert np.array_equal(point.right, samples[:, 1])
+    assert sorted(p.name for p in (tmp_path / "deep").rglob("*") if p.is_file()) == [
+        "manifest.tsv"]
+
+
+def test_import_sadie_rejects_a_bad_pattern(tmp_path):
+    src = tmp_path / "raw"
+    _write_import_fixture(src, ["azi_0_ele_0.wav"])
+    with pytest.raises(re.error) as reason:
+        re.compile("(")
+    with pytest.raises(InvalidArgumentError) as e:
+        import_sadie(src, tmp_path / "root", "H", "HRIR", 48000, "(")
+    assert str(e.value) == f"bad filename pattern: {reason.value}"
+    with pytest.raises(InvalidArgumentError) as e:
+        import_sadie(src, tmp_path / "root", "H", "HRIR", 48000, r"azi_(\d+)")
+    assert str(e.value) == "filename pattern needs named groups 'azimuth' and 'elevation'"
+    assert not (tmp_path / "root").exists()
 
 
 def test_import_sadie_skips_wrong_shape_files(tmp_path):
@@ -563,9 +620,11 @@ def test_load_dotdot_rows_under_symlinked_root(tmp_path):
     (tmp_path / "store" / "deep").mkdir(parents=True)
     (tmp_path / "link").symlink_to(tmp_path / "store" / "deep",
                                    target_is_directory=True)
-    # the rows are written relative to the link, so they step out of it
-    # into tmp_path/store, where the sources must then be found
-    manifest = _import_rows_with_dotdot(tmp_path, tmp_path / "link")
+    # rows written for a real directory as deep as the link step out of
+    # the link's target into tmp_path/store, where the sources must then be
+    # found (an import into the link writes rows for its target)
+    manifest = _import_rows_with_dotdot(tmp_path, tmp_path / "root")
+    write_manifest(manifest, manifest_path(tmp_path / "link", "H11", "HRIR", 48000))
     (tmp_path / "raw").rename(tmp_path / "store" / "raw")
     loaded = load_ir_set(tmp_path / "link", "H11", "HRIR", 48000)
     _assert_same_set(loaded, _resolved_source_set(tmp_path / "link", manifest))

@@ -261,6 +261,12 @@ def test_stereo_mix_hard_and_center_pans():
     assert np.allclose(center.audio.samples[:, 1], want, atol=1e-12)
 
 
+def test_stereo_mix_needs_a_track():
+    with pytest.raises(InvalidArgumentError) as e:
+        mix_tracks_stereo([], {}, _cfg())
+    assert str(e.value) == "mix_tracks_stereo needs at least one track"
+
+
 def test_stereo_mix_requires_pan_entries():
     a = _noise_track("a", 32, 12)
     with pytest.raises(InvalidArgumentError, match="a"):

@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+import threading
 import warnings
 from pathlib import Path
 
@@ -148,6 +150,15 @@ def test_read_rejects_truncated_data_chunk(tmp_path, encoding, channels, frame_b
 def test_write_rejects_unknown_encoding(tmp_path):
     with pytest.raises(FormatError):
         write_wav(tmp_path / "x.wav", 48000, np.zeros(4), "pcm8")
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 2, 2)])
+def test_write_rejects_a_shape_that_is_not_frames_by_channels(tmp_path, shape):
+    path = tmp_path / "x.wav"
+    with pytest.raises(FormatError) as e:
+        write_wav(path, 48000, np.zeros(shape), "float32")
+    assert str(e.value) == f"samples must be (frames, channels), got shape {shape}"
+    assert not path.exists()
 
 
 def test_write_creates_parent_dirs(tmp_path):
@@ -420,3 +431,26 @@ def test_read_error_names_a_directory(tmp_path):
     with pytest.raises(FormatError) as e:
         read_wav(tmp_path)
     assert str(e.value) == f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+
+
+def test_read_reads_on_past_a_size_of_zero(tmp_path):
+    # a FIFO's fstat size is 0, so its bytes arrive through the read-on loop
+    want = 0.25 * np.random.default_rng(6).standard_normal((70000, 2))
+    write_wav(tmp_path / "x.wav", 48000, want, "float32")
+    raw = (tmp_path / "x.wav").read_bytes()
+    fifo = tmp_path / "fifo.wav"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(raw)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        rate, got = read_wav(fifo)
+    finally:
+        writer.join(10.0)
+    assert not writer.is_alive()
+    assert rate == 48000
+    assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
