@@ -278,7 +278,10 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     """Wet/dry blend: (1 - amount) * dry + amount * (dry (*) ir).
 
     The dry path is zero-padded to the convolved length, so the output
-    length is always len(signal) + len(ir) - 1, including at amount 0.
+    length is always len(signal) + len(ir) - 1, including at amount 0,
+    where the output is that padded copy. Otherwise the wet convolution's
+    own buffer is scaled by amount in place and the scaled dry signal is
+    added to its head, so no output-sized temporary is made.
 
     When the whole output fits the transform ``fft_convolve`` would use,
     the wet path is one transform of the smallest 2·3·5-smooth length
@@ -297,17 +300,21 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     if amount < 0.0 or amount > 1.0:
         warnings.warn(f"reverb amount {amount} outside [0, 1]; clamping", stacklevel=2)
         amount = max(0.0, min(1.0, amount))
-    n_out = signal.n_samples + len(model.ir) - 1
-    out = np.zeros(n_out)
-    out[:signal.n_samples] = (1.0 - amount) * signal.samples
-    if amount > 0.0:
-        x, ir = signal.samples, model.ir
-        if n_out <= _partition_nfft(min(len(x), len(ir))):
-            nfft = _smooth_nfft(n_out)
-            wet = _overlap_add([(x[:, None], model.spectrum(nfft))], len(ir), nfft)[:, 0]
-        else:
-            wet = fft_convolve(x, ir)
-        out += amount * wet
+    x, ir = signal.samples, model.ir
+    if amount == 0.0:
+        return AudioBuffer(np.pad(x, (0, len(ir) - 1)), signal.sample_rate_hz)
+    n_out = len(x) + len(ir) - 1
+    if n_out <= _partition_nfft(min(len(x), len(ir))):
+        nfft = _smooth_nfft(n_out)
+        out = _overlap_add([(x[:, None], model.spectrum(nfft))], len(ir), nfft)[:, 0]
+    else:
+        out = fft_convolve(x, ir)
+    # amount * wet + (1 - amount) * dry rounds as the dry-first sum, element
+    # by element; the tail's + 0.0 turns a -0.0 the product may round to
+    # into +0.0, as adding it to a zeroed dry tail did
+    out *= amount
+    out[len(x):] += 0.0
+    out[:len(x)] += (1.0 - amount) * x
     return AudioBuffer(out, signal.sample_rate_hz)
 
 

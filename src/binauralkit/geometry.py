@@ -515,18 +515,19 @@ def build_triangulation(points: Iterable[Direction] | PointIndex) -> Triangulati
 def rotated_frame(t: Triangulation, rotated_azimuth: bool, rotated_elevation: bool) -> Triangulation | None:
     """The sibling triangulation of ``t`` in a rotated frame (cached).
 
-    Returns None when the rotated projection is degenerate (all points
-    collinear there).
+    Returns None when the rotated projection is degenerate: all points
+    collinear there, or so nearly collinear that every triangle
+    Bowyer-Watson makes keeps a super-triangle vertex.
     """
     key = (bool(rotated_azimuth), bool(rotated_elevation))
     if key not in t._frames:
         coords = _frame_coords(t.vertices, key[0], key[1])
         try:
-            t._frames[key] = Triangulation(
-                t.vertices, _triangulate_plane(coords), coords, key[0], key[1]
-            )
+            triangles = _triangulate_plane(coords)
         except InsufficientPointsError:
-            t._frames[key] = None
+            triangles = []
+        t._frames[key] = (Triangulation(t.vertices, triangles, coords, *key)
+                          if triangles else None)
     return t._frames[key]
 
 

@@ -183,19 +183,32 @@ def _track_source(
 def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
     """The stereo arrays in ``rendered`` summed aligned at sample 0, in list
     order, and cut to ``n_input`` samples (the longest input) unless
-    cfg.keep_tail; then peak-measured and normalized as cfg says."""
+    cfg.keep_tail; then peak-measured and normalized as cfg says.
+
+    The arrays are the caller's to overwrite. Three or more are summed into
+    a zeroed buffer. One or two are summed in the longest (the last of equal
+    lengths), after adding 0.0 to it: ``b + 0.0 + a`` rounds as the zeroed
+    buffer's ``0.0 + a + b``, -0.0 becoming +0.0 as it did, so a lone render
+    is finished in its own buffer with the same bits. Normalizing divides
+    the sum in place.
+    """
     target = max(len(r) for r in rendered)
     if not cfg.keep_tail:
         target = min(target, n_input)
-    out = np.zeros((target, 2))
-    for r in rendered:
+    if len(rendered) > 2:
+        out, rest = np.zeros((target, 2)), rendered
+    else:
+        *rest, out = sorted(rendered, key=len)
+        out = out[:target]
+        out += 0.0
+    for r in rest:
         n = min(len(r), target)
         out[:n] += r[:n]
     # a NaN anywhere makes both extremes, and so the peak, NaN
     peak = float(max(out.max(), -out.min())) if out.size else 0.0
     clipped = peak > 1.0
     if cfg.normalize == "peak" and peak > 0.0:
-        out = out / peak
+        out /= peak
         peak, clipped = 1.0, False
     elif clipped:
         warnings.warn(

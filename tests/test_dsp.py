@@ -415,6 +415,82 @@ def test_apply_reverb_fallback_is_fft_convolve(nx, nh):
     assert model._spectrum is None
 
 
+def _dry_first_reverb(x, model, amount):
+    """apply_reverb as it was before it scaled the wet buffer in place: the
+    scaled dry signal written into a zeroed buffer, then amount * wet added,
+    the wet path taken on the same branch apply_reverb takes."""
+    n_out = len(x) + len(model.ir) - 1
+    out = np.zeros(n_out)
+    out[:len(x)] = (1.0 - amount) * x
+    if amount > 0.0:
+        if n_out <= dsp._partition_nfft(min(len(x), len(model.ir))):
+            nfft = dsp._smooth_nfft(n_out)
+            wet = dsp._overlap_add([(x[:, None], model.spectrum(nfft))], len(model.ir),
+                                   nfft)[:, 0]
+        else:
+            wet = fft_convolve(x, model.ir)
+        out += amount * wet
+    return out
+
+
+# (signal length, IR length): the smooth-transform branch, then the
+# fft_convolve branch (a short signal with a long IR, and the reverse), and
+# its one-sample product (a 1-sample signal, and a 1-tap IR)
+@pytest.mark.parametrize("nx,nh", [(400, 150), (150, 400), (10, 4000), (5000, 30),
+                                   (1, 300), (300, 1)])
+@pytest.mark.parametrize("amount", [0.0, 0.3, 1.0])
+def test_apply_reverb_rounds_as_the_dry_first_sum(nx, nh, amount):
+    rng = np.random.default_rng(nx * 7 + nh)
+    ir = rng.standard_normal(nh)
+    ir[1::9] = 0.0
+    model = ReverbModel(9, "Test", 48000, ir)
+    x = rng.standard_normal(nx)
+    x[::5] = 0.0
+    x[2::5] = -0.0
+    want = _dry_first_reverb(x, model, amount)
+    got = apply_reverb(AudioBuffer(x, 48000), model, amount).samples
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("amount", [0.3, 1.0])
+def test_reverbed_silent_sample_writes_positive_zeros(tmp_path, amount):
+    # a 1-sample 0.0 source convolves as the product ir * 0.0, -0.0 at every
+    # negative tap; the zeroed dry tail made those +0.0, and a float32 WAV
+    # would write the sign
+    model = ReverbModel(9, "Test", 48000, np.random.default_rng(46).standard_normal(300))
+    assert np.signbit(fft_convolve(np.array([0.0]), model.ir)).any()
+    want = _dry_first_reverb(np.array([0.0]), model, amount)
+    got = apply_reverb(AudioBuffer(np.array([0.0]), 48000), model, amount).samples
+    assert got.tobytes() == want.tobytes() == bytes(8 * 300)
+    write_wav(tmp_path / "got.wav", 48000, got, "float32")
+    write_wav(tmp_path / "want.wav", 48000, want, "float32")
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+def test_apply_reverb_makes_no_output_sized_temporary():
+    # a 2 s source with the 2 s Theatre IR: the dry-first sum held its zeroed
+    # output through the convolution, whose own buffers set the peak, so the
+    # peak falls by that one array (give or take a few small objects)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    model = default_reverbs(48000)[1]
+    signal = AudioBuffer(np.random.default_rng(47).standard_normal(96_000), 48000)
+    n_out = signal.n_samples + len(model.ir) - 1
+    apply_reverb(signal, model, 0.3)  # the model keeps its IR spectrum
+
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    old = peak_bytes(lambda: _dry_first_reverb(signal.samples, model, 0.3))
+    new = peak_bytes(lambda: apply_reverb(signal, model, 0.3))
+    assert old - new >= 8 * n_out - 1024
+
+
 def test_fft_convolve_matches_scipy():
     signal = pytest.importorskip("scipy.signal")
     rng = np.random.default_rng(40)

@@ -703,14 +703,19 @@ def test_hemisphere_cap_set_raises():
 def test_degenerate_rotated_frames_are_skipped():
     # a meridian with both poles: the azimuth-shifted frames are collinear,
     # and the elevation-rotated frame, nearly collinear, keeps no triangle
-    # clear of the super triangle
+    # clear of the super triangle; all three are cached as None
     dirs = [Direction(180, -60), Direction(180, 0), Direction(180, 60),
             Direction(0, 90), Direction(0, -90)]
     tri = build_triangulation(dirs)
     assert tri.triangles == ((0, 1, 4), (1, 2, 3), (1, 3, 4))
+    coords = geometry._frame_coords(tri.vertices, False, True)
+    assert np.ptp(coords[:, 1]) < 1e-14
+    assert geometry._triangulate_plane(coords) == []
     assert rotated_frame(tri, True, False) is None
     assert rotated_frame(tri, True, True) is None
-    assert rotated_frame(tri, False, True).triangles == ()
+    assert rotated_frame(tri, False, True) is None
+    assert tri._frames == {(False, False): tri, (True, False): None,
+                           (False, True): None, (True, True): None}
     with pytest.raises(NoEnclosingTriangleError) as e:
         find_enclosing_triangle(tri, Direction(270, 0))
     assert str(e.value) == ("no enclosing triangle for direction (270.0000, 0.0000) "

@@ -3,15 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from binauralkit.dsp import AudioBuffer, default_reverbs, fft_convolve
+from binauralkit.dsp import (AudioBuffer, binaural_sum, default_reverbs, fft_convolve,
+                             pan_constant_power)
 from binauralkit.errors import (
     FormatError,
     InvalidArgumentError,
     NotFoundError,
     UnsupportedLayoutError,
 )
+from binauralkit.geometry import Direction
 from binauralkit.interpolation import InterpolationMode
-from binauralkit.ir_store import IRType, nearest_point
+from binauralkit.ir_store import IRPoint, IRType, nearest_point
 from binauralkit.layouts import get_layout
 from binauralkit.mixer import (
     MixConfig,
@@ -21,6 +23,7 @@ from binauralkit.mixer import (
     mix_tracks_stereo,
     render_surround_to_binaural,
 )
+from binauralkit.wavio import write_wav
 
 
 def _cfg(**kw):
@@ -48,6 +51,101 @@ def test_finalize_peak_is_the_largest_magnitude():
     for normalize in ("off", "peak"):
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             _finish([out], len(out), _cfg(normalize=normalize), [])
+
+
+def _zeroed_finish(rendered, n_input, keep_tail, normalize):
+    """_finish's samples as it made them before it summed in a rendered
+    buffer: every array added, in list order, into a zeroed buffer, which is
+    then divided by its peak when normalizing."""
+    target = max(len(r) for r in rendered)
+    if not keep_tail:
+        target = min(target, n_input)
+    out = np.zeros((target, 2))
+    for r in rendered:
+        n = min(len(r), target)
+        out[:n] += r[:n]
+    peak = np.max(np.abs(out))
+    if normalize == "peak" and peak > 0.0:
+        out = out / peak
+    return out
+
+
+def _signed_zeros(rng, n):
+    """0.1-scale noise (n, 2) with +0.0 and -0.0 samples among it."""
+    r = 0.1 * rng.standard_normal((n, 2))
+    r[::7] = 0.0
+    r[3::7] = -0.0
+    r[5::11, 1] = -0.0
+    return r
+
+
+@pytest.mark.parametrize("lengths", [(300,), (300, 200), (200, 300), (250, 250),
+                                     (300, 120, 200), (120, 300, 120)])
+@pytest.mark.parametrize("keep_tail", [True, False])
+@pytest.mark.parametrize("normalize", ["off", "peak"])
+def test_finish_rounds_as_a_zeroed_buffer(lengths, keep_tail, normalize):
+    rng = np.random.default_rng(len(lengths) * 1000 + lengths[0])
+    rendered = [_signed_zeros(rng, n) for n in lengths]
+    if len(lengths) > 1:
+        # sums that cancel exactly, and -0.0 met by -0.0
+        rendered[1][10] = -rendered[0][10]
+        rendered[0][14] = rendered[1][14] = -0.0
+    want = _zeroed_finish([r.copy() for r in rendered], 160, keep_tail, normalize)
+    result = _finish(rendered, 160, _cfg(keep_tail=keep_tail, normalize=normalize))
+    got = result.audio.samples
+    assert got.shape == want.shape == ((max(lengths) if keep_tail else 160), 2)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+    if normalize == "off":
+        assert result.peak_level == float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("keep_tail", [True, False])
+@pytest.mark.parametrize("normalize", ["off", "peak"])
+def test_finish_of_one_render_keeps_its_buffer(keep_tail, normalize):
+    # a dataset row or a mix_tracks_binaural call finishes in the array its
+    # convolution returned: no zeroed copy, and no copy to normalize
+    r = _signed_zeros(np.random.default_rng(26), 300)
+    want = _zeroed_finish([r.copy()], 200, keep_tail, normalize)
+    result = _finish([r], 200, _cfg(keep_tail=keep_tail, normalize=normalize))
+    assert np.shares_memory(result.audio.samples, r)
+    assert result.audio.samples.tobytes() == want.tobytes()
+
+
+def test_stereo_mix_hard_pan_writes_positive_zeros(tmp_path):
+    # a hard pan's silent side is 0.0 * x, which is -0.0 where x < 0; the
+    # zeroed buffer made it +0.0, and a float32 WAV would write the sign
+    a = _noise_track("a", 256, 27)
+    b = _noise_track("b", 128, 28)
+    for tracks, pans in (([a], {"a": -1.0}), ([a, b], {"a": -1.0, "b": -1.0}),
+                         ([a, b], {"a": -1.0, "b": 0.5})):
+        rendered = []
+        for t in tracks:
+            gl, gr = pan_constant_power(pans[t.name])
+            rendered.append(np.column_stack([t.audio.samples * gl, t.audio.samples * gr]))
+        assert np.signbit(rendered[0][rendered[0] == 0.0]).any()
+        want = _zeroed_finish(rendered, 256, True, "off")
+        got = mix_tracks_stereo(tracks, pans, _cfg()).audio.samples
+        assert got.tobytes() == want.tobytes()
+        write_wav(tmp_path / "got.wav", 48000, got, "float32")
+        write_wav(tmp_path / "want.wav", 48000, want, "float32")
+        assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+def test_one_tap_render_of_zeros_writes_positive_zeros(tmp_path):
+    # through a 1-tap IR, fft_convolve is the product x * h[0]: 0.0 times a
+    # negative tap is -0.0, which a dataset row must still write as +0.0
+    x = np.array([0.0, 0.25, -0.0, -0.5, 0.0, 0.125])
+    ir = IRPoint(Direction(0.0, 0.0), np.array([-0.5]), np.array([0.25]))
+    render = binaural_sum([(x, ir)])
+    assert np.signbit(render[render == 0.0]).any()
+    want = _zeroed_finish([render.copy()], len(x), True, "off")
+    got = _finish([render], len(x), _cfg()).audio.samples
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+    write_wav(tmp_path / "row.wav", 48000, got, "float32")
+    write_wav(tmp_path / "want.wav", 48000, want, "float32")
+    assert (tmp_path / "row.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
 
 
 def test_track_object_validation():
