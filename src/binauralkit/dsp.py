@@ -43,6 +43,14 @@ class AudioBuffer:
                 f"sample rate must be positive, got {self.sample_rate_hz}"
             )
 
+    @classmethod
+    def _finite(cls, samples: np.ndarray, sample_rate_hz: int) -> "AudioBuffer":
+        """A buffer over non-empty, finite float64 ``samples`` at a positive
+        integer rate, skipping ``__post_init__``'s pass over every sample."""
+        buf = cls.__new__(cls)
+        buf.samples, buf.sample_rate_hz = samples, sample_rate_hz
+        return buf
+
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]

@@ -44,6 +44,11 @@ from .geometry import (
 )
 
 SAMPLE_RATES = (44100, 48000, 96000)
+# load_ir_set reads rows into blocks of at most this many file bytes. A
+# block stays under glibc's 128 KiB mmap threshold: freeing a larger
+# temporary raises the threshold, which moves where the process's later
+# large arrays come from and how fast fresh pages of them are.
+_BLOCK_BYTES = 1 << 16
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_SCHEMA = 1
 
@@ -80,8 +85,8 @@ def _check_rate(rate: int) -> int:
 
 
 def _at_points(error: Exception, *indices: int) -> Exception:
-    """Tag a set-wide validation error with the point indices it concerns,
-    so a loader can name the rows they came from."""
+    """Tag an error with the point indices it concerns, so a loader can
+    name the rows they came from."""
     error.point_indices = indices
     return error
 
@@ -122,68 +127,74 @@ class IRPoint:
         return len(self.left)
 
 
-@dataclass
 class IRSet:
-    """All IR points for one subject, IR type, and sample rate."""
+    """All IR points for one subject, IR type, and sample rate.
 
-    subject_id: str
-    ir_type: IRType
-    sample_rate_hz: int
-    points: tuple[IRPoint, ...]
+    Built from IRPoints, or, inside the package, over one stacked array of
+    IRs whose points are made only when first read."""
 
-    def __post_init__(self):
-        self.ir_type = IRType.parse(self.ir_type)
-        self.sample_rate_hz = _check_rate(self.sample_rate_hz)
-        self.points = tuple(self.points)
-        if len(self.points) < 3:
-            raise InsufficientPointsError(
-                f"an IR set needs at least 3 points, got {len(self.points)}"
-            )
-        n = self.points[0].ir_length
+    def __init__(self, subject_id: str, ir_type, sample_rate_hz: int,
+                 points: Iterable[IRPoint]):
+        self.points = tuple(points)
+        self._set_header(subject_id, ir_type, sample_rate_hz, len(self.points))
+        self.ir_length = self.points[0].ir_length
         for i, p in enumerate(self.points):
-            if p.ir_length != n:
+            if p.ir_length != self.ir_length:
                 raise _at_points(FormatError(
                     f"IR length mismatch in set {self.subject_id}: "
-                    f"{p.ir_length} != {n}"
+                    f"{p.ir_length} != {self.ir_length}"
                 ), i)
+        self._check_distinct()
+
+    @classmethod
+    def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
+                 directions: Sequence[Direction], irs: np.ndarray,
+                 index: PointIndex | None = None) -> "IRSet":
+        """A set over ``irs``, a finite ``(rows, taps, 2)`` float64 array,
+        made read-only here, whose shape gives every row its length;
+        ``index``, when given, is the set's index over ``directions``."""
+        irs.flags.writeable = False
+        ir_set = cls.__new__(cls)
+        ir_set.irs, ir_set.directions = irs, tuple(directions)
+        if index is not None:
+            ir_set.index = index
+        ir_set._set_header(subject_id, ir_type, sample_rate_hz, len(irs))
+        ir_set.ir_length = irs.shape[1]
+        ir_set._check_distinct()
+        return ir_set
+
+    def _set_header(self, subject_id: str, ir_type, sample_rate_hz: int, rows: int) -> None:
+        self.subject_id = subject_id
+        self.ir_type = IRType.parse(ir_type)
+        self.sample_rate_hz = _check_rate(sample_rate_hz)
+        if rows < 3:
+            raise InsufficientPointsError(f"an IR set needs at least 3 points, got {rows}")
+
+    def _check_distinct(self) -> None:
         kept = self.index.vertex_indices
-        if len(kept) < len(self.points):
+        if len(kept) < len(self.directions):
             # the first dropped row, and the earlier row nearest to it
             i = next((k for k, v in enumerate(kept) if k != v), len(kept))
             carts = self.index.cartesians
             j = int(np.argmax(carts[:i] @ carts[i]))
-            a = self.points[j].direction
-            b = self.points[i].direction
+            a, b = self.directions[j], self.directions[i]
             raise _at_points(InvalidArgumentError(
                 f"points {j} ({a.azimuth_deg}, {a.elevation_deg}) and "
                 f"{i} ({b.azimuth_deg}, {b.elevation_deg}) are within "
                 f"{MERGE_TOLERANCE_DEG} degrees"
             ), j, i)
 
-    @classmethod
-    def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
-                 directions: Sequence[Direction], irs: np.ndarray,
-                 index: PointIndex | None = None) -> "IRSet":
-        """A set whose points view ``irs``, a finite ``(rows, taps, 2)``
-        float64 array, made read-only here; ``index``, when given, is the
-        set's index over ``directions``."""
-        irs.flags.writeable = False
-        ir_set = cls.__new__(cls)
-        ir_set.irs = irs
-        if index is not None:
-            ir_set.index = index
-        ir_set.__init__(subject_id, ir_type, sample_rate_hz, (
-            IRPoint._view(d, irs[i, :, 0], irs[i, :, 1]) for i, d in enumerate(directions)))
-        return ir_set
-
-    @property
-    def ir_length(self) -> int:
-        return self.points[0].ir_length
+    @cached_property
+    def points(self) -> tuple[IRPoint, ...]:
+        """The set's points; over a stack, read-only views of ``irs``."""
+        irs = self.irs
+        return tuple(IRPoint._view(d, irs[i, :, 0], irs[i, :, 1])
+                     for i, d in enumerate(self.directions))
 
     @cached_property
     def irs(self) -> np.ndarray:
         """The points' buffers as one read-only ``(rows, taps, 2)`` array:
-        the one they view when the set was built over it, else a copy."""
+        the one the set was built over, else a copy."""
         irs = np.stack([np.column_stack((p.left, p.right)) for p in self.points])
         irs.flags.writeable = False
         return irs
@@ -313,15 +324,19 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     to it, so a row may step out through ``..`` or a symlink. Errors about
     a file name its manifest line and WAV path, and set-wide errors (too
     few rows) name the manifest. The header's subject, IR type and rate
-    must match the directory the set is loaded from.
+    must match the directory the set is loaded from. Of several bad rows,
+    the first in manifest order is named; non-finite samples are looked for
+    once every row is in.
 
     The rows are decoded into one read-only ``(rows, taps, 2)`` float64
-    array, checked for non-finite samples once all rows are in and kept as
-    the set's ``irs``; each point's ``left`` and ``right`` are views of it.
-    Each file is read once.
-    The first row's header is parsed; a later row of the same length whose
-    bytes outside its data body equal the first row's has the same header,
-    and any other row is parsed on its own.
+    array, kept as the set's ``irs``; the set's points, views of it, are
+    made only if read. The first row is read and its header parsed. Every
+    later row is read once, into a block of rows holding at most
+    ``_BLOCK_BYTES`` (64 KiB) of file bytes, so that no temporary reaches
+    glibc's mmap threshold. A row as long as the first whose bytes outside
+    the data body equal the first row's has the same header, and is decoded
+    with the rest of its block in one pass; any other row is read again,
+    parsed and decoded on its own.
     """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
@@ -342,49 +357,75 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     def row(k: int) -> str:
         return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
 
-    # k is the row being read or found bad, else None
-    directions, stack, k = [], None, None
     try:
-        for k, (az, el, _) in enumerate(manifest.entries):
-            raw = wavio.read_bytes(wav_paths[k])
-            if (stack is not None and len(raw) == size
-                    and raw.startswith(before) and raw.endswith(after)):
-                # the first row's header, and so its checks, hold
-                directions.append(normalize_direction(az, el))
-                wavio.decode_into(raw, first, flat[k])
-                continue
-            head = wavio.expect_format(raw, wav_paths[k], 2, sample_rate_hz)
-            directions.append(normalize_direction(az, el))
-            if not head.frames:
-                raise InvalidArgumentError(
-                    "IR buffers must share a nonzero length, got 0 and 0"
-                )
-            if stack is None:
-                stack = np.empty((len(wav_paths), head.frames, 2))
-                flat = stack.reshape(len(wav_paths), -1)
-                first, size = head, len(raw)
-                before, after = raw[:head.start], raw[head.end:]
-            elif head.frames != stack.shape[1]:
-                raise FormatError(
-                    f"IR length mismatch in set {manifest.subject_id}: "
-                    f"{head.frames} != {stack.shape[1]}"
-                )
-            wavio.decode_into(raw, head, flat[k])
-        k = None
-        if stack is not None:
-            # min and max are NaN or infinite exactly when some sample is,
-            # and need no temporary the size of the set
-            if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
-                k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-                raise InvalidArgumentError("IR buffers contain non-finite samples")
+        if wav_paths:
+            directions, stack = _read_rows(wav_paths, manifest, sample_rate_hz)
+        else:
+            directions, stack = (), np.empty((0, 1, 2))
         # the set's index takes the directions as normalized above
         return IRSet._stacked(manifest.subject_id, ir_type, sample_rate_hz, directions,
-                              np.empty((0, 1, 2)) if stack is None else stack,
-                              PointIndex._normalized(tuple(directions)))
+                              stack, PointIndex._normalized(directions))
     except BinauralKitError as e:
-        rows = (k,) if k is not None else getattr(e, "point_indices", ())
+        rows = getattr(e, "point_indices", ())
         where = " and ".join(map(row, rows)) if rows else mpath
         raise type(e)(f"{where}: {e}") from None
+
+
+def _read_rows(paths: list[str], manifest: IRManifest,
+               rate: int) -> tuple[tuple[Direction, ...], np.ndarray]:
+    """The normalized direction of each manifest row, and the samples of its
+    file ``paths[k]``, stacked ``(rows, taps, 2)``, as load_ir_set reads
+    them; an error is tagged with the row it concerns."""
+    directions = []
+
+    def parse(k: int) -> tuple[bytes, wavio.WavHeader]:
+        """Row k read and checked on its own."""
+        raw = wavio.read_bytes(paths[k])
+        head = wavio.expect_format(raw, paths[k], 2, rate)
+        az, el, _ = manifest.entries[k]
+        directions.append(normalize_direction(az, el))
+        if not head.frames:
+            raise InvalidArgumentError("IR buffers must share a nonzero length, got 0 and 0")
+        return raw, head
+
+    k = 0
+    try:
+        raw, first = parse(0)
+        n, size = len(paths), len(raw)
+        stack = np.empty((n, first.frames, 2))
+        flat = stack.reshape(n, -1)
+        wavio.decode_into(raw, first, flat[0])
+        raw = np.frombuffer(raw, np.uint8)
+        before, after = raw[:first.start], raw[first.end:]
+        block = np.empty((max(1, _BLOCK_BYTES // size), size), np.uint8)
+        for lo in range(1, n, len(block)):
+            rows = block[:n - lo]
+            whole = [wavio.read_into(paths[lo + i], r) for i, r in enumerate(rows)]
+            same = (whole & (rows[:, :first.start] == before).all(1)
+                    & (rows[:, first.end:] == after).all(1))
+            # a row that differs is zeroed, as its bytes read as float32 may
+            # hold a signalling NaN whose cast warns, and decoded on its own
+            # below
+            rows[~same] = 0
+            wavio.decode_into(rows, first, flat[lo:lo + len(rows)])
+            for k, shared in enumerate(same.tolist(), lo):
+                if shared:
+                    az, el, _ = manifest.entries[k]
+                    directions.append(normalize_direction(az, el))
+                    continue
+                raw, head = parse(k)
+                if head.frames != first.frames:
+                    raise FormatError(f"IR length mismatch in set {manifest.subject_id}: "
+                                      f"{head.frames} != {first.frames}")
+                wavio.decode_into(raw, head, flat[k])
+    except BinauralKitError as e:
+        raise _at_points(e, k)
+    # min and max are NaN or infinite exactly when some sample is, and need
+    # no temporary the size of the set
+    if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
+        k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+        raise _at_points(InvalidArgumentError("IR buffers contain non-finite samples"), k)
+    return tuple(directions), stack
 
 
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:

@@ -204,9 +204,10 @@ def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
     for r in rest:
         n = min(len(r), target)
         out[:n] += r[:n]
-    # a NaN anywhere makes both extremes, and so the peak, NaN
-    peak = float(max(out.max(), -out.min())) if out.size else 0.0
-    clipped = peak > 1.0
+    # a NaN anywhere makes both extremes, and so the peak, NaN; a finite
+    # peak proves every sample finite
+    peak = float(max(out.max(), -out.min()))
+    finite, clipped = math.isfinite(peak), peak > 1.0
     if cfg.normalize == "peak" and peak > 0.0:
         out /= peak
         peak, clipped = 1.0, False
@@ -215,7 +216,9 @@ def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
             f"mix peak {peak:.4f} exceeds 1.0; output left unclamped",
             stacklevel=3,
         )
-    return MixResult(AudioBuffer(out, cfg.sample_rate_hz), peak, clipped, tuple(plans))
+    if not finite:
+        raise InvalidArgumentError("audio buffer contains non-finite samples")
+    return MixResult(AudioBuffer._finite(out, cfg.sample_rate_hz), peak, clipped, tuple(plans))
 
 
 def mix_tracks_binaural(

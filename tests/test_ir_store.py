@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -632,14 +634,14 @@ def test_load_dotdot_rows_under_symlinked_root(tmp_path):
 
 def test_load_reads_each_row_once(tmp_path, monkeypatch):
     save_ir_set(_pcm16_grid_set(), tmp_path)
-    read = wavio.read_bytes
+    real_open = os.open
     seen = []
 
-    def counting_read(path):
+    def counting_open(path, *args, **kwargs):
         seen.append(os.fspath(path))
-        return read(path)
+        return real_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(wavio, "read_bytes", counting_read)
+    monkeypatch.setattr(os, "open", counting_open)
     loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
     assert len(seen) == len(loaded.points) == 50
     assert len(set(seen)) == 50
@@ -865,25 +867,27 @@ def _write_rows(root, variants, seed=0, taps=32) -> list[str]:
     entries = []
     for k, variant in enumerate(variants):
         _write_row(mpath.parent / f"{k}.wav", variant, 0.5 * rng.standard_normal((taps, 2)))
-        entries.append((40.0 * k, 0.0, f"{k}.wav"))
+        entries.append((360.0 * k / len(variants), 0.0, f"{k}.wav"))
     write_manifest(IRManifest(1, "SYN1", IRType.HRIR, 48000, tuple(entries)), mpath)
     return [os.path.realpath(mpath.parent / rel) for _, _, rel in entries]
 
 
 @settings(max_examples=100, deadline=None)
-@given(variants=st.lists(st.sampled_from(_VARIANTS), min_size=3, max_size=9),
-       seed=st.integers(0, 2**16))
-def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, seed):
+@given(variants=st.lists(st.sampled_from(_VARIANTS), min_size=6, max_size=16),
+       block=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, block, seed):
     """Rows whose header bytes equal row 0's share its parse and every other
     row is parsed on its own; either way the stack is what read_wav gives
-    row by row, bit for bit."""
+    row by row, bit for bit. Blocks of ``block`` rows put rows that differ
+    on both sides of block boundaries and in a last, partial block."""
     root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     try:
         paths = _write_rows(root, variants, seed)
-        with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
+        with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse, \
+                mock.patch.object(ir_store, "_BLOCK_BYTES", block * os.path.getsize(paths[0])):
             loaded = load_ir_set(root, "SYN1", "HRIR", 48000)
         want = np.stack([read_wav(p)[1] for p in paths])
-        assert loaded.points[0].left.base.tobytes() == want.tobytes()
+        assert loaded.irs.tobytes() == want.tobytes()
         # write_wav writes the same header for the same encoding and length
         parsed = [c.args[1] for c in parse.call_args_list]
         assert parsed == [p for p, v in zip(paths, variants) if p == paths[0] or v != variants[0]]
@@ -927,6 +931,82 @@ def test_load_error_names_row_with_a_truncated_trailing_chunk(tmp_path):
         f"{mpath}:5 ({paths[3]}): {paths[3]}: chunk b'LIST' declares 5 bytes "
         "but only 4 remain (truncated file?)"
     )
+
+
+def _blocked_set(tmp_path):
+    """A lebedev50 set of 2,048-tap float32 rows, a few to a load block;
+    returns its manifest path and the number of rows in a block."""
+    mpath = save_ir_set(synthesize_ir_set("lebedev50", 48000, 2048, seed=3), tmp_path)
+    per = ir_store._BLOCK_BYTES // os.path.getsize(mpath.parent / "ir_00000.wav")
+    assert 1 < per < 16
+    return mpath, per
+
+
+def _truncate_fmt(wav) -> str:
+    """Rewrites ``wav`` with a 14-byte fmt chunk; returns read_wav's error."""
+    fmt = struct.pack("<HHIIHH", 3, 2, 48000, 384000, 8, 32)[:14]
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 2048) + bytes(2048))
+    Path(wav).write_bytes(_riff(body))
+    return f"{wav} has a truncated fmt chunk"
+
+
+@pytest.mark.parametrize("next_block", [False, True])
+@pytest.mark.parametrize("unreadable_first", [False, True])
+def test_load_error_names_the_first_of_two_bad_rows(tmp_path, next_block, unreadable_first):
+    # rows 1..per form the first block after row 0
+    mpath, per = _blocked_set(tmp_path)
+    a, b = (per, per + 1) if next_block else (1, per)
+    unreadable, odd = (a, b) if unreadable_first else (b, a)
+    wavs = {k: os.path.realpath(mpath.parent / f"ir_{k:05d}.wav") for k in (a, b)}
+    os.unlink(wavs[unreadable])
+    messages = {unreadable: f"cannot read {wavs[unreadable]}: [Errno 2] No such file or "
+                            f"directory: '{wavs[unreadable]}'",
+                odd: _truncate_fmt(wavs[odd])}
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == f"{mpath}:{a + 2} ({wavs[a]}): {messages[a]}"
+
+
+def test_load_names_a_non_finite_row_only_after_every_row_is_read(tmp_path):
+    mpath, per = _blocked_set(tmp_path)
+    write_wav(mpath.parent / "ir_00001.wav", 48000, np.full((2048, 2), np.nan), "float32")
+    wav = os.path.realpath(mpath.parent / f"ir_{2 * per + 1:05d}.wav")
+    os.unlink(wav)
+    with pytest.raises(FormatError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value).startswith(f"{mpath}:{2 * per + 3} ({wav}): cannot read ")
+
+
+def _traced(f):
+    """f's result, the bytes traced as allocated by f and still live after
+    it, and the most that were live at once."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, now - base, peak - base
+
+
+def test_row_reads_free_no_temporary_past_the_mmap_threshold(tmp_path):
+    """Beyond the stack and directions it returns, reading 792 rows has less
+    than 128 KiB live at once: a freed temporary of glibc's mmap threshold
+    (128 KiB) or more raises the threshold for the rest of the process.
+    numpy reports its buffers to tracemalloc."""
+    s = synthesize_ir_set("ring_az_step", 48000, 256, seed=3, step_deg=5.0,
+                          elevations=range(-75, 76, 15))
+    mpath = save_ir_set(s, tmp_path)
+    manifest, _ = ir_store._read_manifest(mpath)
+    paths = [os.path.join(os.path.realpath(mpath.parent), rel)
+             for _, _, rel in manifest.entries]
+    ir_store._read_rows(paths, manifest, 48000)  # what a first read sets up
+    (_, irs), kept, peak = _traced(lambda: ir_store._read_rows(paths, manifest, 48000))
+    assert irs.tobytes() == s.irs.tobytes()
+    assert peak - kept < 128 * 1024
 
 
 def test_loaded_buffers_are_read_only_views_of_one_stack(tmp_path, lebedev_set):

@@ -53,6 +53,26 @@ def test_finalize_peak_is_the_largest_magnitude():
             _finish([out], len(out), _cfg(normalize=normalize), [])
 
 
+@pytest.mark.parametrize("normalize", ["off", "peak"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_rendered", [1, 3])
+def test_finish_of_a_non_finite_mix_warns_then_raises(bad, normalize, n_rendered):
+    """A NaN peak clips nothing; an infinite one is a clip, warned of
+    unless normalizing, where dividing by it makes a NaN; either way the mix
+    fails."""
+    rendered = [0.1 * np.ones((40, 2)) for _ in range(n_rendered)]
+    rendered[-1][17, 1] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidArgumentError) as e:
+            _finish(rendered, 40, _cfg(normalize=normalize), [])
+    assert str(e.value) == "audio buffer contains non-finite samples"
+    want = {"off": [(UserWarning, "mix peak inf exceeds 1.0; output left unclamped")],
+            "peak": [(RuntimeWarning, "invalid value encountered in divide")]}
+    assert [(w.category, str(w.message)) for w in caught] == (
+        want[normalize] if np.isinf(bad) else [])
+
+
 def _zeroed_finish(rendered, n_input, keep_tail, normalize):
     """_finish's samples as it made them before it summed in a rendered
     buffer: every array added, in list order, into a zeroed buffer, which is
