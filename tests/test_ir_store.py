@@ -95,6 +95,39 @@ def test_ir_set_rejects_bad_rate():
               (_point(0, 0), _point(90, 0), _point(0, 45)))
 
 
+_NEEDS_3 = "an IR set needs at least 3 points, got 2"
+_BAD_TYPE = "unknown IR type 'SOFA'; expected HRIR or BRIR"
+_BAD_RATE = "unsupported sample rate 22050; expected one of (44100, 48000, 96000)"
+
+
+@pytest.mark.parametrize("ir_type, rate, points, error, message, rows", [
+    # every rule broken at once: the IR type is checked first
+    ("SOFA", 22050, [(0, 0), (0, 0, 32)], InvalidArgumentError, _BAD_TYPE, None),
+    # then the rate, before the row count
+    ("HRIR", 22050, [(0, 0), (0, 0, 32)], InvalidArgumentError, _BAD_RATE, None),
+    # then the row count, before any length
+    ("BRIR", 44100, [(0, 0), (0, 0, 32)], InsufficientPointsError, _NEEDS_3, None),
+    # then each length against the first, before any direction, even a
+    # duplicate in an earlier row; the first mismatch is named
+    ("HRIR", 48000, [(0, 0), (0, 0.001), (90, 0, 32), (0, 45, 16)], FormatError,
+     "IR length mismatch in set S: 32 != 64", (2,)),
+    ("HRIR", 48000, [(0, 0, 32), (90, 0), (0, 45)], FormatError,
+     "IR length mismatch in set S: 64 != 32", (1,)),
+    # last, the first row within the tolerance of an earlier one, and the
+    # earlier row nearest to it
+    ("HRIR", 48000, [(0, 0), (90, 0), (0, 0.001), (90, 0.001)], InvalidArgumentError,
+     f"points 0 (0, 0) and 2 (0, 0.001) are within {MERGE_TOLERANCE_DEG} degrees", (0, 2)),
+    ("HRIR", 48000, [(0, 0), (90, 0), (0, 45), (90.001, 0)], InvalidArgumentError,
+     f"points 1 (90, 0) and 3 (90.001, 0) are within {MERGE_TOLERANCE_DEG} degrees", (1, 3)),
+])
+def test_ir_set_checks_in_order(ir_type, rate, points, error, message, rows):
+    with pytest.raises(error) as e:
+        IRSet("S", ir_type, rate, [_point(*p) for p in points])
+    assert type(e.value) is error
+    assert str(e.value) == message
+    assert getattr(e.value, "point_indices", None) == rows
+
+
 def test_ir_type_parse():
     assert IRType.parse("hrir") is IRType.HRIR
     assert IRType.parse("BRIR") is IRType.BRIR
