@@ -302,7 +302,7 @@ def cmd_synth_irs(args) -> int:
         ir_type=args.ir_type,
     )
     mpath = save_ir_set(ir_set, args.dest)
-    print(f"synthesized {len(ir_set.points)} IRs -> {mpath}")
+    print(f"synthesized {len(ir_set.directions)} IRs -> {mpath}")
     return 0
 
 

@@ -91,9 +91,10 @@ def _at_points(error: Exception, *indices: int) -> Exception:
     return error
 
 
-@dataclass
+@dataclass(eq=False)
 class IRPoint:
-    """A measured or synthetic IR pair at one direction."""
+    """A measured or synthetic IR pair at one direction. Points compare,
+    and hash, by identity: their buffers have no one truth value."""
 
     direction: Direction
     left: np.ndarray
@@ -128,39 +129,35 @@ class IRPoint:
 
 
 class IRSet:
-    """All IR points for one subject, IR type, and sample rate.
-
-    Built from IRPoints, or, inside the package, over one stacked array of
-    IRs whose points are made only when first read."""
+    """All IR points for one subject, IR type, and sample rate, held as one
+    read-only ``(rows, taps, 2)`` float64 array, ``irs``, built at
+    construction: a copy of the IRPoints' buffers, or, inside the package,
+    an array already stacked. ``points`` are read-only views of ``irs``,
+    made only when first read."""
 
     def __init__(self, subject_id: str, ir_type, sample_rate_hz: int,
                  points: Iterable[IRPoint]):
-        self.points = tuple(points)
-        self._set_header(subject_id, ir_type, sample_rate_hz, len(self.points))
-        self.ir_length = self.points[0].ir_length
-        for i, p in enumerate(self.points):
-            if p.ir_length != self.ir_length:
+        points = tuple(points)
+        self._set_header(subject_id, ir_type, sample_rate_hz, len(points))
+        irs = np.empty((len(points), points[0].ir_length, 2))
+        for i, p in enumerate(points):
+            if p.ir_length != irs.shape[1]:
                 raise _at_points(FormatError(
                     f"IR length mismatch in set {self.subject_id}: "
-                    f"{p.ir_length} != {self.ir_length}"
+                    f"{p.ir_length} != {irs.shape[1]}"
                 ), i)
-        self._check_distinct()
+            irs[i, :, 0], irs[i, :, 1] = p.left, p.right
+        self._set_stack([p.direction for p in points], irs)
 
     @classmethod
     def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
                  directions: Sequence[Direction], irs: np.ndarray,
                  index: PointIndex | None = None) -> "IRSet":
-        """A set over ``irs``, a finite ``(rows, taps, 2)`` float64 array,
-        made read-only here, whose shape gives every row its length;
+        """A set over ``irs``, a finite ``(rows, taps, 2)`` float64 array;
         ``index``, when given, is the set's index over ``directions``."""
-        irs.flags.writeable = False
         ir_set = cls.__new__(cls)
-        ir_set.irs, ir_set.directions = irs, tuple(directions)
-        if index is not None:
-            ir_set.index = index
         ir_set._set_header(subject_id, ir_type, sample_rate_hz, len(irs))
-        ir_set.ir_length = irs.shape[1]
-        ir_set._check_distinct()
+        ir_set._set_stack(directions, irs, index)
         return ir_set
 
     def _set_header(self, subject_id: str, ir_type, sample_rate_hz: int, rows: int) -> None:
@@ -170,7 +167,17 @@ class IRSet:
         if rows < 3:
             raise InsufficientPointsError(f"an IR set needs at least 3 points, got {rows}")
 
-    def _check_distinct(self) -> None:
+    def _set_stack(self, directions: Sequence[Direction], irs: np.ndarray,
+                   index: PointIndex | None = None) -> None:
+        """Keep ``irs``, made read-only here, whose shape gives every row its
+        length, and the row directions with their index, whose facts are
+        each built on first use; no two directions may be within
+        ``MERGE_TOLERANCE_DEG``."""
+        irs.flags.writeable = False
+        self.irs, self.directions, self.ir_length = irs, tuple(directions), irs.shape[1]
+        self.index = PointIndex(self.directions) if index is None else index
+        # speaker IR sets resolved from this set by dsp.source_ir, by (layout, mode)
+        self.speaker_sets: dict = {}
         kept = self.index.vertex_indices
         if len(kept) < len(self.directions):
             # the first dropped row, and the earlier row nearest to it
@@ -186,39 +193,15 @@ class IRSet:
 
     @cached_property
     def points(self) -> tuple[IRPoint, ...]:
-        """The set's points; over a stack, read-only views of ``irs``."""
+        """The set's points: read-only views of ``irs``."""
         irs = self.irs
         return tuple(IRPoint._view(d, irs[i, :, 0], irs[i, :, 1])
                      for i, d in enumerate(self.directions))
-
-    @cached_property
-    def irs(self) -> np.ndarray:
-        """The points' buffers as one read-only ``(rows, taps, 2)`` array:
-        the one the set was built over, else a copy."""
-        irs = np.stack([np.column_stack((p.left, p.right)) for p in self.points])
-        irs.flags.writeable = False
-        return irs
-
-    @cached_property
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(p.direction for p in self.points)
-
-    @cached_property
-    def index(self) -> PointIndex:
-        """Cartesians, nearest lookup, rings, columns and triangulation of
-        the point directions, each built on first use."""
-        return PointIndex(self.directions)
 
     @property
     def triangulation(self) -> Triangulation:
         """Triangulation over the point directions, built on first use."""
         return self.index.triangulation
-
-    @cached_property
-    def speaker_sets(self) -> dict:
-        """Speaker IR sets resolved from this set, by (layout, mode); filled
-        by ``dsp.source_ir`` and dropped with the set."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -432,15 +415,10 @@ def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:
     """Write an IR set in the manifest layout; returns the manifest path."""
     mpath = manifest_path(root, ir_set.subject_id, ir_set.ir_type, ir_set.sample_rate_hz)
     entries = []
-    for i, p in enumerate(ir_set.points):
-        name = f"ir_{i:05d}.wav"
-        wavio.write_wav(
-            mpath.parent / name,
-            ir_set.sample_rate_hz,
-            np.column_stack([p.left, p.right]),
-            encoding=encoding,
-        )
-        entries.append((p.direction.azimuth_deg, p.direction.elevation_deg, name))
+    for k, (d, ir) in enumerate(zip(ir_set.directions, ir_set.irs)):
+        name = f"ir_{k:05d}.wav"
+        wavio.write_wav(mpath.parent / name, ir_set.sample_rate_hz, ir, encoding=encoding)
+        entries.append((d.azimuth_deg, d.elevation_deg, name))
     manifest = IRManifest(
         MANIFEST_SCHEMA, ir_set.subject_id, ir_set.ir_type,
         ir_set.sample_rate_hz, tuple(entries),

@@ -25,6 +25,7 @@ from binauralkit.errors import (
 )
 from binauralkit import geometry, ir_store, wavio
 from binauralkit.distributions import ring_grid_directions
+from binauralkit.dsp import source_ir
 from binauralkit.geometry import (
     MERGE_TOLERANCE_DEG,
     Direction,
@@ -34,6 +35,7 @@ from binauralkit.geometry import (
     normalize_direction,
     to_cartesian,
 )
+from binauralkit.interpolation import InterpolationMode, blend, plan
 from binauralkit.ir_store import (
     IRManifest,
     IRPoint,
@@ -48,6 +50,7 @@ from binauralkit.ir_store import (
     synthesize_ir_set,
     write_manifest,
 )
+from binauralkit.layouts import get_layout
 from binauralkit.wavio import read_wav, write_wav
 
 
@@ -69,6 +72,75 @@ def test_ir_point_validation():
         IRPoint(Direction(0, 0), np.array([]), np.array([]))
     with pytest.raises(InvalidArgumentError):
         IRPoint(Direction(0, 0), np.array([np.nan]), np.array([0.0]))
+
+
+def test_ir_points_compare_by_identity():
+    # equal directions and buffers, but two points: == must not compare the
+    # buffers, whose elementwise result has no one truth value
+    p, q = _point(0, 0), _point(0, 0)
+    assert (p == q) is False and (p == p) is True and p != q
+    assert len({p, q, p}) == 2
+    s = IRSet("S", IRType.HRIR, 48000, (_point(0, 0), _point(90, 0), _point(0, 45)))
+    assert q not in s.points
+    assert s.points.index(s.points[1]) == 1
+
+
+def _fresh_sets():
+    """A lebedev50 set and a 5 degree ring grid, made for one test so their
+    speaker sets start empty."""
+    return [synthesize_ir_set("lebedev50", 48000, 128, seed=7),
+            synthesize_ir_set("ring_az_step", 48000, 96, seed=5, step_deg=5.0,
+                              elevations=[0.0, 45.0], subject_id="RING5")]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BinauralKitError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["lebedev50", "ring5"])
+def test_points_constructor_builds_the_set_it_was_given(k):
+    s = _fresh_sets()[k]
+    given = s.points
+    t = IRSet(s.subject_id, s.ir_type, s.sample_rate_hz, given)
+    assert t.irs.tobytes() == s.irs.tobytes() and t.irs.shape == s.irs.shape
+    assert t.directions == s.directions and t.ir_length == s.ir_length
+    assert t.index.vertex_indices == s.index.vertex_indices
+    # the rebuilt set owns one read-only stack, which its points view
+    assert not t.irs.flags.writeable
+    assert not any(np.shares_memory(t.irs, buf) for p in given for buf in (p.left, p.right))
+    assert all(p.left.base is t.irs and p.right.base is t.irs for p in t.points)
+    assert all(not (p.left.flags.writeable or p.right.flags.writeable) for p in t.points)
+    assert np.array_equal(np.stack([np.column_stack((p.left, p.right)) for p in t.points]),
+                          t.irs)
+
+    rng = np.random.default_rng(27)
+    queries = [s.directions[3], Direction(0, 90), Direction(180, -90), Direction(30, 0.5)]
+    queries += [Direction(float(a), float(e))
+                for a, e in zip(rng.uniform(-180, 180, 24), rng.uniform(-90, 90, 24))]
+    for mode in InterpolationMode:
+        for q in queries:
+            a, b = _outcome(plan, s, q, mode), _outcome(plan, t, q, mode)
+            assert a == b
+            if isinstance(a, tuple):
+                continue
+            x, y = blend(s, a), blend(t, b)
+            assert x.direction == y.direction
+            assert np.array_equal(x.left, y.left) and np.array_equal(x.right, y.right)
+
+    layout = get_layout("7.1.4")
+    d = Direction(40.0, 12.0)
+    p_s, ir_s = source_ir(d, s, InterpolationMode.AUTO, layout)
+    assert len(s.speaker_sets) == 1 and t.speaker_sets == {}
+    (speakers,) = s.speaker_sets.values()
+    p_t, ir_t = source_ir(d, t, InterpolationMode.AUTO, layout)
+    assert p_s == p_t
+    assert np.array_equal(ir_s.left, ir_t.left) and np.array_equal(ir_s.right, ir_t.right)
+    assert len(t.speaker_sets) == 1 and t.speaker_sets.keys() == s.speaker_sets.keys()
+    assert next(iter(t.speaker_sets.values())) is not speakers
+    assert next(iter(s.speaker_sets.values())) is speakers
 
 
 def test_ir_set_needs_three_points():
