@@ -155,6 +155,8 @@ def cmd_mix(args) -> int:
     try:
         result = mix_tracks_binaural(tracks, cfg, ir_set, reverbs)
     except BinauralKitError as e:  # the scene asks what the inputs cannot give
+        if getattr(e, "names_set", False):  # an IR row read at its first blend
+            raise
         raise type(e)(f"{args.scene}: {e}") from None
     return _write_mix(args, cfg, result, "track {!r}", cfg.speaker_layout, ir_set)
 
@@ -233,6 +235,7 @@ def _triangulate_source(args):
     if args.data_root is None:
         raise InvalidArgumentError("--subject needs --data-root")
     ir_set = load_ir_set(args.data_root, args.subject, args.ir_type, args.rate)
+    ir_set.irs  # reads every row: `triangulate --subject` checks a whole set
     return (
         f"{args.subject}/{IRType.parse(args.ir_type).value}/{args.rate}",
         list(ir_set.directions),

@@ -230,9 +230,11 @@ def run_dataset(
     """Render every grid combination; write WAVs and manifest.tsv.
 
     A job that fails with a ``BinauralKitError`` (bad row values, a
-    missing IR set or source) is recorded in the manifest and does not stop
-    the run; any other exception, such as an ``OSError`` from writing a
-    WAV, propagates.
+    missing IR set or source, a bad IR row its plan blends) is recorded in
+    the manifest and does not stop the run; any other exception, such as an
+    ``OSError`` from writing a WAV, propagates. An IR set's row is read
+    when a job first blends it, so a bad row fails only the jobs that blend
+    it, and editing a set's files during a run is not supported.
     Manifest rows are in grid order regardless of worker scheduling, and
     reruns of the same grid produce byte-identical outputs.
     Within a run each worker keeps the 8 most recently used IR sets, reverb

@@ -663,6 +663,11 @@ class PointIndex:
         return build_triangulation(self)
 
     @cached_property
+    def _achieved_alone(self) -> dict[int, Direction]:
+        """What a plan of point i alone achieves, by i, as plans build it."""
+        return {}
+
+    @cached_property
     def vertex_indices(self) -> tuple[int, ...]:
         """Index into ``directions`` of each direction that is not within
         MERGE_TOLERANCE_DEG of an earlier kept one: the triangulation's

@@ -48,12 +48,16 @@ class InterpolationMode(enum.Enum):
         if isinstance(value, cls):
             return value
         try:
-            return cls(str(value).lower())
-        except ValueError:
+            return _MODES[str(value).lower()]
+        except KeyError:
             valid = ", ".join(m.value for m in cls)
             raise InvalidArgumentError(
                 f"unknown interpolation mode {value!r}; expected one of: {valid}"
             ) from None
+
+
+# each mode by its value, which parse looks up without Enum.__call__
+_MODES = {m.value: m for m in InterpolationMode}
 
 
 @dataclass(frozen=True)
@@ -71,19 +75,27 @@ def _best(groups: list[list[tuple[InterpolationMode, list[int]]]], index: PointI
     """The plan of the candidate (mode, stored points) of least error within
     its group, then of least error, fewest entries and first place across
     groups. Each weighs its points by inverse chord distance to ``q``, the
-    request's cartesian, or takes a coincident point alone."""
+    request's cartesian, or takes a coincident point alone. A lone point's
+    achieved direction is built once per index and kept."""
     flat = [c for group in groups for c in group]
     carts = index.cartesians.take([i for _, indices in flat for i in indices], axis=0)
     d = carts - q
     chords = np.sqrt(_rowdots(d, d)).tolist()
     rows = carts.tolist()
+    alone = index._achieved_alone
     built, end = [], 0
     for mode, indices in flat:
         start, end = end, end + len(indices)
         cs, rs = chords[start:end], rows[start:end]
         if min(cs) < _COINCIDENT_CHORD:
             k = next(j for j, c in enumerate(cs) if c < _COINCIDENT_CHORD)
-            indices, weights, rs = [indices[k]], [1.0], [rs[k]]
+            indices, rs = [indices[k]], [rs[k]]
+        if len(indices) == 1:
+            # 1 / c over itself is exactly 1
+            weights = [1.0]
+            achieved = alone.get(indices[0])
+            if achieved is None:
+                achieved = alone[indices[0]] = _achieved(index, indices, weights, rs)
         else:
             weights = [1.0 / c for c in cs]
             # left to right, the order np.sum takes for under 8 values; the
@@ -92,18 +104,7 @@ def _best(groups: list[list[tuple[InterpolationMode, list[int]]]], index: PointI
             for w in weights:
                 total += w
             weights = [w / total for w in weights]
-        x = y = z = 0.0
-        for w, (cx, cy, cz) in zip(weights, rs):
-            x += w * cx
-            y += w * cy
-            z += w * cz
-        # np.linalg.norm decides only near 1e-12, where a plain sum of squares
-        # could round to the other side
-        if x * x + y * y + z * z < 2e-24 and np.linalg.norm((x, y, z)) < 1e-12:
-            # antipodal degenerate blend; fall back to the heaviest point
-            achieved = index.directions[indices[weights.index(max(weights))]]
-        else:
-            achieved = from_cartesian((x, y, z))
+            achieved = _achieved(index, indices, weights, rs)
         built.append((mode, indices, weights, achieved))
     errors = angular_distances_from(requested, q, [b[3] for b in built])
     winners, end = [], 0
@@ -113,6 +114,22 @@ def _best(groups: list[list[tuple[InterpolationMode, list[int]]]], index: PointI
     best = min(winners, key=lambda j: (errors[j], len(built[j][1])))
     mode, indices, weights, achieved = built[best]
     return InterpolationPlan(mode, tuple(zip(indices, weights)), achieved, errors[best])
+
+
+def _achieved(index: PointIndex, indices: list[int], weights: list[float],
+              rows: list[list[float]]) -> Direction:
+    """The direction of the weighted sum of the points' cartesians ``rows``."""
+    x = y = z = 0.0
+    for w, (cx, cy, cz) in zip(weights, rows):
+        x += w * cx
+        y += w * cy
+        z += w * cz
+    # np.linalg.norm decides only near 1e-12, where a plain sum of squares
+    # could round to the other side
+    if x * x + y * y + z * z < 2e-24 and np.linalg.norm((x, y, z)) < 1e-12:
+        # antipodal degenerate blend; fall back to the heaviest point
+        return index.directions[indices[weights.index(max(weights))]]
+    return from_cartesian((x, y, z))
 
 
 def _nearest_key(keys: list[float], x: float) -> int:
@@ -230,8 +247,11 @@ def plan(ir_set, requested: Direction, mode) -> InterpolationPlan:
 
 def blend(ir_set, plan: InterpolationPlan):
     """Weighted sum of the planned IR pairs at the achieved direction: each
-    entry's ``(taps, 2)`` block of ``ir_set.irs`` added onto zeros in turn."""
-    irs = ir_set.irs
+    entry's ``(taps, 2)`` block of the set's array added onto zeros in turn.
+    Rows of a loaded set not read yet are read first (see ``load_ir_set``)."""
+    irs = ir_set._stack
+    if ir_set._rows is not None:
+        ir_set._read([i for i, _ in plan.entries])
     out = np.zeros(irs.shape[1:])
     for i, w in plan.entries:
         if not 0 <= i < len(irs):

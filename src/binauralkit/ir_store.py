@@ -101,9 +101,9 @@ class IRPoint:
     right: np.ndarray
 
     def __post_init__(self):
-        # a float64 array passes through asarray as the same object
-        self.left = np.asarray(self.left, dtype=np.float64)
-        self.right = np.asarray(self.right, dtype=np.float64)
+        # read-only copies: the caller's arrays stay its own, and writable
+        self.left = np.array(self.left, dtype=np.float64)
+        self.right = np.array(self.right, dtype=np.float64)
         if self.left.ndim != 1 or self.right.ndim != 1:
             raise InvalidArgumentError("IR buffers must be one-dimensional")
         if len(self.left) != len(self.right) or len(self.left) == 0:
@@ -130,10 +130,12 @@ class IRPoint:
 
 class IRSet:
     """All IR points for one subject, IR type, and sample rate, held as one
-    read-only ``(rows, taps, 2)`` float64 array, ``irs``, built at
-    construction: a copy of the IRPoints' buffers, or, inside the package,
-    an array already stacked. ``points`` are read-only views of ``irs``,
-    made only when first read."""
+    ``(rows, taps, 2)`` float64 array: a copy of the IRPoints' buffers, or,
+    inside the package, an array already stacked, or the rows of a set on
+    disk, each read into its slot when first needed (see
+    :func:`load_ir_set`). ``irs`` is the array, read-only, with every row
+    read; ``points`` are read-only views of it, made only when first read.
+    ``directions`` are normalized, as ``index`` holds them."""
 
     def __init__(self, subject_id: str, ir_type, sample_rate_hz: int,
                  points: Iterable[IRPoint]):
@@ -151,13 +153,11 @@ class IRSet:
 
     @classmethod
     def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
-                 directions: Sequence[Direction], irs: np.ndarray,
-                 index: PointIndex | None = None) -> "IRSet":
-        """A set over ``irs``, a finite ``(rows, taps, 2)`` float64 array;
-        ``index``, when given, is the set's index over ``directions``."""
+                 directions: Sequence[Direction], irs: np.ndarray) -> "IRSet":
+        """A set over ``irs``, a finite ``(rows, taps, 2)`` float64 array."""
         ir_set = cls.__new__(cls)
         ir_set._set_header(subject_id, ir_type, sample_rate_hz, len(irs))
-        ir_set._set_stack(directions, irs, index)
+        ir_set._set_stack(directions, irs)
         return ir_set
 
     def _set_header(self, subject_id: str, ir_type, sample_rate_hz: int, rows: int) -> None:
@@ -168,28 +168,48 @@ class IRSet:
             raise InsufficientPointsError(f"an IR set needs at least 3 points, got {rows}")
 
     def _set_stack(self, directions: Sequence[Direction], irs: np.ndarray,
-                   index: PointIndex | None = None) -> None:
-        """Keep ``irs``, made read-only here, whose shape gives every row its
-        length, and the row directions with their index, whose facts are
-        each built on first use; no two directions may be within
-        ``MERGE_TOLERANCE_DEG``."""
-        irs.flags.writeable = False
-        self.irs, self.directions, self.ir_length = irs, tuple(directions), irs.shape[1]
-        self.index = PointIndex(self.directions) if index is None else index
+                   index: PointIndex | None = None, rows: "_Rows | None" = None) -> None:
+        """Keep ``irs``, whose shape gives every row its length, and the row
+        directions with their index, whose facts are each built on first
+        use; no two directions may be within ``MERGE_TOLERANCE_DEG``.
+        ``rows``, when given, reads the rows of ``irs`` not yet read;
+        otherwise every row is in and ``irs`` is made read-only here."""
+        self._stack, self._rows, self.ir_length = irs, rows, irs.shape[1]
+        if rows is None:
+            irs.flags.writeable = False
+        self.index = PointIndex(directions) if index is None else index
+        self.directions = self.index.directions
         # speaker IR sets resolved from this set by dsp.source_ir, by (layout, mode)
         self.speaker_sets: dict = {}
         kept = self.index.vertex_indices
         if len(kept) < len(self.directions):
-            # the first dropped row, and the earlier row nearest to it
+            # the first dropped row, and the earlier row nearest to it, named
+            # by the directions as given
             i = next((k for k, v in enumerate(kept) if k != v), len(kept))
             carts = self.index.cartesians
             j = int(np.argmax(carts[:i] @ carts[i]))
-            a, b = self.directions[j], self.directions[i]
+            a, b = directions[j], directions[i]
             raise _at_points(InvalidArgumentError(
                 f"points {j} ({a.azimuth_deg}, {a.elevation_deg}) and "
                 f"{i} ({b.azimuth_deg}, {b.elevation_deg}) are within "
                 f"{MERGE_TOLERANCE_DEG} degrees"
             ), j, i)
+
+    def _read(self, indices: Iterable[int]) -> None:
+        """Read the rows at ``indices`` not read yet; a bad row raises the
+        error that names it, and is read again on the next use."""
+        rows = self._rows
+        unread = rows.unread.intersection(indices)
+        if unread and rows.read(sorted(unread)):  # every row is in
+            self._rows = None
+            self._stack.flags.writeable = False
+
+    @cached_property
+    def irs(self) -> np.ndarray:
+        """The set's ``(rows, taps, 2)`` array, every row read; read-only."""
+        if self._rows is not None:
+            self._read(range(len(self._stack)))
+        return self._stack
 
     @cached_property
     def points(self) -> tuple[IRPoint, ...]:
@@ -301,25 +321,27 @@ def _read_manifest(path) -> tuple[IRManifest, tuple[int, ...]]:
 
 
 def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
-    """Load every IR referenced by a manifest, preserving manifest order.
+    """The set a manifest describes, in manifest order, its rows read when
+    first needed.
 
-    The manifest directory is resolved once and each row's path is joined
-    to it, so a row may step out through ``..`` or a symlink. Errors about
-    a file name its manifest line and WAV path, and set-wide errors (too
-    few rows) name the manifest. The header's subject, IR type and rate
-    must match the directory the set is loaded from. Of several bad rows,
-    the first in manifest order is named; non-finite samples are looked for
-    once every row is in.
+    The load reads the manifest and checks its header: the subject, IR type
+    and rate must match the directory the set is loaded from. A set needs
+    at least 3 rows. The load reads, parses and decodes the first row,
+    which fixes the tap count and the header bytes other rows are compared
+    with, normalizes every direction, builds the set's index from them and
+    checks no two are within ``MERGE_TOLERANCE_DEG``. Every other row is
+    read, checked and decoded into its slot of the set's array the first
+    time it is needed: ``interpolation.blend`` reads the rows of its plan,
+    and ``IRSet.irs``, ``IRSet.points`` and :func:`save_ir_set` read every
+    row still unread. So a bad row no blend touches fails nothing, and a
+    bad row fails its first use, and every later one, with the error the
+    load would have given. A set's files must not change while it is used.
 
-    The rows are decoded into one read-only ``(rows, taps, 2)`` float64
-    array, kept as the set's ``irs``; the set's points, views of it, are
-    made only if read. The first row is read and its header parsed. Every
-    later row is read once, into a block of rows holding at most
-    ``_BLOCK_BYTES`` (64 KiB) of file bytes, so that no temporary reaches
-    glibc's mmap threshold. A row as long as the first whose bytes outside
-    the data body equal the first row's has the same header, and is decoded
-    with the rest of its block in one pass; any other row is read again,
-    parsed and decoded on its own.
+    Errors about a row name its manifest line and WAV path; set-wide errors
+    (too few rows) name the manifest. The manifest directory is resolved
+    once and a row's path is joined to it when the row is read, so a row
+    may step out through ``..`` or a symlink. How rows are read, and which
+    bad row of several is named, is :meth:`_Rows.read`.
     """
     ir_type = IRType.parse(ir_type)
     sample_rate_hz = _check_rate(sample_rate_hz)
@@ -334,81 +356,136 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
             raise FormatError(
                 f"{mpath}: header {key} {header} does not match the set's {key} {want}"
             )
-    base = os.path.realpath(mpath.parent)
-    wav_paths = [os.path.join(base, rel) for _, _, rel in manifest.entries]
-
-    def row(k: int) -> str:
-        return f"{mpath}:{line_numbers[k]} ({wav_paths[k]})"
-
+    rows = _Rows(mpath, line_numbers, manifest)
+    ir_set = IRSet.__new__(IRSet)
     try:
-        if wav_paths:
-            directions, stack = _read_rows(wav_paths, manifest, sample_rate_hz)
-        else:
-            directions, stack = (), np.empty((0, 1, 2))
+        ir_set._set_header(manifest.subject_id, ir_type, sample_rate_hz, len(line_numbers))
+        stack = rows.first()
+        directions = []
+        for k, (az, el, _) in enumerate(manifest.entries):
+            try:
+                directions.append(normalize_direction(az, el))
+            except BinauralKitError as e:
+                raise _at_points(e, k)
+        directions = tuple(directions)
         # the set's index takes the directions as normalized above
-        return IRSet._stacked(manifest.subject_id, ir_type, sample_rate_hz, directions,
-                              stack, PointIndex._normalized(directions))
+        ir_set._set_stack(directions, stack, PointIndex._normalized(directions), rows)
     except BinauralKitError as e:
-        rows = getattr(e, "point_indices", ())
-        where = " and ".join(map(row, rows)) if rows else mpath
-        raise type(e)(f"{where}: {e}") from None
+        raise rows.named(e) from None
+    return ir_set
 
 
-def _read_rows(paths: list[str], manifest: IRManifest,
-               rate: int) -> tuple[tuple[Direction, ...], np.ndarray]:
-    """The normalized direction of each manifest row, and the samples of its
-    file ``paths[k]``, stacked ``(rows, taps, 2)``, as load_ir_set reads
-    them; an error is tagged with the row it concerns."""
-    directions = []
+class _Rows:
+    """The rows of a set on disk not read yet, and what reading them needs:
+    the set directory, each row's manifest line and relative path, and the
+    first row's header and the file bytes around its data body."""
 
-    def parse(k: int) -> tuple[bytes, wavio.WavHeader]:
+    def __init__(self, mpath: Path, line_numbers: Sequence[int], manifest: IRManifest):
+        self.mpath, self.line_numbers, self.manifest = mpath, line_numbers, manifest
+        self.base = os.path.realpath(mpath.parent)
+        self.unread = set(range(len(line_numbers)))
+
+    def path(self, k: int) -> str:
+        return os.path.join(self.base, self.manifest.entries[k][2])
+
+    def named(self, error: BinauralKitError) -> BinauralKitError:
+        """``error`` prefixed with the rows it is tagged with, or else the
+        manifest; ``names_set`` marks it as naming its own files."""
+        rows = getattr(error, "point_indices", ())
+        where = " and ".join(f"{self.mpath}:{self.line_numbers[k]} ({self.path(k)})"
+                             for k in rows) if rows else self.mpath
+        named = type(error)(f"{where}: {error}")
+        named.names_set = True
+        return named
+
+    def _parse(self, k: int) -> tuple[bytes, wavio.WavHeader]:
         """Row k read and checked on its own."""
-        raw = wavio.read_bytes(paths[k])
-        head = wavio.expect_format(raw, paths[k], 2, rate)
-        az, el, _ = manifest.entries[k]
-        directions.append(normalize_direction(az, el))
+        path = self.path(k)
+        raw = wavio.read_bytes(path)
+        head = wavio.expect_format(raw, path, 2, self.manifest.sample_rate_hz)
         if not head.frames:
             raise InvalidArgumentError("IR buffers must share a nonzero length, got 0 and 0")
         return raw, head
 
-    k = 0
-    try:
-        raw, first = parse(0)
-        n, size = len(paths), len(raw)
-        stack = np.empty((n, first.frames, 2))
-        flat = stack.reshape(n, -1)
-        wavio.decode_into(raw, first, flat[0])
+    def first(self) -> np.ndarray:
+        """The set's unfilled ``(rows, taps, 2)`` array, holding row 0,
+        read, checked and decoded; errors are tagged with row 0."""
+        try:
+            raw, head = self._parse(0)
+        except BinauralKitError as e:
+            raise _at_points(e, 0)
+        n = len(self.line_numbers)
+        stack = np.empty((n, head.frames, 2))
+        self.flat = stack.reshape(n, -1)
+        wavio.decode_into(raw, head, self.flat[0])
         raw = np.frombuffer(raw, np.uint8)
-        before, after = raw[:first.start], raw[first.end:]
-        block = np.empty((max(1, _BLOCK_BYTES // size), size), np.uint8)
-        for lo in range(1, n, len(block)):
-            rows = block[:n - lo]
-            whole = [wavio.read_into(paths[lo + i], r) for i, r in enumerate(rows)]
-            same = (whole & (rows[:, :first.start] == before).all(1)
-                    & (rows[:, first.end:] == after).all(1))
-            # a row that differs is zeroed, as its bytes read as float32 may
-            # hold a signalling NaN whose cast warns, and decoded on its own
-            # below
-            rows[~same] = 0
-            wavio.decode_into(rows, first, flat[lo:lo + len(rows)])
-            for k, shared in enumerate(same.tolist(), lo):
-                if shared:
-                    az, el, _ = manifest.entries[k]
-                    directions.append(normalize_direction(az, el))
-                    continue
-                raw, head = parse(k)
-                if head.frames != first.frames:
-                    raise FormatError(f"IR length mismatch in set {manifest.subject_id}: "
-                                      f"{head.frames} != {first.frames}")
-                wavio.decode_into(raw, head, flat[k])
-    except BinauralKitError as e:
-        raise _at_points(e, k)
-    # min and max are NaN or infinite exactly when some sample is, and need
-    # no temporary the size of the set
-    if not (math.isfinite(stack.min()) and math.isfinite(stack.max())):
-        k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-        raise _at_points(InvalidArgumentError("IR buffers contain non-finite samples"), k)
-    return tuple(directions), stack
+        self.head, self.size = head, len(raw)
+        self.before, self.after = raw[:head.start], raw[head.end:]
+        self._check_finite(0, 1)
+        self.unread.discard(0)
+        return stack
+
+    def read(self, ks: list[int]) -> bool:
+        """Read, check and decode rows ``ks``, ascending and unread, into
+        their slots; returns whether every row is now in. Each run of
+        consecutive rows is read into blocks of rows holding at most
+        ``_BLOCK_BYTES`` (64 KiB) of file bytes, so that no temporary
+        reaches glibc's mmap threshold. A row as long as the first whose
+        bytes outside the data body equal the first row's has the same
+        header, and is decoded with the rest of its block in one pass; any
+        other row is read again, parsed and decoded on its own, in order, so
+        of several bad rows the first is named. Non-finite samples are
+        looked for once every row of ``ks`` is in. On an error, named by
+        its row, no row of ``ks`` counts as read."""
+        try:
+            self._read(ks)
+        except BinauralKitError as e:
+            raise self.named(e) from None
+        self.unread.difference_update(ks)
+        return not self.unread
+
+    def _read(self, ks: list[int]) -> None:
+        first, flat, size = self.head, self.flat, self.size
+        block = np.empty((min(len(ks), max(1, _BLOCK_BYTES // size)), size), np.uint8)
+        # runs of consecutive rows, each decoded into a slice of the stack
+        cuts = [0, *(j for j in range(1, len(ks)) if ks[j] != ks[j - 1] + 1), len(ks)]
+        runs = [(ks[start], ks[stop - 1] + 1) for start, stop in zip(cuts, cuts[1:])]
+        k = ks[0]
+        try:
+            for start, stop in runs:
+                for lo in range(start, stop, len(block)):
+                    rows = block[:stop - lo]
+                    whole = [wavio.read_into(self.path(lo + i), r) for i, r in enumerate(rows)]
+                    same = (whole & (rows[:, :first.start] == self.before).all(1)
+                            & (rows[:, first.end:] == self.after).all(1))
+                    # a row that differs is zeroed, as its bytes read as
+                    # float32 may hold a signalling NaN whose cast warns, and
+                    # decoded on its own below
+                    rows[~same] = 0
+                    wavio.decode_into(rows, first, flat[lo:lo + len(rows)])
+                    for k, shared in enumerate(same.tolist(), lo):
+                        if shared:
+                            continue
+                        raw, head = self._parse(k)
+                        if head.frames != first.frames:
+                            raise FormatError(
+                                f"IR length mismatch in set {self.manifest.subject_id}: "
+                                f"{head.frames} != {first.frames}")
+                        wavio.decode_into(raw, head, flat[k])
+        except BinauralKitError as e:
+            raise _at_points(e, k)
+        for start, stop in runs:
+            self._check_finite(start, stop)
+
+    def _check_finite(self, start: int, stop: int) -> None:
+        """InvalidArgumentError tagged with the first of rows start..stop - 1
+        that holds a non-finite sample, if any does."""
+        rows = self.flat[start:stop]
+        # min and max are NaN or infinite exactly when some sample is, and
+        # need no temporary the size of the rows
+        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+            k = start + int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise _at_points(InvalidArgumentError("IR buffers contain non-finite samples"), k)
 
 
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:

@@ -711,10 +711,14 @@ def test_mix_error_line_escapes_control_characters(tmp_path, data_root, noise_wa
 def test_ir_manifest_path_with_a_nul_byte_names_the_line(tmp_path, noise_wav, capsys):
     mpath = _own_data_root(tmp_path)
     lines = mpath.read_text().splitlines()
+    az, el = (float(x) for x in lines[3].split("\t")[:2])
     lines[3] = lines[3] + "\0"
     mpath.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    for argv in (["mix", str(_scene(tmp_path, noise_wav)), "-o", str(tmp_path / "o.wav")],
+    # the track blends that row alone; triangulate reads every row
+    scene = _scene(tmp_path, noise_wav, tracks=[
+        {"name": "a", "file": str(noise_wav), "azimuth": az, "elevation": el}])
+    for argv in (["mix", str(scene), "-o", str(tmp_path / "o.wav")],
                  ["triangulate", "--subject", "SYN1", "--az", "10", "--el", "0"]):
         rc = main([*argv, "--data-root", str(tmp_path)])
         assert rc == 1
@@ -758,3 +762,77 @@ def test_dataset_row_error_escapes_control_characters(tmp_path, data_root, noise
     assert captured.err == f"job 1 failed: {error}\n"
     row = (out / "manifest.tsv").read_text().splitlines()[3]
     assert row.split("\t")[-3:] == ["failed", error, ""]
+
+
+# --- IR rows read when first blended -----------------------------------------
+
+
+@pytest.mark.parametrize("layout", [None, "7.1.4"])
+def test_a_bad_row_outside_every_plan_leaves_mix_bytes_unchanged(
+        tmp_path, noise_wav, capsys, layout):
+    mpath = _own_data_root(tmp_path)
+    config = {} if layout is None else {"layout": layout}
+    scene = _scene(tmp_path, noise_wav, config=config)
+    clean, out = tmp_path / "clean.wav", tmp_path / "out.wav"
+    assert main(["mix", str(scene), "--data-root", str(tmp_path), "-o", str(clean)]) == 0
+    # the south pole: no track or speaker plan reaches it
+    rows = [line.split("\t") for line in mpath.read_text().splitlines()[1:]]
+    k = min(range(len(rows)), key=lambda i: float(rows[i][1]))
+    assert float(rows[k][1]) == -90.0
+    write_wav(mpath.parent / rows[k][2], 48000, np.full((32, 2), np.nan), "float32")
+    assert main(["mix", str(scene), "--data-root", str(tmp_path), "-o", str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    capsys.readouterr()
+    # a free-field track on that row blends it, and the mix fails naming it
+    pole = _scene(tmp_path, noise_wav, tracks=[
+        {"name": "a", "file": str(noise_wav), "azimuth": 0.0, "elevation": -90.0}])
+    assert main(["mix", str(pole), "--data-root", str(tmp_path), "-o", str(out)]) == 1
+    wav = f"{mpath.parent.resolve()}/{rows[k][2]}"
+    assert capsys.readouterr().err == (
+        f"error: {mpath}:{k + 2} ({wav}): IR buffers contain non-finite samples\n")
+
+
+def test_a_bad_row_inside_a_plan_fails_the_mix_naming_it(tmp_path, noise_wav, capsys):
+    mpath = _own_data_root(tmp_path)
+    rows = [line.split("\t") for line in mpath.read_text().splitlines()[1:]]
+    # the default scene's first track, at azimuth 30, blends rows at azimuths 0 and 45
+    k = next(i for i, (az, el, _) in enumerate(rows) if (float(az), float(el)) == (45.0, 0.0))
+    wav = mpath.parent / rows[k][2]
+    wav.unlink()
+    capsys.readouterr()
+    rc = main(["mix", str(_scene(tmp_path, noise_wav)), "--data-root", str(tmp_path),
+               "-o", str(tmp_path / "out.wav")])
+    assert rc == 1
+    real = f"{mpath.parent.resolve()}/{rows[k][2]}"
+    assert capsys.readouterr().err == (
+        f"error: {mpath}:{k + 2} ({real}): cannot read {real}: "
+        f"[Errno 2] No such file or directory: '{real}'\n")
+
+
+def test_cold_render_surround_reads_twelve_row_files(tmp_path, monkeypatch, capsys):
+    """5.1 -> 7.1.4 over 5 degree rings from -75 to 75 degrees (792 rows),
+    which hold every 7.1.4 speaker: the first row, and one row per speaker."""
+    import os
+
+    from binauralkit.ir_store import save_ir_set, synthesize_ir_set
+
+    s = synthesize_ir_set("ring_az_step", 48000, 256, seed=3, step_deg=5.0,
+                          elevations=range(-75, 76, 15), subject_id="RING5")
+    mpath = save_ir_set(s, tmp_path / "data")
+    program = tmp_path / "p51.wav"
+    write_wav(program, 48000, 0.05 * np.random.default_rng(2).standard_normal((4800, 6)),
+              "float32")
+    real_open = os.open
+    seen = []
+
+    def counting_open(path, *args, **kwargs):
+        seen.append(os.fspath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    rc = main(["render-surround", str(program), "--input-layout", "5.1",
+               "--output-layout", "7.1.4", "--data-root", str(tmp_path / "data"),
+               "--subject", "RING5", "--rate", "48000", "-o", str(tmp_path / "out.wav")])
+    assert rc == 0, capsys.readouterr().err
+    rows = [p for p in seen if p.startswith(str(mpath.parent.resolve()))]
+    assert len(rows) == len(set(rows)) == 12

@@ -730,3 +730,80 @@ def test_nearest_key_matches_scan(keys, x):
         mid = a / 2 + b / 2
         scan = min(range(len(keys)), key=lambda i: (abs(keys[i] - mid), keys[i]))
         assert _nearest_key(keys, mid) == scan
+
+
+# --- plans keep their bits ---------------------------------------------------
+
+
+def _plan_sets_and_queries():
+    """The 792-row 5 degree ring set and lebedev50, each with 300 seeded
+    queries, every 7th stored point, points just inside and outside the
+    snap, and raw angles past the poles and the azimuth range."""
+    sets = [synthesize_ir_set("ring_az_step", 48000, 32, step_deg=5.0,
+                              elevations=[float(e) for e in range(-75, 76, 15)]),
+            synthesize_ir_set("lebedev50", 48000, 32)]
+    v = np.random.default_rng(28).standard_normal((300, 3))
+    queries = [normalize_direction(float(a), float(e)) for a, e in zip(
+        np.degrees(np.arctan2(v[:, 1], v[:, 0])),
+        np.degrees(np.arcsin(v[:, 2] / np.linalg.norm(v, axis=1))))]
+    for s in sets:
+        stored = [s.directions[k] for k in range(0, len(s.directions), 7)]
+        near = [Direction(d.azimuth_deg + dx, d.elevation_deg) for d in stored[:40]
+                for dx in (1.9, 2.1, -0.5)]
+        raw = [Direction(-30, 100), Direction(400, -95), Direction(0, 90),
+               Direction(-0.0, -90)]
+        yield s, queries + stored + near + raw
+
+
+def _plans(s, queries, mode, cold=False):
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for q in queries:
+            if cold:  # forget every lone point's achieved direction
+                s.index.__dict__.pop("_achieved_alone", None)
+            out.append(plan(s, q, mode))
+    return out
+
+
+# sha256 over repr((mode_used.value, entries, achieved_direction,
+# achieved_error_deg)) of every plan of _plan_sets_and_queries, set by set
+# and mode by mode in ALL_MODES' value order below, as the planner gave them
+# before it kept each lone point's achieved direction, under numpy 2.4.6 on
+# x86_64. Another numpy build may round a dot product differently.
+_PLANS_SHA256 = ("2.4.6", "x86_64",
+                 "af075ecc3b57408a722588c80910c55f35f262370a16f604112d722c3f1d9558")
+
+
+def test_plans_keep_their_recorded_bits():
+    import hashlib
+    import platform
+
+    if (np.__version__, platform.machine()) != _PLANS_SHA256[:2]:
+        pytest.skip(f"plans recorded under numpy {_PLANS_SHA256[0]} on {_PLANS_SHA256[1]}")
+    h = hashlib.sha256()
+    for s, queries in _plan_sets_and_queries():
+        for mode in ("nearest", "two_point", "planar", "three_point", "auto"):
+            for p in _plans(s, queries, mode):
+                h.update(repr((p.mode_used.value, p.entries, p.achieved_direction,
+                               p.achieved_error_deg)).encode())
+    assert h.hexdigest() == _PLANS_SHA256[2]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_kept_achieved_directions_plan_as_fresh_ones(mode):
+    for s, queries in _plan_sets_and_queries():
+        cold = _plans(s, queries, mode, cold=True)
+        _plans(s, queries, mode)
+        assert s.index._achieved_alone  # the warm pass below starts from these
+        warm = _plans(s, queries, mode)
+        assert [repr(p) for p in warm] == [repr(p) for p in cold]
+
+
+def test_mode_parse_matches_the_enum_lookup():
+    for m in InterpolationMode:
+        for text in (m.value, m.value.upper(), m.value.title()):
+            assert InterpolationMode.parse(text) is InterpolationMode(m.value)
+    for bad in ("fastest", "", None, 3, "auto "):
+        with pytest.raises(InvalidArgumentError, match="unknown interpolation mode"):
+            InterpolationMode.parse(bad)

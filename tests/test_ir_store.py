@@ -60,6 +60,12 @@ def _point(az, el, n=64, value=0.5):
     return IRPoint(Direction(az, el), buf, buf.copy())
 
 
+def _use_row(root, k, subject="SYN1"):
+    """Load a set and blend row k alone, the first use that reads it."""
+    ir_set = load_ir_set(root, subject, "HRIR", 48000)
+    return blend(ir_set, plan(ir_set, ir_set.directions[k], "nearest"))
+
+
 # --- validation ------------------------------------------------------------
 
 
@@ -338,7 +344,7 @@ def test_load_errors(tmp_path, lebedev_set):
                                (44100, np.zeros((16, 2)), "2 at 44100")]:
         write_wav(wav, rate, samples, "float32")
         with pytest.raises(FormatError, match="ir_00003") as e:
-            load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+            _use_row(tmp_path, 3)
         assert str(e.value) == (f"{mpath}:5 ({wav}): {wav}: expected 2 channel(s) "
                                 f"at sample rate 48000, got {got}")
 
@@ -748,6 +754,8 @@ def test_load_reads_each_row_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "open", counting_open)
     loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert len(seen) == 1  # the first row
+    loaded.points, loaded.irs, save_ir_set(loaded, tmp_path / "copy")
     assert len(seen) == len(loaded.points) == 50
     assert len(set(seen)) == 50
 
@@ -781,7 +789,7 @@ def test_load_error_names_row_for_non_finite_samples(tmp_path, lebedev_set):
     wav = mpath.parent / "ir_00003.wav"
     write_wav(wav, 48000, np.full((128, 2), np.nan), "float32")
     with pytest.raises(InvalidArgumentError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == (
         f"{mpath}:5 ({os.path.realpath(wav)}): IR buffers contain non-finite samples"
     )
@@ -792,7 +800,7 @@ def test_load_error_names_row_for_length_mismatch(tmp_path, lebedev_set):
     wav = mpath.parent / "ir_00003.wav"
     write_wav(wav, 48000, np.zeros((32, 2)), "float32")
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == (
         f"{mpath}:5 ({os.path.realpath(wav)}): "
         "IR length mismatch in set SYN1: 32 != 128"
@@ -824,15 +832,16 @@ def test_load_error_names_row_for_unreadable_file(tmp_path, lebedev_set):
     wav.unlink()
     row = f"{mpath}:12 ({os.path.realpath(wav)}): cannot read "
     with pytest.raises(FormatError, match=re.escape(row)):
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 10)
 
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_load_error_names_row_for_empty_data_chunk(tmp_path, lebedev_set, empty_wav, k):
     mpath = save_ir_set(lebedev_set, tmp_path)
     wav = empty_wav(mpath.parent / f"ir_{k:05d}.wav", channels=2)
+    # row 0 fails the load; row 3 its first blend
     with pytest.raises(InvalidArgumentError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, k)
     assert str(e.value) == (
         f"{mpath}:{k + 2} ({os.path.realpath(wav)}): "
         "IR buffers must share a nonzero length, got 0 and 0"
@@ -848,7 +857,7 @@ def test_load_error_names_last_row_for_one_bad_right_sample(tmp_path, lebedev_se
     wav = mpath.parent / "ir_00049.wav"
     write_wav(wav, 48000, np.column_stack([last.left, right]), "float32")
     with pytest.raises(InvalidArgumentError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 49)
     assert str(e.value) == (
         f"{mpath}:51 ({os.path.realpath(wav)}): IR buffers contain non-finite samples"
     )
@@ -864,7 +873,7 @@ def test_load_error_names_first_of_two_non_finite_rows(tmp_path, lebedev_set):
                   np.column_stack([left, p.right]), "float32")
     real = os.path.realpath(mpath.parent)
     with pytest.raises(InvalidArgumentError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000).irs  # every row, in one read
     assert str(e.value) == (
         f"{mpath}:14 ({real}/ir_00012.wav): IR buffers contain non-finite samples"
     )
@@ -876,7 +885,7 @@ def test_load_error_names_second_row_when_first_is_odd_length(tmp_path, lebedev_
     write_wav(mpath.parent / "ir_00000.wav", 48000, np.zeros((32, 2)), "float32")
     real = os.path.realpath(mpath.parent)
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 1)
     assert str(e.value) == (
         f"{mpath}:3 ({real}/ir_00001.wav): IR length mismatch in set SYN1: 128 != 32"
     )
@@ -888,7 +897,7 @@ def test_load_error_names_row_for_each_bad_fmt_chunk(tmp_path, lebedev_set, bad_
     wav = os.path.realpath(mpath.parent / "ir_00003.wav")
     message = bad_fmt_wav(Path(wav))
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == f"{mpath}:5 ({wav}): {message}"
 
 
@@ -898,7 +907,7 @@ def test_load_error_names_row_for_a_directory(tmp_path, lebedev_set):
     os.unlink(wav)
     os.mkdir(wav)
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == (
         f"{mpath}:5 ({wav}): cannot read {wav}: [Errno 21] Is a directory: '{wav}'"
     )
@@ -990,9 +999,9 @@ def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, bl
         paths = _write_rows(root, variants, seed)
         with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse, \
                 mock.patch.object(ir_store, "_BLOCK_BYTES", block * os.path.getsize(paths[0])):
-            loaded = load_ir_set(root, "SYN1", "HRIR", 48000)
+            irs = load_ir_set(root, "SYN1", "HRIR", 48000).irs
         want = np.stack([read_wav(p)[1] for p in paths])
-        assert loaded.irs.tobytes() == want.tobytes()
+        assert irs.tobytes() == want.tobytes()
         # write_wav writes the same header for the same encoding and length
         parsed = [c.args[1] for c in parse.call_args_list]
         assert parsed == [p for p, v in zip(paths, variants) if p == paths[0] or v != variants[0]]
@@ -1006,6 +1015,7 @@ def test_row_with_one_more_byte_is_parsed_on_its_own(tmp_path):
         f.write(b"\x00")
     with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
         loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        loaded.points
     assert [c.args[1] for c in parse.call_args_list] == [paths[0], paths[3]]
     want = np.stack([read_wav(p)[1] for p in paths])
     assert loaded.points[0].left.base.tobytes() == want.tobytes()
@@ -1021,7 +1031,7 @@ def test_load_error_names_row_with_one_more_byte_after_its_data(tmp_path):
     assert "declares" in str(want.value)
     mpath = manifest_path(tmp_path, "SYN1", "HRIR", 48000)
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == f"{mpath}:5 ({paths[3]}): {want.value}"
 
 
@@ -1031,7 +1041,7 @@ def test_load_error_names_row_with_a_truncated_trailing_chunk(tmp_path):
         f.truncate(os.path.getsize(paths[3]) - 2)  # the pad byte and one of LIST
     mpath = manifest_path(tmp_path, "SYN1", "HRIR", 48000)
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        _use_row(tmp_path, 3)
     assert str(e.value) == (
         f"{mpath}:5 ({paths[3]}): {paths[3]}: chunk b'LIST' declares 5 bytes "
         "but only 4 remain (truncated file?)"
@@ -1069,7 +1079,7 @@ def test_load_error_names_the_first_of_two_bad_rows(tmp_path, next_block, unread
                             f"directory: '{wavs[unreadable]}'",
                 odd: _truncate_fmt(wavs[odd])}
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000).irs
     assert str(e.value) == f"{mpath}:{a + 2} ({wavs[a]}): {messages[a]}"
 
 
@@ -1079,7 +1089,7 @@ def test_load_names_a_non_finite_row_only_after_every_row_is_read(tmp_path):
     wav = os.path.realpath(mpath.parent / f"ir_{2 * per + 1:05d}.wav")
     os.unlink(wav)
     with pytest.raises(FormatError) as e:
-        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000).irs
     assert str(e.value).startswith(f"{mpath}:{2 * per + 3} ({wav}): cannot read ")
 
 
@@ -1104,12 +1114,10 @@ def test_row_reads_free_no_temporary_past_the_mmap_threshold(tmp_path):
     numpy reports its buffers to tracemalloc."""
     s = synthesize_ir_set("ring_az_step", 48000, 256, seed=3, step_deg=5.0,
                           elevations=range(-75, 76, 15))
-    mpath = save_ir_set(s, tmp_path)
-    manifest, _ = ir_store._read_manifest(mpath)
-    paths = [os.path.join(os.path.realpath(mpath.parent), rel)
-             for _, _, rel in manifest.entries]
-    ir_store._read_rows(paths, manifest, 48000)  # what a first read sets up
-    (_, irs), kept, peak = _traced(lambda: ir_store._read_rows(paths, manifest, 48000))
+    save_ir_set(s, tmp_path)
+    load_ir_set(tmp_path, "SYN1", "HRIR", 48000).irs  # what a first read sets up
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    irs, kept, peak = _traced(lambda: loaded.irs)
     assert irs.tobytes() == s.irs.tobytes()
     assert peak - kept < 128 * 1024
 
@@ -1133,8 +1141,8 @@ def test_in_memory_points_keep_their_validation():
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         IRPoint(Direction(0, 0), np.array([0.0, np.inf]), np.zeros(2))
     buf = np.ones(4)
-    IRPoint(Direction(0, 0), buf, np.ones(4))
-    assert not buf.flags.writeable
+    p = IRPoint(Direction(0, 0), buf, np.ones(4))
+    assert not p.left.flags.writeable
 
 
 # --- distinctness check ----------------------------------------------------
@@ -1250,3 +1258,127 @@ def test_import_sadie_skips_ragged_files(tmp_path, ragged_wav):
             f"{ragged}: data size is not a whole number of frames")):
         manifest = import_sadie(src, tmp_path / "root", "H11", "HRIR", 48000)
     assert sorted(e[0] for e in manifest.entries) == [0.0, 90.0, 180.0]
+
+
+# --- rows read when first needed ---------------------------------------------
+
+
+def _counting_opens(monkeypatch) -> list[str]:
+    """Every path os.open is called with from now on."""
+    real_open = os.open
+    seen = []
+
+    def counting_open(path, *args, **kwargs):
+        seen.append(os.fspath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    return seen
+
+
+def test_blend_reads_the_rows_of_its_plan_once(tmp_path, monkeypatch):
+    save_ir_set(_pcm16_grid_set(), tmp_path)
+    real = os.path.realpath(manifest_path(tmp_path, "SYN1", "HRIR", 48000).parent)
+    seen = _counting_opens(monkeypatch)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert seen == [f"{real}/ir_00000.wav"]
+    p = plan(loaded, Direction(100.0, 10.0), "three_point")
+    rows = sorted(i for i, _ in p.entries)
+    assert len(rows) == 3 and 0 not in rows
+    blend(loaded, p)
+    assert seen[1:] == [f"{real}/ir_{k:05d}.wav" for k in rows]
+    blend(loaded, p)
+    assert len(seen) == 4
+    # the rest in one read, each row once
+    loaded.irs
+    assert sorted(seen) == [f"{real}/ir_{k:05d}.wav" for k in range(50)]
+
+
+@pytest.mark.parametrize("mode", [m.value for m in InterpolationMode])
+def test_lazy_rows_blend_as_the_saved_set_does(tmp_path, ring_set, mode):
+    """Blends read row by row, in any order, give the bytes the in-memory set
+    gives, and leave the set's array what an eager read gives."""
+    save_ir_set(ring_set, tmp_path, encoding="float32")
+    loaded = load_ir_set(tmp_path, "RING15", "HRIR", 48000)
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for az, el in zip(rng.uniform(0, 360, 40), rng.uniform(-90, 90, 40)):
+            p = plan(loaded, Direction(az, el), mode)
+            assert p == plan(ring_set, Direction(az, el), mode)
+            want = blend(ring_set, p)
+            got = blend(loaded, p)
+            assert got.left.tobytes() == want.left.tobytes()
+            assert got.right.tobytes() == want.right.tobytes()
+    assert loaded.irs.tobytes() == ring_set.irs.tobytes()
+    assert not loaded.irs.flags.writeable
+    assert loaded.directions == ring_set.directions
+
+
+def test_a_bad_row_fails_each_use_with_one_message(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wav = os.path.realpath(mpath.parent / "ir_00003.wav")
+    write_wav(wav, 48000, np.zeros((32, 2)), "float32")
+    message = f"{mpath}:5 ({wav}): IR length mismatch in set SYN1: 32 != 128"
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    p = plan(loaded, loaded.directions[3], "nearest")
+    blend(loaded, plan(loaded, loaded.directions[4], "nearest"))
+    for use in (lambda: blend(loaded, p), lambda: blend(loaded, p), lambda: loaded.irs):
+        with pytest.raises(FormatError) as e:
+            use()
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("blended_first", [False, True])
+@pytest.mark.parametrize("use", ["irs", "points", "save_ir_set"])
+def test_whole_set_uses_read_every_row_and_name_the_first_bad_one(
+        tmp_path, lebedev_set, use, blended_first):
+    mpath = save_ir_set(lebedev_set, tmp_path / "in")
+    wavs = {k: os.path.realpath(mpath.parent / f"ir_{k:05d}.wav") for k in (7, 30)}
+    os.unlink(wavs[30])
+    message = _truncate_fmt(wavs[7])
+    write_wav(mpath.parent / "ir_00012.wav", 48000, np.full((128, 2), np.nan), "float32")
+    loaded = load_ir_set(tmp_path / "in", "SYN1", "HRIR", 48000)
+    if blended_first:
+        # rows read earlier split the rest into runs
+        for k in (5, 6, 20):
+            blend(loaded, plan(loaded, loaded.directions[k], "nearest"))
+    with pytest.raises(FormatError) as e:
+        if use == "save_ir_set":
+            save_ir_set(loaded, tmp_path / "out")
+        else:
+            getattr(loaded, use)
+    assert str(e.value) == f"{mpath}:9 ({wavs[7]}): {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_checks_the_first_row_but_no_other(tmp_path, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    write_wav(mpath.parent / "ir_00001.wav", 48000, np.full((128, 2), np.inf), "float32")
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert loaded.ir_length == 128 and len(loaded.directions) == 50
+    write_wav(mpath.parent / "ir_00000.wav", 48000, np.full((128, 2), np.inf), "float32")
+    with pytest.raises(InvalidArgumentError) as e:
+        load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    assert str(e.value) == (f"{mpath}:2 ({os.path.realpath(mpath.parent)}/ir_00000.wav): "
+                            "IR buffers contain non-finite samples")
+
+
+def test_points_constructor_keeps_directions_normalized(tmp_path):
+    raw = [Direction(0, 95), Direction(-90, 0), Direction(400, -100), Direction(10, 20)]
+    s = IRSet("S", "HRIR", 48000, [IRPoint(d, np.ones(4), np.ones(4)) for d in raw])
+    want = tuple(normalize_direction(d.azimuth_deg, d.elevation_deg) for d in raw)
+    assert s.directions == s.index.directions == want
+    assert s.directions[0] == Direction(180.0, 85.0)
+    assert [p.direction for p in s.points] == list(want)
+    save_ir_set(s, tmp_path)
+    assert load_ir_set(tmp_path, "S", "HRIR", 48000).directions == s.directions
+
+
+def test_ir_point_keeps_read_only_copies_of_the_callers_arrays():
+    left, right = np.ones(4), np.zeros(4)
+    p = IRPoint(Direction(0, 0), left, right)
+    left[1] = 2.0
+    right[1] = 3.0
+    assert p.left.tolist() == [1.0] * 4 and p.right.tolist() == [0.0] * 4
+    assert not (p.left.flags.writeable or p.right.flags.writeable)
