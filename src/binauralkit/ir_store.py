@@ -200,9 +200,11 @@ class IRSet:
         error that names it, and is read again on the next use."""
         rows = self._rows
         unread = rows.unread.intersection(indices)
-        if unread and rows.read(sorted(unread)):  # every row is in
-            self._rows = None
-            self._stack.flags.writeable = False
+        if unread:
+            rows.read(sorted(unread))
+            if not rows.unread:
+                self._rows = None
+                self._stack.flags.writeable = False
 
     @cached_property
     def irs(self) -> np.ndarray:
@@ -412,39 +414,31 @@ class _Rows:
         read, checked and decoded; errors are tagged with row 0."""
         try:
             raw, head = self._parse(0)
+            n = len(self.line_numbers)
+            stack = np.empty((n, head.frames, 2))
+            self.flat = stack.reshape(n, -1)
+            wavio.decode_into(raw, head, self.flat[0])
+            if not np.isfinite(self.flat[0]).all():
+                raise InvalidArgumentError("IR buffers contain non-finite samples")
         except BinauralKitError as e:
             raise _at_points(e, 0)
-        n = len(self.line_numbers)
-        stack = np.empty((n, head.frames, 2))
-        self.flat = stack.reshape(n, -1)
-        wavio.decode_into(raw, head, self.flat[0])
         raw = np.frombuffer(raw, np.uint8)
         self.head, self.size = head, len(raw)
         self.before, self.after = raw[:head.start], raw[head.end:]
-        self._check_finite(0, 1)
         self.unread.discard(0)
         return stack
 
-    def read(self, ks: list[int]) -> bool:
+    def read(self, ks: list[int]) -> None:
         """Read, check and decode rows ``ks``, ascending and unread, into
-        their slots; returns whether every row is now in. Each run of
-        consecutive rows is read into blocks of rows holding at most
-        ``_BLOCK_BYTES`` (64 KiB) of file bytes, so that no temporary
-        reaches glibc's mmap threshold. A row as long as the first whose
-        bytes outside the data body equal the first row's has the same
-        header, and is decoded with the rest of its block in one pass; any
-        other row is read again, parsed and decoded on its own, in order, so
-        of several bad rows the first is named. Non-finite samples are
-        looked for once every row of ``ks`` is in. On an error, named by
-        its row, no row of ``ks`` counts as read."""
-        try:
-            self._read(ks)
-        except BinauralKitError as e:
-            raise self.named(e) from None
-        self.unread.difference_update(ks)
-        return not self.unread
-
-    def _read(self, ks: list[int]) -> None:
+        their slots. Each run of consecutive rows is read into blocks of
+        rows holding at most ``_BLOCK_BYTES`` (64 KiB) of file bytes, so
+        that no temporary reaches glibc's mmap threshold. A row as long as
+        the first whose bytes outside the data body equal the first row's
+        has the same header, and is decoded with the rest of its block in
+        one pass; any other row is read again, parsed and decoded on its
+        own, in order, so of several bad rows the first is named.
+        Non-finite samples are looked for once every row of ``ks`` is in.
+        On an error, named by its row, no row of ``ks`` counts as read."""
         first, flat, size = self.head, self.flat, self.size
         block = np.empty((min(len(ks), max(1, _BLOCK_BYTES // size)), size), np.uint8)
         # runs of consecutive rows, each decoded into a slice of the stack
@@ -472,20 +466,16 @@ class _Rows:
                                 f"IR length mismatch in set {self.manifest.subject_id}: "
                                 f"{head.frames} != {first.frames}")
                         wavio.decode_into(raw, head, flat[k])
+            for start, stop in runs:
+                # min and max are NaN or infinite exactly when some sample
+                # is, and need no temporary the size of the rows
+                if not (math.isfinite(flat[start:stop].min())
+                        and math.isfinite(flat[start:stop].max())):
+                    k = start + int(np.argmin(np.isfinite(flat[start:stop]).all(axis=1)))
+                    raise InvalidArgumentError("IR buffers contain non-finite samples")
         except BinauralKitError as e:
-            raise _at_points(e, k)
-        for start, stop in runs:
-            self._check_finite(start, stop)
-
-    def _check_finite(self, start: int, stop: int) -> None:
-        """InvalidArgumentError tagged with the first of rows start..stop - 1
-        that holds a non-finite sample, if any does."""
-        rows = self.flat[start:stop]
-        # min and max are NaN or infinite exactly when some sample is, and
-        # need no temporary the size of the rows
-        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
-            k = start + int(np.argmin(np.isfinite(rows).all(axis=1)))
-            raise _at_points(InvalidArgumentError("IR buffers contain non-finite samples"), k)
+            raise self.named(_at_points(e, k)) from None
+        self.unread.difference_update(ks)
 
 
 def save_ir_set(ir_set: IRSet, root, encoding: str = "float32") -> Path:
