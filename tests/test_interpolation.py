@@ -58,8 +58,12 @@ def test_mode_parse():
     assert InterpolationMode.parse("Three_Point") is InterpolationMode.THREE_POINT
     assert InterpolationMode.parse("auto") is InterpolationMode.AUTO
     assert InterpolationMode.parse(InterpolationMode.PLANAR) is InterpolationMode.PLANAR
-    with pytest.raises(InvalidArgumentError):
-        InterpolationMode.parse("bilinear")
+    for m in InterpolationMode:
+        for text in (m.value, m.value.upper(), m.value.title()):
+            assert InterpolationMode.parse(text) is InterpolationMode(m.value)
+    for bad in ("bilinear", "", None, 3, "auto "):
+        with pytest.raises(InvalidArgumentError, match="unknown interpolation mode"):
+            InterpolationMode.parse(bad)
 
 
 def test_exact_point_any_mode(lebedev_set):
@@ -798,12 +802,3 @@ def test_kept_achieved_directions_plan_as_fresh_ones(mode):
         assert s.index._achieved_alone  # the warm pass below starts from these
         warm = _plans(s, queries, mode)
         assert [repr(p) for p in warm] == [repr(p) for p in cold]
-
-
-def test_mode_parse_matches_the_enum_lookup():
-    for m in InterpolationMode:
-        for text in (m.value, m.value.upper(), m.value.title()):
-            assert InterpolationMode.parse(text) is InterpolationMode(m.value)
-    for bad in ("fastest", "", None, 3, "auto "):
-        with pytest.raises(InvalidArgumentError, match="unknown interpolation mode"):
-            InterpolationMode.parse(bad)

@@ -743,8 +743,8 @@ def test_load_dotdot_rows_under_symlinked_root(tmp_path):
     _assert_same_set(loaded, _resolved_source_set(tmp_path / "link", manifest))
 
 
-def test_load_reads_each_row_once(tmp_path, monkeypatch):
-    save_ir_set(_pcm16_grid_set(), tmp_path)
+def _counting_opens(monkeypatch) -> list[str]:
+    """Every path os.open is called with from now on."""
     real_open = os.open
     seen = []
 
@@ -753,6 +753,12 @@ def test_load_reads_each_row_once(tmp_path, monkeypatch):
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", counting_open)
+    return seen
+
+
+def test_load_reads_each_row_once(tmp_path, monkeypatch):
+    save_ir_set(_pcm16_grid_set(), tmp_path)
+    seen = _counting_opens(monkeypatch)
     loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
     assert len(seen) == 1  # the first row
     loaded.points, loaded.irs, save_ir_set(loaded, tmp_path / "copy")
@@ -1108,10 +1114,10 @@ def _traced(f):
 
 
 def test_row_reads_free_no_temporary_past_the_mmap_threshold(tmp_path):
-    """Beyond the stack and directions it returns, reading 792 rows has less
-    than 128 KiB live at once: a freed temporary of glibc's mmap threshold
-    (128 KiB) or more raises the threshold for the rest of the process.
-    numpy reports its buffers to tracemalloc."""
+    """Reading the 791 rows a load leaves unread into the set's array has
+    less than 128 KiB live at once beyond what it keeps: a freed temporary
+    of glibc's mmap threshold (128 KiB) or more raises the threshold for the
+    rest of the process. numpy reports its buffers to tracemalloc."""
     s = synthesize_ir_set("ring_az_step", 48000, 256, seed=3, step_deg=5.0,
                           elevations=range(-75, 76, 15))
     save_ir_set(s, tmp_path)
@@ -1261,19 +1267,6 @@ def test_import_sadie_skips_ragged_files(tmp_path, ragged_wav):
 
 
 # --- rows read when first needed ---------------------------------------------
-
-
-def _counting_opens(monkeypatch) -> list[str]:
-    """Every path os.open is called with from now on."""
-    real_open = os.open
-    seen = []
-
-    def counting_open(path, *args, **kwargs):
-        seen.append(os.fspath(path))
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", counting_open)
-    return seen
 
 
 def test_blend_reads_the_rows_of_its_plan_once(tmp_path, monkeypatch):
