@@ -790,3 +790,21 @@ def test_ragged_source_fails_its_row_alone(tmp_path, data_root, noise_wav, ragge
     ]
     assert (out / "manifest.tsv").is_file()
     assert [p.name for p in out.glob("*.wav")] == [report.rows[1]["file"]]
+
+
+def test_a_bad_ir_row_fails_only_the_jobs_that_blend_it(tmp_path, noise_wav):
+    import os
+
+    root = tmp_path / "data"
+    mpath = save_ir_set(synthesize_ir_set("lebedev50", 48000, 64, seed=7), root)
+    rows = [line.split("\t") for line in mpath.read_text().splitlines()[1:]]
+    k = next(i for i, (az, el, _) in enumerate(rows) if (float(az), float(el)) == (90.0, 0.0))
+    wav = os.path.realpath(mpath.parent / rows[k][2])
+    os.unlink(wav)
+    # each job snaps to its stored direction: the job at azimuth 90 alone reads row k
+    grid, report, out = _run(tmp_path, root, noise_wav, jobs=1)
+    assert [(r["azimuth"], r["status"]) for r in report.rows] == [("0.0", "ok"),
+                                                                  ("90.0", "failed")]
+    assert report.rows[1]["error"] == (
+        f"{mpath}:{k + 2} ({wav}): cannot read {wav}: "
+        f"[Errno 2] No such file or directory: '{wav}'")
