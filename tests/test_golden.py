@@ -78,6 +78,22 @@ def _write_inputs(root: Path) -> None:
                 name = f"{layout or 'free'}-{normalize}-tail{int(keep_tail)}"
                 (root / f"{name}.json").write_text(json.dumps(
                     {"schema": 1, "config": config, "tracks": tracks}))
+    # three wet tracks of unequal lengths, each shorter than the 0.3 s
+    # reverb, beside a longer dry track
+    _noise(root / "c.wav", 2400, 6)
+    _noise(root / "d.wav", 6000, 7)
+    tracks = [
+        {"name": "a", "file": "a.wav", "azimuth": 30.0, "level": 0.6, "reverb": 0.3},
+        {"name": "b", "file": "b.wav", "azimuth": 250.0, "elevation": 20.0, "level": 0.5,
+         "reverb": 0.5},
+        {"name": "c", "file": "c.wav", "azimuth": 120.0, "elevation": -15.0, "level": 0.7,
+         "reverb": 1.0},
+        {"name": "d", "file": "d.wav", "azimuth": 200.0, "level": 0.6},
+    ]
+    for layout in (None, "7.1.4"):
+        config = {"subject": "LEB", "sample_rate": 48000, "layout": layout, "reverb_type": 3}
+        (root / f"wet3-{layout or 'free'}.json").write_text(json.dumps(
+            {"schema": 1, "config": config, "tracks": tracks}))
 
 
 def _run(root: Path, run: str) -> Path:
@@ -90,7 +106,7 @@ def _run(root: Path, run: str) -> Path:
                 "--jobs", jobs[4:]]
         assert main(argv + (["--float32"] if enc == "float32" else [])) == 0
     elif run == "mix":
-        for scene in sorted(root.glob("*-tail*.json")):
+        for scene in sorted(set(root.glob("*.json")) - {root / "grid.json"}):
             assert main(["mix", str(scene), "--data-root", data,
                          "-o", str(out / f"{scene.stem}.wav")]) == 0
     else:
