@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -230,34 +231,57 @@ class ReverbModel:
         return self._spectrum[1]
 
 
-def default_reverbs(sample_rate_hz: int) -> dict[int, ReverbModel]:
+class _Reverbs(Mapping):
+    """Reverb models by id, always the ids 1..4: the given models, and for
+    every other id the synthetic default, built on its first lookup and
+    kept."""
+
+    def __init__(self, sample_rate_hz: int, models: dict[int, ReverbModel]):
+        self._rate, self._models = sample_rate_hz, models
+
+    def __getitem__(self, rid: int) -> ReverbModel:
+        model = self._models.get(rid)
+        if model is None:
+            decay = _REVERB_DECAY_S[rid]  # a KeyError for an id outside 1..4
+            n = int(round(decay * self._rate))
+            rng = np.random.default_rng(1000 + rid)
+            t = np.arange(n) / self._rate
+            ir = rng.standard_normal(n) * np.exp(-6.91 * t / decay)
+            model = self._models[rid] = ReverbModel(rid, REVERB_NAMES[rid], self._rate, ir)
+        return model
+
+    def __iter__(self):
+        return iter(REVERB_NAMES)
+
+    def __len__(self) -> int:
+        return len(REVERB_NAMES)
+
+
+def default_reverbs(sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     """Synthetic stand-in reverbs: exponentially decaying seeded noise.
 
     Decay times: Theatre 2.0 s, Office 0.5 s, Small Room 0.3 s,
-    Meeting Room 0.7 s. Deterministic per (id, sample rate).
+    Meeting Room 0.7 s. Deterministic per (id, sample rate). The mapping
+    always holds ids 1..4; each model is built on its first lookup, so a
+    caller pays only for the reverbs it uses.
     """
-    models = {}
-    for rid, name in REVERB_NAMES.items():
-        decay = _REVERB_DECAY_S[rid]
-        n = int(round(decay * sample_rate_hz))
-        rng = np.random.default_rng(1000 + rid)
-        t = np.arange(n) / sample_rate_hz
-        ir = rng.standard_normal(n) * np.exp(-6.91 * t / decay)
-        models[rid] = ReverbModel(rid, name, sample_rate_hz, ir)
-    return models
+    return _Reverbs(sample_rate_hz, {})
 
 
-def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
+def load_reverbs(data_root, sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     """Reverbs from <root>/reverb/manifest.tsv when present, else defaults.
 
     Manifest rows are id<TAB>path with mono WAV paths relative to the
-    manifest; ids must be in 1..4 (names are fixed). An error about a row
-    names the manifest and its line.
+    manifest; ids must be in 1..4 (names are fixed), each on one row. The
+    manifest and every file it lists are read and checked here, and an
+    error about a row names the manifest and its line. Ids the manifest
+    leaves out are ``default_reverbs``', each built on its first lookup.
     """
-    models = default_reverbs(sample_rate_hz)
+    models: dict[int, ReverbModel] = {}
     mpath = Path(data_root) / "reverb" / "manifest.tsv"
     if not mpath.is_file():
-        return models
+        return _Reverbs(sample_rate_hz, models)
+    lines = {}
     for i, line in enumerate(read_utf8(mpath).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -270,6 +294,9 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
             raise FormatError(f"{mpath}:{i}: bad reverb id {cols[0]!r}") from None
         if rid not in REVERB_NAMES:
             raise FormatError(f"{mpath}:{i}: reverb id must be 1..4, got {rid}")
+        if rid in lines:
+            raise FormatError(f"{mpath}:{i}: reverb id {rid} is already on line {lines[rid]}")
+        lines[rid] = i
         try:
             path = str(mpath.parent / cols[1])
             raw = read_bytes(path)
@@ -279,7 +306,37 @@ def load_reverbs(data_root, sample_rate_hz: int) -> dict[int, ReverbModel]:
             models[rid] = ReverbModel(rid, REVERB_NAMES[rid], sample_rate_hz, ir)
         except BinauralKitError as e:
             raise type(e)(f"{mpath}:{i}: {e}") from None
-    return models
+    return _Reverbs(sample_rate_hz, models)
+
+
+def _reverb_nfft(n: int, taps: int) -> int | None:
+    """The reverb rule for an n-sample signal and a taps-sample IR: the
+    smallest 2·3·5-smooth length holding the whole output when that output
+    fits the transform ``fft_convolve`` would use, else None, for
+    ``fft_convolve`` itself."""
+    n_out = n + taps - 1
+    return _smooth_nfft(n_out) if n_out <= _partition_nfft(min(n, taps)) else None
+
+
+def _reverb_cost(n: int, taps: int) -> int:
+    """The samples the reverb rule transforms for an n-sample signal and a
+    taps-sample IR: its one transform, or ``fft_convolve``'s blocks."""
+    nfft = _reverb_nfft(n, taps)
+    if nfft is not None:
+        return nfft
+    short = min(n, taps)
+    nfft = _partition_nfft(short)
+    return -(-max(n, taps) // (nfft - short + 1)) * nfft
+
+
+def _reverb_wet(x: np.ndarray, model: ReverbModel) -> np.ndarray:
+    """The 1-D signal ``x`` convolved with the model's IR, by the rule
+    ``_reverb_nfft`` picks: one transform with the IR spectrum the model
+    keeps, or ``fft_convolve``. The result is a fresh buffer."""
+    nfft = _reverb_nfft(len(x), len(model.ir))
+    if nfft is None:
+        return fft_convolve(x, model.ir)
+    return _overlap_add([(x[:, None], model.spectrum(nfft))], len(model.ir), nfft)[:, 0]
 
 
 def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> AudioBuffer:
@@ -291,10 +348,7 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     own buffer is scaled by amount in place and the scaled dry signal is
     added to its head, so no output-sized temporary is made.
 
-    When the whole output fits the transform ``fft_convolve`` would use,
-    the wet path is one transform of the smallest 2·3·5-smooth length
-    holding it, with the IR spectrum the model keeps; otherwise it is
-    ``fft_convolve``.
+    The wet path is ``_reverb_wet``.
     """
     if signal.n_channels != 1:
         raise InvalidArgumentError("apply_reverb expects a mono buffer")
@@ -308,15 +362,10 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     if amount < 0.0 or amount > 1.0:
         warnings.warn(f"reverb amount {amount} outside [0, 1]; clamping", stacklevel=2)
         amount = max(0.0, min(1.0, amount))
-    x, ir = signal.samples, model.ir
+    x = signal.samples
     if amount == 0.0:
-        return AudioBuffer(np.pad(x, (0, len(ir) - 1)), signal.sample_rate_hz)
-    n_out = len(x) + len(ir) - 1
-    if n_out <= _partition_nfft(min(len(x), len(ir))):
-        nfft = _smooth_nfft(n_out)
-        out = _overlap_add([(x[:, None], model.spectrum(nfft))], len(ir), nfft)[:, 0]
-    else:
-        out = fft_convolve(x, ir)
+        return AudioBuffer(np.pad(x, (0, len(model.ir) - 1)), signal.sample_rate_hz)
+    out = _reverb_wet(x, model)
     # amount * wet + (1 - amount) * dry rounds as the dry-first sum, element
     # by element; the tail's + 0.0 turns a -0.0 the product may round to
     # into +0.0, as adding it to a zeroed dry tail did
@@ -401,7 +450,23 @@ def render_source_binaural(
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)
 
 
-def binaural_sum(sources) -> np.ndarray:
+def _bus_nfft(m: int) -> int:
+    """binaural_sum's bus transform size for m-tap IRs: ``fft_convolve``'s,
+    except that one tap is a gain, and length-1 transforms are exact, as
+    ``fft_convolve``'s product is."""
+    return _partition_nfft(m) if m > 1 else 1
+
+
+def _bus_cost(lengths, m: int, columns: int) -> int:
+    """The samples a bus of signals of these lengths and m-tap IRs
+    transforms: every signal's blocks forward, and the longest one's back
+    once per output column."""
+    nfft = _bus_nfft(m)
+    block = nfft - m + 1
+    return nfft * (sum(-(-n // block) for n in lengths) + columns * -(-max(lengths) // block))
+
+
+def binaural_sum(sources, gains=None) -> np.ndarray:
     """The sum over ``(signal, IRPoint)`` pairs of each 1-D signal convolved
     with its IR's left and right buffers, as ``(max len(signal) + taps - 1,
     2)``; every IR must have the same length.
@@ -411,6 +476,11 @@ def binaural_sum(sources) -> np.ndarray:
     form a bus: the IR length sets the partition, as in ``fft_convolve``,
     each IR pair is transformed once, and every source's block spectra are
     added before one inverse transform per batch of blocks.
+
+    ``gains``, one sequence of g numbers per source, renders g such sums
+    as one bus of ``2 * g`` columns: columns 2j and 2j + 1 take each
+    source's IR pair scaled by its j-th gain. The gains scale the IR
+    spectra, so no scaled copy of a signal is made.
     """
     pairs = [(np.asarray(x, dtype=np.float64), np.column_stack([ir.left, ir.right]))
              for x, ir in sources]
@@ -419,12 +489,11 @@ def binaural_sum(sources) -> np.ndarray:
         raise InvalidArgumentError(
             "binaural_sum needs non-empty 1-D signals with IRs of one length"
         )
-    if len(pairs) == 1:
+    if len(pairs) == 1 and gains is None:
         return fft_convolve(*pairs[0])
     (m,) = taps
-    # one tap is a gain: length-1 transforms are exact, as fft_convolve's
-    # product is
-    nfft = _partition_nfft(m) if m > 1 else 1
-    return _overlap_add(
-        [(x[:, None], np.fft.rfft(h, nfft, axis=0)) for x, h in pairs], m, nfft
-    )
+    nfft = _bus_nfft(m)
+    spectra = [np.fft.rfft(h, nfft, axis=0) for _, h in pairs]
+    if gains is not None:
+        spectra = [np.hstack([g * s for g in gs]) for s, gs in zip(spectra, gains)]
+    return _overlap_add([(x[:, None], s) for (x, _), s in zip(pairs, spectra)], m, nfft)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,9 @@ from .dsp import (
     AudioBuffer,
     REVERB_NAMES,
     ReverbModel,
+    _bus_cost,
+    _reverb_cost,
+    _reverb_wet,
     apply_reverb,
     binaural_sum,
     default_reverbs,
@@ -161,6 +165,14 @@ def _check_ir_set(cfg: MixConfig, ir_set: IRSet):
         )
 
 
+def _check_rate(track: TrackObject, sample_rate_hz: int):
+    if track.audio.sample_rate_hz != sample_rate_hz:
+        raise InvalidArgumentError(
+            f"track {track.name!r}: sample rate {track.audio.sample_rate_hz} "
+            f"!= config rate {sample_rate_hz}"
+        )
+
+
 def _track_source(
     track: TrackObject, sample_rate_hz: int, reverb_type: int, reverbs
 ) -> AudioBuffer:
@@ -168,11 +180,7 @@ def _track_source(
     only in direction, layout or mode may share. Reverb at amount 0 is
     skipped entirely so dry tracks keep their natural length (no silent
     multi-second tails)."""
-    if track.audio.sample_rate_hz != sample_rate_hz:
-        raise InvalidArgumentError(
-            f"track {track.name!r}: sample rate {track.audio.sample_rate_hz} "
-            f"!= config rate {sample_rate_hz}"
-        )
+    _check_rate(track, sample_rate_hz)
     sig = AudioBuffer(track.audio.samples * track.level, sample_rate_hz)
     if track.reverb > 0.0:
         sig = apply_reverb(sig, reverbs[reverb_type], track.reverb)
@@ -221,11 +229,48 @@ def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
     return MixResult(AudioBuffer._finite(out, cfg.sample_rate_hz), peak, clipped, tuple(plans))
 
 
+def _shares_send(tracks, taps: int, reverb_taps: int) -> bool:
+    """Whether a mix with two or more wet tracks, rendered with taps-sample
+    IRs, reverbs them with one send: the send transforms no more samples
+    than reverbing each wet track and rendering its tail in the bus. Each
+    reverb's transforms count forward and back; the send's count for each
+    ear, and its bus's inverse transforms for four columns, not two."""
+    n = [t.audio.n_samples for t in tracks]
+    wet = [t.audio.n_samples for t in tracks if t.reverb > 0.0]
+    tails = [t.audio.n_samples + (reverb_taps - 1) * (t.reverb > 0.0) for t in tracks]
+    each = 2 * sum(_reverb_cost(k, reverb_taps) for k in wet) + _bus_cost(tails, taps, 2)
+    send = 4 * _reverb_cost(max(wet) + taps - 1, reverb_taps) + _bus_cost(n, taps, 4)
+    return send <= each
+
+
+def _send_mix(tracks, irs, model: ReverbModel) -> np.ndarray:
+    """The tracks rendered with their IRs and reverbed by one stereo send.
+
+    One ``binaural_sum`` bus of four columns takes each track's own
+    samples: the dry pair with its IR scaled by level * (1 - reverb), the
+    send pair scaled by level * reverb. The send, cut to the longest wet
+    track's render, is convolved with the model's IR one ear at a time,
+    and the dry pair is added to the head of the longer of the two. By
+    linearity this is the sum of each track's levelled, reverbed render,
+    at the same length."""
+    bus = binaural_sum([(t.audio.samples, ir) for t, ir in zip(tracks, irs)],
+                       [(t.level * (1.0 - t.reverb), t.level * t.reverb) for t in tracks])
+    n_send = max(t.audio.n_samples for t in tracks if t.reverb > 0.0) + len(irs[0].left) - 1
+    wet = np.empty((n_send + len(model.ir) - 1, 2))
+    for ear in (0, 1):
+        wet[:, ear] = _reverb_wet(bus[:n_send, 2 + ear], model)
+    dry = bus[:, :2]
+    if len(dry) > len(wet):  # a dry track outlasts every wet track's tail
+        dry, wet = wet, dry.copy()
+    wet[:len(dry)] += dry
+    return wet
+
+
 def mix_tracks_binaural(
     tracks,
     cfg: MixConfig,
     ir_set: IRSet,
-    reverbs: dict[int, ReverbModel] | None = None,
+    reverbs: Mapping[int, ReverbModel] | None = None,
 ) -> MixResult:
     """Render each track at its direction and sum to one stereo program.
 
@@ -234,8 +279,11 @@ def mix_tracks_binaural(
     over that layout's speakers). Tracks are aligned at sample 0 and
     rendered by one ``binaural_sum`` call: two or more tracks form a bus
     sharing each inverse transform, and a lone track renders exactly as
-    its dataset row does. keep_tail=False trims the output to the longest
-    input track.
+    its dataset row does. Two or more wet tracks share one reverb send
+    (``_send_mix``) unless ``_shares_send`` finds it would transform more
+    samples than reverbing each; the send rounds differently from the sum
+    of the tracks' one-track mixes. keep_tail=False trims the output to the
+    longest input track.
     """
     tracks = list(tracks)
     if not tracks:
@@ -247,22 +295,30 @@ def mix_tracks_binaural(
     if cfg.speaker_layout is not None:
         layout = get_layout(cfg.speaker_layout)
 
-    sources, plans = [], []
+    irs, plans = [], []
     for track in tracks:
-        sig = _track_source(track, cfg.sample_rate_hz, cfg.reverb_type, reverbs)
+        _check_rate(track, cfg.sample_rate_hz)
         p, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
-        sources.append((sig.samples, ir))
+        irs.append(ir)
         plans.append((track.name, p))
 
+    model = reverbs[cfg.reverb_type] if sum(t.reverb > 0.0 for t in tracks) > 1 else None
+    if model is not None and _shares_send(tracks, len(irs[0].left), len(model.ir)):
+        stereo = _send_mix(tracks, irs, model)
+    else:
+        stereo = binaural_sum([
+            (_track_source(t, cfg.sample_rate_hz, cfg.reverb_type, reverbs).samples, ir)
+            for t, ir in zip(tracks, irs)
+        ])
     n_input = max(t.audio.n_samples for t in tracks)
-    return _finish([binaural_sum(sources)], n_input, cfg, plans)
+    return _finish([stereo], n_input, cfg, plans)
 
 
 def mix_tracks_stereo(
     tracks,
     pan_map: dict[str, float],
     cfg: MixConfig,
-    reverbs: dict[int, ReverbModel] | None = None,
+    reverbs: Mapping[int, ReverbModel] | None = None,
 ) -> MixResult:
     """Constant-power stereo mix; pan_map maps track name to pan in [-1, 1].
 

@@ -558,6 +558,72 @@ def test_load_reverbs_rejects_bad_rows(tmp_path):
                                 f"channel(s) at sample rate 48000, got {got}")
 
 
+def test_load_reverbs_rejects_a_repeated_id(tmp_path):
+    (tmp_path / "reverb").mkdir()
+    for name in ("a.wav", "b.wav"):
+        write_wav(tmp_path / "reverb" / name, 48000, np.ones((32, 1)), encoding="float32")
+    mpath = tmp_path / "reverb" / "manifest.tsv"
+    mpath.write_text("2\ta.wav\n# a comment\n3\ta.wav\n2\tb.wav\n")
+    with pytest.raises(FormatError) as e:
+        load_reverbs(tmp_path, 48000)
+    assert str(e.value) == f"{mpath}:4: reverb id 2 is already on line 1"
+
+
+def _eager_default(rid, rate):
+    """A default reverb as every model was built before models were built
+    on first lookup: seeded noise with its decay."""
+    decay = {1: 2.0, 2: 0.5, 3: 0.3, 4: 0.7}[rid]
+    n = int(round(decay * rate))
+    t = np.arange(n) / rate
+    ir = np.random.default_rng(1000 + rid).standard_normal(n) * np.exp(-6.91 * t / decay)
+    return ReverbModel(rid, dsp.REVERB_NAMES[rid], rate, ir)
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_reverbs_build_each_default_on_first_lookup(tmp_path, monkeypatch, manifest):
+    built = []
+    real = dsp.ReverbModel
+
+    def counting(rid, *args):
+        built.append(rid)
+        return real(rid, *args)
+
+    if manifest:
+        (tmp_path / "reverb").mkdir()
+        write_wav(tmp_path / "reverb" / "hall.wav", 48000, np.ones((32, 1)), encoding="float32")
+        (tmp_path / "reverb" / "manifest.tsv").write_text("2\thall.wav\n")
+    monkeypatch.setattr(dsp, "ReverbModel", counting)
+    revs = load_reverbs(tmp_path, 48000)
+    # the manifest's rows are read and checked up front
+    assert built == ([2] if manifest else [])
+    assert set(revs) == {1, 2, 3, 4} and len(revs) == 4
+    theatre = revs[1]
+    assert revs[1] is theatre
+    assert built == ([2, 1] if manifest else [1])
+    for rid in (3, 4):
+        assert revs[rid].ir.tobytes() == _eager_default(rid, 48000).ir.tobytes()
+    assert theatre.ir.tobytes() == _eager_default(1, 48000).ir.tobytes()
+    assert (revs[2].name, len(revs[2].ir)) == (("Office", 32) if manifest else ("Office", 24000))
+    with pytest.raises(KeyError):
+        revs[5]
+
+
+def test_a_mix_builds_only_the_reverb_its_wet_tracks_use(lebedev_set, monkeypatch):
+    from binauralkit.mixer import MixConfig, TrackObject, mix_tracks_binaural
+
+    built = []
+    real = dsp.ReverbModel
+    monkeypatch.setattr(dsp, "ReverbModel", lambda rid, *a: built.append(rid) or real(rid, *a))
+    cfg = MixConfig("SYN1", 48000, reverb_type=3)
+    rng = np.random.default_rng(40)
+    dry = TrackObject("dry", AudioBuffer(0.1 * rng.standard_normal(500), 48000))
+    mix_tracks_binaural([dry], cfg, lebedev_set)
+    assert built == []
+    wet = TrackObject("wet", AudioBuffer(0.1 * rng.standard_normal(500), 48000), reverb=0.5)
+    mix_tracks_binaural([dry, wet], cfg, lebedev_set)
+    assert built == [3]
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.inf, "reverb IR 2 contains non-finite samples"),
     (np.nan, "reverb IR 2 contains non-finite samples"),

@@ -294,41 +294,135 @@ def test_reverb_lengthens_and_keep_tail_trims(lebedev_set):
     assert np.array_equal(trimmed.audio.samples, r_wet.audio.samples[:100])
 
 
-@pytest.mark.parametrize("reverb_type", [1, 3])  # 2 s and 0.3 s reverbs
-@pytest.mark.parametrize("keep_tail", [True, False])
-def test_quickstart_sized_mix_matches_scipy(lebedev_set, reverb_type, keep_tail):
-    # four 1 s tracks, three of them wet, like the Quickstart scene; each is
+# seconds of each track (vocals, guitar, keys, drums; drums is dry) and
+# the mix settings of each case
+SCIPY_CASES = {
+    "quickstart": ((1.0, 1.0, 1.0, 1.0), {}),
+    "longest_dry": ((1.0, 0.5, 1.0, 3.5), {}),  # outlasts every wet tail
+    "wet_shorter_than_reverb": ((1.0, 1.0, 0.1, 1.0), {}),
+    "longest_wet": ((3.0, 1.0, 1.0, 0.5), {}),
+    "7.1.4": ((1.0, 1.0, 1.0, 1.0), {"speaker_layout": "7.1.4"}),
+    "peak": ((1.0, 1.0, 1.0, 1.0), {"normalize": "peak"}),
+    "one_tap": ((1.0, 1.0, 1.0, 1.0), {}),  # binaural_sum's length-1 transforms
+}
+
+
+@pytest.mark.parametrize("case, reverb_type, keep_tail", [
+    # 2 s and 0.3 s reverbs; the quickstart cases keep their ids
+    pytest.param(case, reverb_type, keep_tail, id="-".join(
+        [str(keep_tail), str(reverb_type)] + [case] * (case != "quickstart")))
+    for case in SCIPY_CASES for reverb_type in (1, 3) for keep_tail in (True, False)
+])
+def test_quickstart_sized_mix_matches_scipy(lebedev_set, case, reverb_type, keep_tail):
+    # four tracks, three of them wet, like the Quickstart scene; each is
     # levelled, reverbed and convolved with its blended IR by scipy
     signal = pytest.importorskip("scipy.signal")
     from binauralkit.dsp import source_ir
+    from binauralkit.ir_store import IRSet
 
-    t = np.arange(48000) / 48000
+    seconds, settings = SCIPY_CASES[case]
+    ir_set = lebedev_set
+    if case == "one_tap":  # each stored IR's first tap
+        ir_set = IRSet("SYN1", IRType.HRIR, 48000, [
+            IRPoint(p.direction, p.left[:1], p.right[:1]) for p in lebedev_set.points])
     specs = [("vocals", 220, 0.9, 0.2, 0, 0), ("guitar", 330, 0.7, 0.1, 45, 0),
              ("keys", 440, 0.6, 0.3, 315, 10), ("drums", 110, 0.8, 0.0, 180, -10)]
-    tracks = [
-        TrackObject(name, AudioBuffer(0.4 * np.sin(2 * np.pi * f * t) * np.exp(-1.5 * t),
-                                      48000), level, reverb, az, el)
-        for name, f, level, reverb, az, el in specs
-    ]
-    cfg = _cfg(reverb_type=reverb_type, keep_tail=keep_tail)
-    res = mix_tracks_binaural(tracks, cfg, lebedev_set)
+    tracks = []
+    for (name, f, level, reverb, az, el), secs in zip(specs, seconds):
+        t = np.arange(int(secs * 48000)) / 48000
+        tracks.append(TrackObject(
+            name, AudioBuffer(0.4 * np.sin(2 * np.pi * f * t) * np.exp(-1.5 * t), 48000),
+            level, reverb, az, el))
+    cfg = _cfg(reverb_type=reverb_type, keep_tail=keep_tail, **settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a peak over 1 is compared, not clipped
+        res = mix_tracks_binaural(tracks, cfg, ir_set)
     reverb_ir = default_reverbs(48000)[reverb_type].ir
+    layout = get_layout(cfg.speaker_layout) if cfg.speaker_layout else None
     parts = []
     for track in tracks:
         x = track.level * track.audio.samples
         if track.reverb > 0.0:
             dry = np.concatenate([x, np.zeros(len(reverb_ir) - 1)])
             x = (1.0 - track.reverb) * dry + track.reverb * signal.fftconvolve(x, reverb_ir)
-        _, ir = source_ir(track.direction, lebedev_set)
+        _, ir = source_ir(track.direction, ir_set, layout=layout)
         parts.append(signal.fftconvolve(x[:, None], np.column_stack([ir.left, ir.right]),
                                         axes=0))
     want = np.zeros((max(len(p) for p in parts), 2))
     for p in parts:
         want[:len(p)] += p
     if not keep_tail:
-        want = want[:48000]
+        want = want[:max(t.audio.n_samples for t in tracks)]
+    if cfg.normalize == "peak":
+        want /= np.max(np.abs(want))
     assert res.audio.samples.shape == want.shape
     assert np.max(np.abs(res.audio.samples - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_wet", [1, 2, 3, 5])
+def test_wet_tracks_share_one_reverb_send(lebedev_set, monkeypatch, n_wet):
+    # a mix of several wet tracks transforms the reverb IR once and each ear
+    # of the send once forward and once back: 5 long transforms, where
+    # reverbing each track takes 2 per track and one IR spectrum; a lone wet
+    # track keeps that path
+    from binauralkit import dsp, mixer
+
+    reverbs = default_reverbs(48000)
+    model = reverbs[3]  # 0.3 s: every longer transform is the reverb's
+    tracks = [_noise_track(f"w{i}", 5000 + 900 * i, 60 + i, azimuth_deg=40.0 * i,
+                           level=0.3, reverb=0.2 + 0.1 * i) for i in range(n_wet)]
+    tracks.append(_noise_track("dry", 9000, 59, azimuth_deg=200.0, level=0.3))
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    seen = {"ir": 0, "forward": 0, "inverse": 0, "sends": 0, "reverbs": 0}
+
+    def counting_rfft(a, n=None, *args, **kwargs):
+        if np.shares_memory(a, model.ir):
+            seen["ir"] += 1
+        elif n is not None and n >= len(model.ir):
+            seen["forward"] += 1
+        return rfft(a, n, *args, **kwargs)
+
+    def counting_irfft(a, n=None, *args, **kwargs):
+        seen["inverse"] += n is not None and n >= len(model.ir)
+        return irfft(a, n, *args, **kwargs)
+
+    def counting(name, real):
+        def spy(*args):
+            seen[name] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(mixer, "_send_mix", counting("sends", mixer._send_mix))
+    monkeypatch.setattr(mixer, "apply_reverb", counting("reverbs", dsp.apply_reverb))
+    res = mix_tracks_binaural(tracks, _cfg(reverb_type=3), lebedev_set, reverbs)
+    monkeypatch.undo()
+    if n_wet == 1:
+        assert seen == {"ir": 1, "forward": 1, "inverse": 1, "sends": 0, "reverbs": 1}
+    else:
+        assert seen == {"ir": 1, "forward": 2, "inverse": 2, "sends": 1, "reverbs": 0}
+    # the same mix as the sum of its one-track mixes
+    want = np.zeros_like(res.audio.samples)
+    for t in tracks:
+        one = mix_tracks_binaural([t], _cfg(reverb_type=3), lebedev_set, reverbs).audio.samples
+        want[:len(one)] += one
+    assert np.max(np.abs(res.audio.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_send_is_kept_off_where_it_transforms_more():
+    from binauralkit import mixer
+
+    def tracks(*specs):
+        return [TrackObject(str(i), AudioBuffer(np.ones(n), 48000), reverb=r)
+                for i, (n, r) in enumerate(specs)]
+
+    # the bench scene: three 2 s wet tracks and a dry one, the 2 s Theatre
+    # reverb and 256-tap IRs
+    assert mixer._shares_send(tracks(*[(96_000, 0.2)] * 3, (96_000, 0.0)), 256, 96_000)
+    # a 60 s wet track beside a 0.1 s one: the send would transform the
+    # 60 s track's blocks once per ear and its bus back in four columns
+    assert not mixer._shares_send(tracks((2_880_000, 0.3), (4_800, 0.3)), 256, 96_000)
 
 
 def test_reverb_type_selects_model(lebedev_set):
