@@ -256,9 +256,7 @@ def _send_mix(tracks, irs, model: ReverbModel) -> np.ndarray:
     bus = binaural_sum([(t.audio.samples, ir) for t, ir in zip(tracks, irs)],
                        [(t.level * (1.0 - t.reverb), t.level * t.reverb) for t in tracks])
     n_send = max(t.audio.n_samples for t in tracks if t.reverb > 0.0) + len(irs[0].left) - 1
-    wet = np.empty((n_send + len(model.ir) - 1, 2))
-    for ear in (0, 1):
-        wet[:, ear] = _reverb_wet(bus[:n_send, 2 + ear], model)
+    wet = np.column_stack([_reverb_wet(bus[:n_send, 2 + ear], model) for ear in (0, 1)])
     dry = bus[:, :2]
     if len(dry) > len(wet):  # a dry track outlasts every wet track's tail
         dry, wet = wet, dry.copy()
