@@ -318,17 +318,6 @@ def _reverb_nfft(n: int, taps: int) -> int | None:
     return _smooth_nfft(n_out) if n_out <= _partition_nfft(min(n, taps)) else None
 
 
-def _reverb_cost(n: int, taps: int) -> int:
-    """The samples the reverb rule transforms for an n-sample signal and a
-    taps-sample IR: its one transform, or ``fft_convolve``'s blocks."""
-    nfft = _reverb_nfft(n, taps)
-    if nfft is not None:
-        return nfft
-    short = min(n, taps)
-    nfft = _partition_nfft(short)
-    return -(-max(n, taps) // (nfft - short + 1)) * nfft
-
-
 def _reverb_wet(x: np.ndarray, model: ReverbModel) -> np.ndarray:
     """The 1-D signal ``x`` convolved with the model's IR, by the rule
     ``_reverb_nfft`` picks: one transform with the IR spectrum the model
@@ -337,6 +326,14 @@ def _reverb_wet(x: np.ndarray, model: ReverbModel) -> np.ndarray:
     if nfft is None:
         return fft_convolve(x, model.ir)
     return _overlap_add([(x[:, None], model.spectrum(nfft))], len(model.ir), nfft)[:, 0]
+
+
+def _check_reverb_rate(sample_rate_hz: int, model: ReverbModel):
+    if sample_rate_hz != model.sample_rate_hz:
+        raise InvalidArgumentError(
+            f"sample rate mismatch: signal {sample_rate_hz} != "
+            f"reverb {model.sample_rate_hz}"
+        )
 
 
 def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> AudioBuffer:
@@ -352,11 +349,7 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     """
     if signal.n_channels != 1:
         raise InvalidArgumentError("apply_reverb expects a mono buffer")
-    if signal.sample_rate_hz != model.sample_rate_hz:
-        raise InvalidArgumentError(
-            f"sample rate mismatch: signal {signal.sample_rate_hz} != "
-            f"reverb {model.sample_rate_hz}"
-        )
+    _check_reverb_rate(signal.sample_rate_hz, model)
     if not math.isfinite(amount):
         raise InvalidArgumentError(f"reverb amount must be finite, got {amount}")
     if amount < 0.0 or amount > 1.0:
@@ -457,15 +450,6 @@ def _bus_nfft(m: int) -> int:
     return _partition_nfft(m) if m > 1 else 1
 
 
-def _bus_cost(lengths, m: int, columns: int) -> int:
-    """The samples a bus of signals of these lengths and m-tap IRs
-    transforms: every signal's blocks forward, and the longest one's back
-    once per output column."""
-    nfft = _bus_nfft(m)
-    block = nfft - m + 1
-    return nfft * (sum(-(-n // block) for n in lengths) + columns * -(-max(lengths) // block))
-
-
 def binaural_sum(sources, gains=None) -> np.ndarray:
     """The sum over ``(signal, IRPoint)`` pairs of each 1-D signal convolved
     with its IR's left and right buffers, as ``(max len(signal) + taps - 1,
@@ -477,10 +461,10 @@ def binaural_sum(sources, gains=None) -> np.ndarray:
     each IR pair is transformed once, and every source's block spectra are
     added before one inverse transform per batch of blocks.
 
-    ``gains``, one sequence of g numbers per source, renders g such sums
-    as one bus of ``2 * g`` columns: columns 2j and 2j + 1 take each
-    source's IR pair scaled by its j-th gain. The gains scale the IR
-    spectra, so no scaled copy of a signal is made.
+    ``gains``, one ``(dry, send)`` pair per source, renders two such sums
+    as one bus of four columns: the first pair takes each source's IR
+    scaled by its dry gain, the second by its send gain. The gains scale
+    the IR spectra, so no scaled copy of a signal is made.
     """
     pairs = [(np.asarray(x, dtype=np.float64), np.column_stack([ir.left, ir.right]))
              for x, ir in sources]
@@ -495,5 +479,5 @@ def binaural_sum(sources, gains=None) -> np.ndarray:
     nfft = _bus_nfft(m)
     spectra = [np.fft.rfft(h, nfft, axis=0) for _, h in pairs]
     if gains is not None:
-        spectra = [np.hstack([g * s for g in gs]) for s, gs in zip(spectra, gains)]
+        spectra = [np.hstack([dry * s, send * s]) for s, (dry, send) in zip(spectra, gains)]
     return _overlap_add([(x[:, None], s) for (x, _), s in zip(pairs, spectra)], m, nfft)

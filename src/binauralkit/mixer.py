@@ -13,8 +13,7 @@ from .dsp import (
     AudioBuffer,
     REVERB_NAMES,
     ReverbModel,
-    _bus_cost,
-    _reverb_cost,
+    _check_reverb_rate,
     _reverb_wet,
     apply_reverb,
     binaural_sum,
@@ -230,16 +229,20 @@ def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
 
 
 def _shares_send(tracks, taps: int, reverb_taps: int) -> bool:
-    """Whether a mix with two or more wet tracks, rendered with taps-sample
-    IRs, reverbs them with one send: the send transforms no more samples
-    than reverbing each wet track and rendering its tail in the bus. Each
-    reverb's transforms count forward and back; the send's count for each
-    ear, and its bus's inverse transforms for four columns, not two."""
+    """Whether a mix rendered with taps-sample IRs reverbs its wet tracks
+    with one send. The send's 5 long transforms are fewer than the 2N + 1
+    of reverbing each of N wet tracks only from N = 3, so it needs three or
+    more. It must also transform no more samples, counted as each reverb's
+    output forward and back (once per ear for the send) plus the bus's
+    inputs forward and its longest one back per column (four for the send;
+    two, with the reverb tails, otherwise)."""
     n = [t.audio.n_samples for t in tracks]
-    wet = [t.audio.n_samples for t in tracks if t.reverb > 0.0]
-    tails = [t.audio.n_samples + (reverb_taps - 1) * (t.reverb > 0.0) for t in tracks]
-    each = 2 * sum(_reverb_cost(k, reverb_taps) for k in wet) + _bus_cost(tails, taps, 2)
-    send = 4 * _reverb_cost(max(wet) + taps - 1, reverb_taps) + _bus_cost(n, taps, 4)
+    wet = [k for k, t in zip(n, tracks) if t.reverb > 0.0]
+    if len(wet) < 3:
+        return False
+    tails = [k + (reverb_taps - 1) * (t.reverb > 0.0) for k, t in zip(n, tracks)]
+    each = 2 * sum(k + reverb_taps - 1 for k in wet) + sum(tails) + 2 * max(tails)
+    send = 4 * (max(wet) + taps + reverb_taps - 2) + sum(n) + 4 * max(n)
     return send <= each
 
 
@@ -277,7 +280,7 @@ def mix_tracks_binaural(
     over that layout's speakers). Tracks are aligned at sample 0 and
     rendered by one ``binaural_sum`` call: two or more tracks form a bus
     sharing each inverse transform, and a lone track renders exactly as
-    its dataset row does. Two or more wet tracks share one reverb send
+    its dataset row does. Three or more wet tracks share one reverb send
     (``_send_mix``) unless ``_shares_send`` finds it would transform more
     samples than reverbing each; the send rounds differently from the sum
     of the tracks' one-track mixes. keep_tail=False trims the output to the
@@ -300,7 +303,10 @@ def mix_tracks_binaural(
         irs.append(ir)
         plans.append((track.name, p))
 
-    model = reverbs[cfg.reverb_type] if sum(t.reverb > 0.0 for t in tracks) > 1 else None
+    model = None
+    if any(t.reverb > 0.0 for t in tracks):
+        model = reverbs[cfg.reverb_type]
+        _check_reverb_rate(cfg.sample_rate_hz, model)
     if model is not None and _shares_send(tracks, len(irs[0].left), len(model.ir)):
         stereo = _send_mix(tracks, irs, model)
     else:

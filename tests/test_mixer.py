@@ -235,6 +235,19 @@ def test_mix_rejects_a_track_at_another_rate(lebedev_set):
     assert str(e.value) == "track 'a': sample rate 44100 != config rate 48000"
 
 
+@pytest.mark.parametrize("n_wet", [1, 2, 3])
+def test_mix_rejects_reverbs_at_another_rate(lebedev_set, n_wet):
+    # checked before the path is chosen: three wet tracks would share the
+    # send, fewer reverb one by one
+    from binauralkit import mixer
+
+    tracks = [_noise_track(f"w{i}", 64, i, reverb=0.5) for i in range(n_wet)]
+    assert mixer._shares_send(tracks, 128, 96_000) == (n_wet == 3)
+    with pytest.raises(InvalidArgumentError) as e:
+        mix_tracks_binaural(tracks, _cfg(), lebedev_set, default_reverbs(44100))
+    assert str(e.value) == "sample rate mismatch: signal 48000 != reverb 44100"
+
+
 def test_mix_requires_tracks(lebedev_set):
     with pytest.raises(InvalidArgumentError):
         mix_tracks_binaural([], _cfg(), lebedev_set)
@@ -361,10 +374,10 @@ def test_quickstart_sized_mix_matches_scipy(lebedev_set, case, reverb_type, keep
 
 @pytest.mark.parametrize("n_wet", [1, 2, 3, 5])
 def test_wet_tracks_share_one_reverb_send(lebedev_set, monkeypatch, n_wet):
-    # a mix of several wet tracks transforms the reverb IR once and each ear
-    # of the send once forward and once back: 5 long transforms, where
-    # reverbing each track takes 2 per track and one IR spectrum; a lone wet
-    # track keeps that path
+    # a mix of three or more wet tracks transforms the reverb IR once and
+    # each ear of the send once forward and once back: 5 long transforms,
+    # where reverbing each track takes 2 per track and an IR spectrum per
+    # length; one or two wet tracks keep that path, which takes no more
     from binauralkit import dsp, mixer
 
     reverbs = default_reverbs(48000)
@@ -398,8 +411,9 @@ def test_wet_tracks_share_one_reverb_send(lebedev_set, monkeypatch, n_wet):
     monkeypatch.setattr(mixer, "apply_reverb", counting("reverbs", dsp.apply_reverb))
     res = mix_tracks_binaural(tracks, _cfg(reverb_type=3), lebedev_set, reverbs)
     monkeypatch.undo()
-    if n_wet == 1:
-        assert seen == {"ir": 1, "forward": 1, "inverse": 1, "sends": 0, "reverbs": 1}
+    if n_wet < 3:
+        assert seen == {"ir": n_wet, "forward": n_wet, "inverse": n_wet, "sends": 0,
+                        "reverbs": n_wet}
     else:
         assert seen == {"ir": 1, "forward": 2, "inverse": 2, "sends": 1, "reverbs": 0}
     # the same mix as the sum of its one-track mixes
@@ -413,16 +427,22 @@ def test_wet_tracks_share_one_reverb_send(lebedev_set, monkeypatch, n_wet):
 def test_send_is_kept_off_where_it_transforms_more():
     from binauralkit import mixer
 
-    def tracks(*specs):
-        return [TrackObject(str(i), AudioBuffer(np.ones(n), 48000), reverb=r)
-                for i, (n, r) in enumerate(specs)]
+    def shares(*specs):  # (seconds, reverb) per track; 256-tap IRs, 2 s reverb
+        tracks = [TrackObject(str(i), AudioBuffer(np.ones(int(secs * 48000)), 48000),
+                              reverb=r) for i, (secs, r) in enumerate(specs)]
+        return mixer._shares_send(tracks, 256, 96_000)
 
-    # the bench scene: three 2 s wet tracks and a dry one, the 2 s Theatre
-    # reverb and 256-tap IRs
-    assert mixer._shares_send(tracks(*[(96_000, 0.2)] * 3, (96_000, 0.0)), 256, 96_000)
-    # a 60 s wet track beside a 0.1 s one: the send would transform the
-    # 60 s track's blocks once per ear and its bus back in four columns
-    assert not mixer._shares_send(tracks((2_880_000, 0.3), (4_800, 0.3)), 256, 96_000)
+    # the bench scene and the Quickstart's lengths take the send
+    assert shares(*[(2, 0.2)] * 3, (2, 0.0))
+    assert shares(*[(1, 0.3)] * 3, (1, 0.0))
+    # two wet tracks: the send saves no long transform
+    assert not shares((2, 0.3), (2, 0.3), (2, 0.0))
+    assert not shares((60, 0.3), (0.1, 0.3))
+    # a long wet track beside short ones, and short wet tracks over a long
+    # dry bed: the send would transform the long track once per ear, or
+    # its bus back in four columns
+    assert not shares((30, 0.3), (1, 0.3), (1, 0.3))
+    assert not shares(*[(1, 0.2)] * 3, (30, 0.0))
 
 
 def test_reverb_type_selects_model(lebedev_set):
