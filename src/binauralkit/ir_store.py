@@ -44,11 +44,6 @@ from .geometry import (
 )
 
 SAMPLE_RATES = (44100, 48000, 96000)
-# load_ir_set reads rows into blocks of at most this many file bytes. A
-# block stays under glibc's 128 KiB mmap threshold: freeing a larger
-# temporary raises the threshold, which moves where the process's later
-# large arrays come from and how fast fresh pages of them are.
-_BLOCK_BYTES = 1 << 16
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_SCHEMA = 1
 
@@ -201,7 +196,10 @@ class IRSet:
         rows = self._rows
         unread = rows.unread.intersection(indices)
         if unread:
-            rows.read(sorted(unread))
+            try:
+                rows.read(sorted(unread))
+            except BinauralKitError as e:
+                raise rows.named(e) from None
             if not rows.unread:
                 self._rows = None
                 self._stack.flags.writeable = False
@@ -328,16 +326,16 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
 
     The load reads the manifest and checks its header: the subject, IR type
     and rate must match the directory the set is loaded from. A set needs
-    at least 3 rows. The load reads, parses and decodes the first row,
-    which fixes the tap count and the header bytes other rows are compared
-    with, normalizes every direction, builds the set's index from them and
-    checks no two are within ``MERGE_TOLERANCE_DEG``. Every other row is
-    read, checked and decoded into its slot of the set's array the first
-    time it is needed: ``interpolation.blend`` reads the rows of its plan,
-    and ``IRSet.irs``, ``IRSet.points`` and :func:`save_ir_set` read every
-    row still unread. So a bad row no blend touches fails nothing, and a
-    bad row fails its first use, and every later one, with the error the
-    load would have given. A set's files must not change while it is used.
+    at least 3 rows. The load reads, checks and decodes the first row,
+    which fixes the tap count, normalizes every direction, builds the set's
+    index from them and checks no two are within ``MERGE_TOLERANCE_DEG``.
+    Every other row is read, checked and decoded into its slot of the set's
+    array the first time it is needed: ``interpolation.blend`` reads the
+    rows of its plan, and ``IRSet.irs``, ``IRSet.points`` and
+    :func:`save_ir_set` read every row still unread. So a bad row no blend
+    touches fails nothing, and a bad row fails its first use, and every
+    later one, with the error the load would have given. A set's files must
+    not change while it is used.
 
     Errors about a row name its manifest line and WAV path; set-wide errors
     (too few rows) name the manifest. The manifest directory is resolved
@@ -362,7 +360,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     ir_set = IRSet.__new__(IRSet)
     try:
         ir_set._set_header(manifest.subject_id, ir_type, sample_rate_hz, len(line_numbers))
-        stack = rows.first()
+        rows.read([0])
         directions = []
         for k, (az, el, _) in enumerate(manifest.entries):
             try:
@@ -371,7 +369,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
                 raise _at_points(e, k)
         directions = tuple(directions)
         # the set's index takes the directions as normalized above
-        ir_set._set_stack(directions, stack, PointIndex._normalized(directions), rows)
+        ir_set._set_stack(directions, rows.stack, PointIndex._normalized(directions), rows)
     except BinauralKitError as e:
         raise rows.named(e) from None
     return ir_set
@@ -380,7 +378,7 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
 class _Rows:
     """The rows of a set on disk not read yet, and what reading them needs:
     the set directory, each row's manifest line and relative path, and the
-    first row's header and the file bytes around its data body."""
+    set's array, made when row 0 is read."""
 
     def __init__(self, mpath: Path, line_numbers: Sequence[int], manifest: IRManifest):
         self.mpath, self.line_numbers, self.manifest = mpath, line_numbers, manifest
@@ -400,81 +398,36 @@ class _Rows:
         named.names_set = True
         return named
 
-    def _parse(self, k: int) -> tuple[bytes, wavio.WavHeader]:
-        """Row k read and checked on its own."""
-        path = self.path(k)
-        raw = wavio.read_bytes(path)
-        head = wavio.expect_format(raw, path, 2, self.manifest.sample_rate_hz)
-        if not head.frames:
-            raise InvalidArgumentError("IR buffers must share a nonzero length, got 0 and 0")
-        return raw, head
-
-    def first(self) -> np.ndarray:
-        """The set's unfilled ``(rows, taps, 2)`` array, holding row 0,
-        read, checked and decoded; errors are tagged with row 0."""
-        try:
-            raw, head = self._parse(0)
-            n = len(self.line_numbers)
-            stack = np.empty((n, head.frames, 2))
-            self.flat = stack.reshape(n, -1)
-            wavio.decode_into(raw, head, self.flat[0])
-            if not np.isfinite(self.flat[0]).all():
-                raise InvalidArgumentError("IR buffers contain non-finite samples")
-        except BinauralKitError as e:
-            raise _at_points(e, 0)
-        raw = np.frombuffer(raw, np.uint8)
-        self.head, self.size = head, len(raw)
-        self.before, self.after = raw[:head.start], raw[head.end:]
-        self.unread.discard(0)
-        return stack
-
-    def read(self, ks: list[int]) -> None:
+    def read(self, ks: Sequence[int]) -> None:
         """Read, check and decode rows ``ks``, ascending and unread, into
-        their slots. Each run of consecutive rows is read into blocks of
-        rows holding at most ``_BLOCK_BYTES`` (64 KiB) of file bytes, so
-        that no temporary reaches glibc's mmap threshold. A row as long as
-        the first whose bytes outside the data body equal the first row's
-        has the same header, and is decoded with the rest of its block in
-        one pass; any other row is read again, parsed and decoded on its
-        own, in order, so of several bad rows the first is named.
-        Non-finite samples are looked for once every row of ``ks`` is in.
-        On an error, named by its row, no row of ``ks`` counts as read."""
-        first, flat, size = self.head, self.flat, self.size
-        block = np.empty((min(len(ks), max(1, _BLOCK_BYTES // size)), size), np.uint8)
-        # runs of consecutive rows, each decoded into a slice of the stack
-        cuts = [0, *(j for j in range(1, len(ks)) if ks[j] != ks[j - 1] + 1), len(ks)]
-        runs = [(ks[start], ks[stop - 1] + 1) for start, stop in zip(cuts, cuts[1:])]
-        k = ks[0]
+        their slots of ``stack``, one file at a time, so of several bad rows
+        the first is named. Row 0, read first and alone, fixes the tap count
+        and makes ``stack``, unfilled. Non-finite samples are looked for once
+        every row of ``ks`` is in. On an error, tagged with its row, no row
+        of ``ks`` counts as read."""
         try:
-            for start, stop in runs:
-                for lo in range(start, stop, len(block)):
-                    rows = block[:stop - lo]
-                    whole = [wavio.read_into(self.path(lo + i), r) for i, r in enumerate(rows)]
-                    same = (whole & (rows[:, :first.start] == self.before).all(1)
-                            & (rows[:, first.end:] == self.after).all(1))
-                    # a row that differs is zeroed, as its bytes read as
-                    # float32 may hold a signalling NaN whose cast warns, and
-                    # decoded on its own below
-                    rows[~same] = 0
-                    wavio.decode_into(rows, first, flat[lo:lo + len(rows)])
-                    for k, shared in enumerate(same.tolist(), lo):
-                        if shared:
-                            continue
-                        raw, head = self._parse(k)
-                        if head.frames != first.frames:
-                            raise FormatError(
-                                f"IR length mismatch in set {self.manifest.subject_id}: "
-                                f"{head.frames} != {first.frames}")
-                        wavio.decode_into(raw, head, flat[k])
-            for start, stop in runs:
+            for k in ks:
+                path = self.path(k)
+                raw = wavio.read_bytes(path)
+                head = wavio.expect_format(raw, path, 2, self.manifest.sample_rate_hz)
+                if not head.frames:
+                    raise InvalidArgumentError(
+                        "IR buffers must share a nonzero length, got 0 and 0")
+                if not k:
+                    self.stack = np.empty((len(self.line_numbers), head.frames, 2))
+                elif head.frames != self.stack.shape[1]:
+                    raise FormatError(
+                        f"IR length mismatch in set {self.manifest.subject_id}: "
+                        f"{head.frames} != {self.stack.shape[1]}")
+                wavio.decode_into(raw, head, self.stack[k].reshape(-1))
+            for k in ks:
                 # min and max are NaN or infinite exactly when some sample
-                # is, and need no temporary the size of the rows
-                if not (math.isfinite(flat[start:stop].min())
-                        and math.isfinite(flat[start:stop].max())):
-                    k = start + int(np.argmin(np.isfinite(flat[start:stop]).all(axis=1)))
+                # is, and need no temporary the size of the row
+                if not (math.isfinite(self.stack[k].min())
+                        and math.isfinite(self.stack[k].max())):
                     raise InvalidArgumentError("IR buffers contain non-finite samples")
         except BinauralKitError as e:
-            raise self.named(_at_points(e, k)) from None
+            raise _at_points(e, k)
         self.unread.difference_update(ks)
 
 

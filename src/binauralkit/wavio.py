@@ -70,8 +70,7 @@ def read_bytes(path: str) -> bytes:
 def parse_header(raw: bytes, path: str) -> WavHeader:
     """Walk the chunks of a WAV file's bytes and check its fmt and data
     chunks; errors name ``path``. Only the bytes outside the data body are
-    read, so a file that matches another outside its data body, at the same
-    length, has the same header."""
+    read."""
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path} is not a RIFF/WAVE file")
 
@@ -127,43 +126,21 @@ def expect_format(raw: bytes, path, channels: int, rate: int) -> WavHeader:
     return head
 
 
-def read_into(path: str, out) -> bool:
-    """Read the file at ``path`` into ``out``, a writable buffer, if the file
-    holds exactly ``len(out)`` bytes: one open, one read and one close.
-    Returns whether it did; a file that cannot be read, or is shorter or
-    longer, leaves ``out`` undefined, and :func:`read_bytes` gives its bytes
-    or its error."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            # a byte past out tells a longer file from one of out's length
-            return os.readv(fd, (out, bytearray(1))) == len(out)
-        finally:
-            os.close(fd)
-    except (OSError, ValueError):
-        return False
-
-
-def decode_into(raw, head: WavHeader, out: np.ndarray) -> None:
-    """Decode the data body of ``raw`` into ``out``, float64 samples frame
-    after frame; PCM is scaled by 2**(bits-1). Either ``raw`` is one file's
-    bytes and ``out`` is one-dimensional, head.frames * head.channels long,
-    or ``raw`` is a contiguous (rows, size) uint8 array of files that each
-    match ``head`` and ``out`` is (rows, head.frames * head.channels)."""
-    dst = out if out.ndim == 2 else out[None]
-    body = np.frombuffer(raw, np.uint8)
-    # each row's samples, a sample's width apart from its data body
-    strides = (body.size // len(dst), head.bits // 8)
+def decode_into(raw: bytes, head: WavHeader, out: np.ndarray) -> None:
+    """Decode the data body of ``raw``, one file's bytes, into ``out``, a
+    one-dimensional float64 array head.frames * head.channels long, frame
+    after frame; PCM is scaled by 2**(bits-1)."""
+    n = len(out)
     if head.bits == 24:
         # each sample's three bytes as the top of an int32 read from one byte
         # before them; the mask clears that low byte, leaving its code * 2**8,
         # signed
-        codes = np.ndarray(dst.shape, "<i4", body, head.start - 1, strides) & -256
-        np.divide(codes, float(1 << 31), out=dst)
+        codes = np.ndarray(n, "<i4", raw, head.start - 1, 3) & -256
+        np.divide(codes, float(1 << 31), out=out)
     elif head.bits == 16:
-        np.divide(np.ndarray(dst.shape, "<i2", body, head.start, strides), 32768.0, out=dst)
+        np.divide(np.ndarray(n, "<i2", raw, head.start), 32768.0, out=out)
     else:
-        np.copyto(dst, np.ndarray(dst.shape, "<f4", body, head.start, strides))
+        np.copyto(out, np.ndarray(n, "<f4", raw, head.start))
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:

@@ -8,7 +8,6 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from binauralkit import geometry, ir_store, wavio
+from binauralkit import geometry, ir_store
 from binauralkit.distributions import ring_grid_directions
 from binauralkit.dsp import source_ir
 from binauralkit.geometry import (
@@ -954,10 +953,11 @@ _LIST_EVEN = b"LIST" + struct.pack("<I", 6) + b"INFOa\x00"
 def _write_row(path, variant: str, samples: np.ndarray) -> None:
     """A stereo WAV of ``samples`` in one of the encodings and layouts a
     loader meets: plain float32, pcm16 or pcm24 as write_wav writes them,
-    pcm24 in the extensible wrapper, float32 with a trailing LIST chunk, or
-    pcm16 behind a junk chunk that brings it to pcm24's length."""
-    encoding = {"extensible": "pcm24", "list_odd": "float32", "list_even": "float32",
-                "junk": "pcm16"}.get(variant, variant)
+    pcm24 in the extensible wrapper, float32 with a trailing LIST chunk (and
+    one byte more after it), or pcm16 behind a junk chunk that brings it to
+    pcm24's length."""
+    encoding = {"extensible": "pcm24", "list_odd": "float32", "list_odd_byte": "float32",
+                "list_even": "float32", "junk": "pcm16"}.get(variant, variant)
     write_wav(path, 48000, samples, encoding)
     raw = path.read_bytes()
     if variant == "extensible":
@@ -971,11 +971,13 @@ def _write_row(path, variant: str, samples: np.ndarray) -> None:
         path.write_bytes(_riff(raw[12:36] + b"junk" + struct.pack("<I", junk)
                                + bytes(junk) + raw[36:]))
     elif variant.startswith("list"):
-        path.write_bytes(_riff(raw[12:] + (_LIST_ODD if variant == "list_odd"
-                                            else _LIST_EVEN)))
+        path.write_bytes(_riff(raw[12:] + (_LIST_EVEN if variant == "list_even"
+                                            else _LIST_ODD))
+                         + b"\x00" * (variant == "list_odd_byte"))
 
 
-_VARIANTS = ("float32", "pcm16", "pcm24", "extensible", "list_odd", "list_even", "junk")
+_VARIANTS = ("float32", "pcm16", "pcm24", "extensible", "list_odd", "list_odd_byte",
+             "list_even", "junk")
 
 
 def _write_rows(root, variants, seed=0, taps=32) -> list[str]:
@@ -994,37 +996,20 @@ def _write_rows(root, variants, seed=0, taps=32) -> list[str]:
 
 @settings(max_examples=100, deadline=None)
 @given(variants=st.lists(st.sampled_from(_VARIANTS), min_size=6, max_size=16),
-       block=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, block, seed):
-    """Rows whose header bytes equal row 0's share its parse and every other
-    row is parsed on its own; either way the stack is what read_wav gives
-    row by row, bit for bit. Blocks of ``block`` rows put rows that differ
-    on both sides of block boundaries and in a last, partial block."""
+       seed=st.integers(0, 2**16))
+def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, seed):
+    """Rows of any mix of encodings and chunk layouts, a file with a stray
+    byte after its last chunk among them, load as read_wav reads them row
+    by row, bit for bit, into the stack the points view."""
     root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     try:
         paths = _write_rows(root, variants, seed)
-        with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse, \
-                mock.patch.object(ir_store, "_BLOCK_BYTES", block * os.path.getsize(paths[0])):
-            irs = load_ir_set(root, "SYN1", "HRIR", 48000).irs
+        loaded = load_ir_set(root, "SYN1", "HRIR", 48000)
         want = np.stack([read_wav(p)[1] for p in paths])
-        assert irs.tobytes() == want.tobytes()
-        # write_wav writes the same header for the same encoding and length
-        parsed = [c.args[1] for c in parse.call_args_list]
-        assert parsed == [p for p, v in zip(paths, variants) if p == paths[0] or v != variants[0]]
+        assert loaded.irs.tobytes() == want.tobytes()
+        assert loaded.points[0].left.base.tobytes() == want.tobytes()
     finally:
         shutil.rmtree(root)
-
-
-def test_row_with_one_more_byte_is_parsed_on_its_own(tmp_path):
-    paths = _write_rows(tmp_path, ["list_odd"] * 5)
-    with open(paths[3], "ab") as f:
-        f.write(b"\x00")
-    with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
-        loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
-        loaded.points
-    assert [c.args[1] for c in parse.call_args_list] == [paths[0], paths[3]]
-    want = np.stack([read_wav(p)[1] for p in paths])
-    assert loaded.points[0].left.base.tobytes() == want.tobytes()
 
 
 def test_load_error_names_row_with_one_more_byte_after_its_data(tmp_path):
@@ -1054,13 +1039,11 @@ def test_load_error_names_row_with_a_truncated_trailing_chunk(tmp_path):
     )
 
 
-def _blocked_set(tmp_path):
-    """A lebedev50 set of 2,048-tap float32 rows, a few to a load block;
-    returns its manifest path and the number of rows in a block."""
+def _long_row_set(tmp_path):
+    """A lebedev50 set of 2,048-tap float32 rows; returns its manifest path
+    and ``per``, the row count the tests space bad rows by."""
     mpath = save_ir_set(synthesize_ir_set("lebedev50", 48000, 2048, seed=3), tmp_path)
-    per = ir_store._BLOCK_BYTES // os.path.getsize(mpath.parent / "ir_00000.wav")
-    assert 1 < per < 16
-    return mpath, per
+    return mpath, 3
 
 
 def _truncate_fmt(wav) -> str:
@@ -1072,12 +1055,11 @@ def _truncate_fmt(wav) -> str:
     return f"{wav} has a truncated fmt chunk"
 
 
-@pytest.mark.parametrize("next_block", [False, True])
+@pytest.mark.parametrize("adjacent", [False, True])
 @pytest.mark.parametrize("unreadable_first", [False, True])
-def test_load_error_names_the_first_of_two_bad_rows(tmp_path, next_block, unreadable_first):
-    # rows 1..per form the first block after row 0
-    mpath, per = _blocked_set(tmp_path)
-    a, b = (per, per + 1) if next_block else (1, per)
+def test_load_error_names_the_first_of_two_bad_rows(tmp_path, adjacent, unreadable_first):
+    mpath, per = _long_row_set(tmp_path)
+    a, b = (per, per + 1) if adjacent else (1, per)
     unreadable, odd = (a, b) if unreadable_first else (b, a)
     wavs = {k: os.path.realpath(mpath.parent / f"ir_{k:05d}.wav") for k in (a, b)}
     os.unlink(wavs[unreadable])
@@ -1090,7 +1072,7 @@ def test_load_error_names_the_first_of_two_bad_rows(tmp_path, next_block, unread
 
 
 def test_load_names_a_non_finite_row_only_after_every_row_is_read(tmp_path):
-    mpath, per = _blocked_set(tmp_path)
+    mpath, per = _long_row_set(tmp_path)
     write_wav(mpath.parent / "ir_00001.wav", 48000, np.full((2048, 2), np.nan), "float32")
     wav = os.path.realpath(mpath.parent / f"ir_{2 * per + 1:05d}.wav")
     os.unlink(wav)
@@ -1306,6 +1288,33 @@ def test_lazy_rows_blend_as_the_saved_set_does(tmp_path, ring_set, mode):
     assert loaded.irs.tobytes() == ring_set.irs.tobytes()
     assert not loaded.irs.flags.writeable
     assert loaded.directions == ring_set.directions
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm24"])
+def test_brir_length_rows_read_lazily_as_read_wav_reads_them(tmp_path, monkeypatch, encoding):
+    """BRIR-length rows, each file over 64 KiB, read by a blend and then the
+    rest by ``irs``, hold what read_wav reads from each file, bit for bit."""
+    dirs = [Direction(0, 0), Direction(120, 0), Direction(240, 0),
+            Direction(0, 60), Direction(0, -60)]
+    s = synthesize_ir_set(dirs, 48000, 48000, seed=5, ir_type="BRIR")
+    mpath = save_ir_set(s, tmp_path, encoding)
+    wavs = [os.path.realpath(mpath.parent / rel) for _, _, rel in read_manifest(mpath).entries]
+    want = np.stack([read_wav(w)[1] for w in wavs])
+    assert min(os.path.getsize(w) for w in wavs) > 1 << 16
+    seen = _counting_opens(monkeypatch)
+    loaded = load_ir_set(tmp_path, "SYN1", "BRIR", 48000)
+    p = plan(loaded, Direction(180.0, 20.0), "three_point")
+    rows = sorted(i for i, _ in p.entries)
+    assert len(rows) == 3 and 0 not in rows
+    got = blend(loaded, p)
+    assert seen == [wavs[0]] + [wavs[k] for k in rows]
+    for k in rows:
+        assert loaded._stack[k].tobytes() == want[k].tobytes()
+    expected = blend(IRSet._stacked("SYN1", "BRIR", 48000, loaded.directions, want), p)
+    assert got.left.tobytes() == expected.left.tobytes()
+    assert got.right.tobytes() == expected.right.tobytes()
+    assert loaded.irs.tobytes() == want.tobytes()
+    assert sorted(seen) == wavs
 
 
 def test_a_bad_row_fails_each_use_with_one_message(tmp_path, lebedev_set):
