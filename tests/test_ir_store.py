@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from binauralkit.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from binauralkit import geometry, ir_store
+from binauralkit import geometry, ir_store, wavio
 from binauralkit.distributions import ring_grid_directions
 from binauralkit.dsp import source_ir
 from binauralkit.geometry import (
@@ -1010,6 +1011,20 @@ def test_shared_header_load_matches_per_row_reads(tmp_path_factory, variants, se
         assert loaded.points[0].left.base.tobytes() == want.tobytes()
     finally:
         shutil.rmtree(root)
+
+
+def test_row_with_one_more_byte_is_parsed_on_its_own(tmp_path):
+    # every row, the one with a stray byte after its last chunk among them,
+    # has its own header parsed once, in row order
+    paths = _write_rows(tmp_path, ["list_odd"] * 5)
+    with open(paths[3], "ab") as f:
+        f.write(b"\x00")
+    with mock.patch.object(wavio, "parse_header", wraps=wavio.parse_header) as parse:
+        loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+        loaded.points
+    assert [c.args[1] for c in parse.call_args_list] == paths
+    want = np.stack([read_wav(p)[1] for p in paths])
+    assert loaded.points[0].left.base.tobytes() == want.tobytes()
 
 
 def test_load_error_names_row_with_one_more_byte_after_its_data(tmp_path):
