@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
+from .dsp import _held, _hold, binaural_sum, load_audio, load_reverbs, source_ir
 from .errors import (BinauralKitError, FormatError, InvalidArgumentError, as_number,
                      printable, read_json)
 from .ir_store import IRType, load_ir_set
@@ -52,10 +52,6 @@ GRID_SCHEMA = 1
 MANIFEST_COLUMNS = (
     "index", *AXIS_ORDER, "seed", "file", "peak", "clipped", "status", "error", "tags",
 )
-# Inputs a run loads or derives (see _hold). Emptied at the start and end of
-# every run, so a rerun reads edited files afresh.
-_HELD_PER_KIND = 8
-_held: dict = {}
 
 
 @dataclass(frozen=True)
@@ -135,25 +131,13 @@ def job_filename(values: dict, seed: int) -> str:
     return "_" + name[1:] if name.startswith(".") else name
 
 
-def _hold(key, make, *args):
-    """``make(*args)``, made once per ``key`` while it stays among the
-    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
-    the kind; the rest is every input ``make`` reads."""
-    value = _held.pop(key) if key in _held else make(*args)
-    _held[key] = value  # most recently used last
-    kind = [k for k in _held if k[0] == key[0]]
-    if len(kind) > _HELD_PER_KIND:
-        del _held[kind[0]]
-    return value
-
-
 def _cached_ir_set(data_root: str, subject: str, ir_type: str, rate: int):
     args = (data_root, subject, ir_type, rate)
     return _hold(("ir_set", *args), load_ir_set, *args)
 
 
-# functools' cache interface over the whole store: the benchmark's cold start
-# (bench/workloads.start_cold) empties it through this and checks it is empty
+# functools' cache interface over the whole store, held default reverbs too:
+# bench/workloads.start_cold empties it through this and checks it is empty
 _cached_ir_set.cache_clear = _held.clear
 _cached_ir_set.cache_info = lambda: SimpleNamespace(currsize=len(_held))
 
@@ -239,8 +223,10 @@ def run_dataset(
     reruns of the same grid produce byte-identical outputs.
     Within a run each worker keeps the 8 most recently used IR sets, reverb
     sets, sources and levelled, reverbed sources, so a grid with at most 8 of
-    each loads or computes each once per worker. Nothing is kept between
-    runs, so a rerun after editing an input renders the new content.
+    each loads or computes each once per worker. They share one store with
+    the synthetic default reverbs (``dsp._hold``), and a run empties it at
+    its start and end, so nothing is kept between runs and a rerun after
+    editing an input renders the new content.
     Jobs that differ only in mode run as one group on one worker; those
     whose blended IRs are bit-identical share one render and one WAV
     encode, and the others get a copy of its bytes, so every output is

@@ -21,9 +21,10 @@ from .layouts import SpeakerLayout
 from .wavio import decode_into, expect_format, read_bytes, read_wav
 
 
-@dataclass
+@dataclass(eq=False)
 class AudioBuffer:
-    """Samples (frames,) for mono or (frames, channels) plus a sample rate."""
+    """Samples (frames,) for mono or (frames, channels) plus a sample rate.
+    Buffers compare and hash by identity, not by their samples."""
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -193,11 +194,16 @@ def pan_constant_power(pan: float) -> tuple[float, float]:
 
 REVERB_NAMES = {1: "Theatre", 2: "Office", 3: "Small Room", 4: "Meeting Room"}
 _REVERB_DECAY_S = {1: 2.0, 2: 0.5, 3: 0.3, 4: 0.7}
+# Derived values held across calls (see _hold), emptied by run_dataset at its
+# start and end, so a rerun reads edited files afresh.
+_HELD_PER_KIND = 8
+_held: dict = {}
 
 
-@dataclass
+@dataclass(eq=False)
 class ReverbModel:
-    """A mono reverb IR, energy-normalized so sum(ir**2) == 1."""
+    """A mono reverb IR, energy-normalized so sum(ir**2) == 1. Models
+    compare and hash by identity, not by their IRs."""
 
     id: int
     name: str
@@ -224,17 +230,45 @@ class ReverbModel:
         """The IR's rfft at ``nfft`` as a read-only (nfft // 2 + 1, 1)
         column; the last size asked for is kept, since a model is usually
         applied to signals of one length."""
-        if self._spectrum is None or self._spectrum[0] != nfft:
+        kept = self._spectrum  # another caller may replace it meanwhile
+        if kept is None or kept[0] != nfft:
             spectra = np.fft.rfft(self.ir, nfft)[:, None]
             spectra.flags.writeable = False
-            self._spectrum = (nfft, spectra)
-        return self._spectrum[1]
+            kept = self._spectrum = (nfft, spectra)
+        return kept[1]
+
+
+def _hold(key, make, *args):
+    """``make(*args)``, made once per ``key`` while it stays among the
+    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
+    the kind; the rest is every input ``make`` reads. Each step is one dict
+    call, so threads may share the store: a race can only make a value
+    twice or evict one more."""
+    value = _held.pop(key, None)
+    if value is None:
+        value = make(*args)
+    _held[key] = value  # most recently used last
+    kind = [k for k in list(_held) if k[0] == key[0]]
+    if len(kind) > _HELD_PER_KIND:
+        _held.pop(kind[0], None)
+    return value
+
+
+def _default_reverb(rate: int, rid: int) -> ReverbModel:
+    """The synthetic default reverb ``rid`` at ``rate`` (see default_reverbs)."""
+    decay = _REVERB_DECAY_S[rid]  # a KeyError for an id outside 1..4
+    n = int(round(decay * rate))
+    rng = np.random.default_rng(1000 + rid)
+    t = np.arange(n) / rate
+    ir = rng.standard_normal(n) * np.exp(-6.91 * t / decay)
+    return ReverbModel(rid, REVERB_NAMES[rid], rate, ir)
 
 
 class _Reverbs(Mapping):
     """Reverb models by id, always the ids 1..4: the given models, and for
     every other id the synthetic default, built on its first lookup and
-    kept."""
+    held in the package's store (``_hold``), so every mapping at one rate
+    shares it."""
 
     def __init__(self, sample_rate_hz: int, models: dict[int, ReverbModel]):
         self._rate, self._models = sample_rate_hz, models
@@ -242,12 +276,7 @@ class _Reverbs(Mapping):
     def __getitem__(self, rid: int) -> ReverbModel:
         model = self._models.get(rid)
         if model is None:
-            decay = _REVERB_DECAY_S[rid]  # a KeyError for an id outside 1..4
-            n = int(round(decay * self._rate))
-            rng = np.random.default_rng(1000 + rid)
-            t = np.arange(n) / self._rate
-            ir = rng.standard_normal(n) * np.exp(-6.91 * t / decay)
-            model = self._models[rid] = ReverbModel(rid, REVERB_NAMES[rid], self._rate, ir)
+            model = _hold(("reverb", self._rate, rid), _default_reverb, self._rate, rid)
         return model
 
     def __iter__(self):
@@ -264,6 +293,13 @@ def default_reverbs(sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     Meeting Room 0.7 s. Deterministic per (id, sample rate). The mapping
     always holds ids 1..4; each model is built on its first lookup, so a
     caller pays only for the reverbs it uses.
+
+    Each model is held (``_hold``) and shared by later calls at its rate:
+    it depends only on id and rate, its noise is seeded and its IR is
+    read-only, so callers must not replace its fields. At most 4 models a
+    rate, 8 in all, are held, each with its IR and its spectrum at the last
+    transform size, at most ``_partition_nfft(taps)`` (Theatre at 48 kHz:
+    768 KB and at most 4.2 MB). ``run_dataset`` empties the store.
     """
     return _Reverbs(sample_rate_hz, {})
 
@@ -274,8 +310,9 @@ def load_reverbs(data_root, sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     Manifest rows are id<TAB>path with mono WAV paths relative to the
     manifest; ids must be in 1..4 (names are fixed), each on one row. The
     manifest and every file it lists are read and checked here, and an
-    error about a row names the manifest and its line. Ids the manifest
-    leaves out are ``default_reverbs``', each built on its first lookup.
+    error about a row names the manifest and its line. Each call reads the
+    manifest again and gives new models. Ids the manifest leaves out are
+    ``default_reverbs``', each built on its first lookup and shared.
     """
     models: dict[int, ReverbModel] = {}
     mpath = Path(data_root) / "reverb" / "manifest.tsv"

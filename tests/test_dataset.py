@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from binauralkit import dsp
 from binauralkit.dataset import (
     AXIS_ORDER,
     MANIFEST_COLUMNS,
@@ -13,6 +14,7 @@ from binauralkit.dataset import (
     parse_grid,
     run_dataset,
 )
+from binauralkit.dsp import default_reverbs
 from binauralkit.errors import FormatError, InvalidArgumentError
 from binauralkit.ir_store import save_ir_set, synthesize_ir_set
 from binauralkit.wavio import write_wav
@@ -305,7 +307,7 @@ def test_rerun_renders_edited_inputs(tmp_path, monkeypatch):
         result = mix_tracks_binaural([track], MixConfig("SYN1", 48000), ir_set, reverbs)
         write_wav(tmp_path / "direct.wav", 48000, result.audio.samples, "pcm24")
         assert (tmp_path / "direct.wav").read_bytes() == (out / row["file"]).read_bytes()
-    assert dataset._held == {}
+    assert dsp._held == {}
 
     def full_disk(path, *args):
         raise OSError(28, "No space left on device", str(path))
@@ -313,30 +315,53 @@ def test_rerun_renders_edited_inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset, "write_wav", full_disk)
     with pytest.raises(OSError, match="No space left"):
         _run(tmp_path / "third", root, source, axes=axes)
-    assert dataset._held == {}
+    assert dsp._held == {}
 
 
 def test_held_values_are_bounded_per_kind(monkeypatch):
     # each kind keeps its own most recently used values, so many levelled
     # sources never push out the source audio every job reads
-    import binauralkit.dataset as dataset
-
-    monkeypatch.setattr(dataset, "_held", {})
+    monkeypatch.setattr(dsp, "_held", {})
     made = []
 
     def make(value):
         made.append(value)
         return value
 
-    dataset._hold(("audio", "a"), make, "a")
-    for i in range(dataset._HELD_PER_KIND):
-        dataset._hold(("prepared", i), make, i)
-    dataset._hold(("prepared", 0), make, 0)  # now the most recent of its kind
-    dataset._hold(("prepared", "new"), make, "new")
-    assert dataset._hold(("audio", "a"), make, "b") == "a"
-    assert made == ["a", *range(dataset._HELD_PER_KIND), "new"]
-    assert ("prepared", 1) not in dataset._held and ("prepared", 0) in dataset._held
-    assert len(dataset._held) == dataset._HELD_PER_KIND + 1
+    dsp._hold(("audio", "a"), make, "a")
+    for i in range(dsp._HELD_PER_KIND):
+        dsp._hold(("prepared", i), make, i)
+    dsp._hold(("prepared", 0), make, 0)  # now the most recent of its kind
+    dsp._hold(("prepared", "new"), make, "new")
+    assert dsp._hold(("audio", "a"), make, "b") == "a"
+    assert made == ["a", *range(dsp._HELD_PER_KIND), "new"]
+    assert ("prepared", 1) not in dsp._held and ("prepared", 0) in dsp._held
+    assert len(dsp._held) == dsp._HELD_PER_KIND + 1
+
+
+def test_cache_clear_empties_held_default_reverbs():
+    # the benchmark's cold start empties the package through this face and
+    # checks currsize, so a held default reverb must go with the rest
+    from binauralkit.dataset import _cached_ir_set
+
+    model = default_reverbs(48000)[1]
+    assert _cached_ir_set.cache_info().currsize == 1
+    _cached_ir_set.cache_clear()
+    assert _cached_ir_set.cache_info().currsize == 0 and dsp._held == {}
+    assert default_reverbs(48000)[1] is not model
+
+
+def test_a_run_empties_the_store_it_finds_full(tmp_path, data_root, noise_wav):
+    # defaults held before a run do not outlive it, so the run starts from
+    # and leaves a cold package
+    held = default_reverbs(48000)[3]
+    assert dsp._held
+    _, report, _ = _run(tmp_path / "out", data_root, noise_wav,
+                        axes=_grid_axes(source=[str(noise_wav)], reverb_amount=[0.3],
+                                        reverb_type=[3]))
+    assert report.n_failed == 0
+    assert dsp._held == {}
+    assert default_reverbs(48000)[3] is not held
 
 
 def test_run_dataset_cap(tmp_path, data_root, noise_wav, monkeypatch):

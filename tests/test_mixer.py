@@ -648,3 +648,24 @@ def test_track_source_is_read_only(reverb):
     with pytest.raises(ValueError, match="read-only"):
         sig.samples[0] = 1.0
     assert track.audio.samples.flags.writeable  # the track's own samples stay
+
+
+def test_array_holders_compare_by_identity(lebedev_set):
+    # equal fields, but two objects: == must not compare sample arrays,
+    # whose elementwise result has no one truth value
+    from binauralkit.dsp import ReverbModel, render_source_binaural
+
+    a, b = AudioBuffer(np.zeros(8), 48000), AudioBuffer(np.zeros(8), 48000)
+    assert (a == b) is False and (a == a) is True and a != b
+    assert len({a, b, a}) == 2
+    m, n = (ReverbModel(9, "Test", 48000, np.ones(4)) for _ in range(2))
+    assert (m == n) is False and (m == m) is True and len({m, n, m}) == 2
+    t = TrackObject("t", a)
+    assert t == TrackObject("t", a) and t != TrackObject("t", b)
+    assert TrackObject("t", b) not in [t]
+    r, s = (render_source_binaural(a, Direction(0.0, 0.0), lebedev_set) for _ in range(2))
+    assert r == r and r != s
+    x, y = (mix_tracks_binaural([t], _cfg(), lebedev_set) for _ in range(2))
+    assert x == x and x != y and y not in [x]
+    assert len({x, y, x}) == 2
+
