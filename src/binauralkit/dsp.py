@@ -10,6 +10,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,6 +73,27 @@ def load_audio(path) -> AudioBuffer:
         return AudioBuffer(samples, rate)
     except BinauralKitError as e:
         raise type(e)(f"{path}: {e}") from None
+
+
+def _hold(key, make, *args):
+    """``make(*args)``, made once per ``key`` while it stays among the
+    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
+    the kind; the rest is every input ``make`` reads."""
+    value = _held.pop(key) if key in _held else make(*args)
+    _held[key] = value  # most recently used last
+    kind = [k for k in _held if k[0] == key[0]]
+    if len(kind) > _HELD_PER_KIND:
+        del _held[kind[0]]
+    return value
+
+
+# Inputs a dataset run loads or derives, emptied by run_dataset at its start
+# and end so a rerun reads edited files afresh. functools' cache interface lets
+# bench/workloads.start_cold find the store, empty it and check it is empty.
+_HELD_PER_KIND = 8
+_held: dict = {}
+_hold.cache_clear = _held.clear
+_hold.cache_info = lambda: SimpleNamespace(currsize=len(_held))
 
 
 # Each batch of blocks is transformed at once; the cap keeps a batch's
@@ -194,10 +216,6 @@ def pan_constant_power(pan: float) -> tuple[float, float]:
 
 REVERB_NAMES = {1: "Theatre", 2: "Office", 3: "Small Room", 4: "Meeting Room"}
 _REVERB_DECAY_S = {1: 2.0, 2: 0.5, 3: 0.3, 4: 0.7}
-# Derived values held across calls (see _hold), emptied by run_dataset at its
-# start and end, so a rerun reads edited files afresh.
-_HELD_PER_KIND = 8
-_held: dict = {}
 
 
 @dataclass(eq=False)
@@ -238,22 +256,6 @@ class ReverbModel:
         return kept[1]
 
 
-def _hold(key, make, *args):
-    """``make(*args)``, made once per ``key`` while it stays among the
-    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
-    the kind; the rest is every input ``make`` reads. Each step is one dict
-    call, so threads may share the store: a race can only make a value
-    twice or evict one more."""
-    value = _held.pop(key, None)
-    if value is None:
-        value = make(*args)
-    _held[key] = value  # most recently used last
-    kind = [k for k in list(_held) if k[0] == key[0]]
-    if len(kind) > _HELD_PER_KIND:
-        _held.pop(kind[0], None)
-    return value
-
-
 def _default_reverb(rate: int, rid: int) -> ReverbModel:
     """The synthetic default reverb ``rid`` at ``rate`` (see default_reverbs)."""
     decay = _REVERB_DECAY_S[rid]  # a KeyError for an id outside 1..4
@@ -267,8 +269,7 @@ def _default_reverb(rate: int, rid: int) -> ReverbModel:
 class _Reverbs(Mapping):
     """Reverb models by id, always the ids 1..4: the given models, and for
     every other id the synthetic default, built on its first lookup and
-    held in the package's store (``_hold``), so every mapping at one rate
-    shares it."""
+    kept."""
 
     def __init__(self, sample_rate_hz: int, models: dict[int, ReverbModel]):
         self._rate, self._models = sample_rate_hz, models
@@ -276,7 +277,7 @@ class _Reverbs(Mapping):
     def __getitem__(self, rid: int) -> ReverbModel:
         model = self._models.get(rid)
         if model is None:
-            model = _hold(("reverb", self._rate, rid), _default_reverb, self._rate, rid)
+            model = self._models[rid] = _default_reverb(self._rate, rid)
         return model
 
     def __iter__(self):
@@ -292,14 +293,9 @@ def default_reverbs(sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     Decay times: Theatre 2.0 s, Office 0.5 s, Small Room 0.3 s,
     Meeting Room 0.7 s. Deterministic per (id, sample rate). The mapping
     always holds ids 1..4; each model is built on its first lookup, so a
-    caller pays only for the reverbs it uses.
-
-    Each model is held (``_hold``) and shared by later calls at its rate:
-    it depends only on id and rate, its noise is seeded and its IR is
-    read-only, so callers must not replace its fields. At most 4 models a
-    rate, 8 in all, are held, each with its IR and its spectrum at the last
-    transform size, at most ``_partition_nfft(taps)`` (Theatre at 48 kHz:
-    768 KB and at most 4.2 MB). ``run_dataset`` empties the store.
+    caller pays only for the reverbs it uses. A script that mixes over and
+    over at one rate can pass one mapping as every call's ``reverbs``, so
+    each default is built, and transformed at one length, once.
     """
     return _Reverbs(sample_rate_hz, {})
 
@@ -310,9 +306,8 @@ def load_reverbs(data_root, sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     Manifest rows are id<TAB>path with mono WAV paths relative to the
     manifest; ids must be in 1..4 (names are fixed), each on one row. The
     manifest and every file it lists are read and checked here, and an
-    error about a row names the manifest and its line. Each call reads the
-    manifest again and gives new models. Ids the manifest leaves out are
-    ``default_reverbs``', each built on its first lookup and shared.
+    error about a row names the manifest and its line. Ids the manifest
+    leaves out are ``default_reverbs``', each built on its first lookup.
     """
     models: dict[int, ReverbModel] = {}
     mpath = Path(data_root) / "reverb" / "manifest.tsv"

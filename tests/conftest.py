@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from binauralkit import dsp
 from binauralkit.ir_store import save_ir_set, synthesize_ir_set
 from binauralkit.wavio import write_wav
 
@@ -13,13 +12,6 @@ from binauralkit.wavio import write_wav
 # per-example deadline, so property tests cannot flake on a slow runner.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
-
-
-@pytest.fixture(autouse=True)
-def empty_store():
-    """Each test starts with nothing held (``dsp._hold``), so what it builds,
-    default reverbs included, does not depend on the tests run before it."""
-    dsp._held.clear()
 
 
 @pytest.fixture(scope="session")

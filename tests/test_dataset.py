@@ -14,7 +14,6 @@ from binauralkit.dataset import (
     parse_grid,
     run_dataset,
 )
-from binauralkit.dsp import default_reverbs
 from binauralkit.errors import FormatError, InvalidArgumentError
 from binauralkit.ir_store import save_ir_set, synthesize_ir_set
 from binauralkit.wavio import write_wav
@@ -339,29 +338,16 @@ def test_held_values_are_bounded_per_kind(monkeypatch):
     assert len(dsp._held) == dsp._HELD_PER_KIND + 1
 
 
-def test_cache_clear_empties_held_default_reverbs():
-    # the benchmark's cold start empties the package through this face and
-    # checks currsize, so a held default reverb must go with the rest
+def test_cache_clear_empties_the_store():
+    # the benchmark's cold start finds the store's face on dsp._hold and on
+    # dataset._cached_ir_set, empties it through either and checks currsize
     from binauralkit.dataset import _cached_ir_set
 
-    model = default_reverbs(48000)[1]
-    assert _cached_ir_set.cache_info().currsize == 1
-    _cached_ir_set.cache_clear()
-    assert _cached_ir_set.cache_info().currsize == 0 and dsp._held == {}
-    assert default_reverbs(48000)[1] is not model
-
-
-def test_a_run_empties_the_store_it_finds_full(tmp_path, data_root, noise_wav):
-    # defaults held before a run do not outlive it, so the run starts from
-    # and leaves a cold package
-    held = default_reverbs(48000)[3]
-    assert dsp._held
-    _, report, _ = _run(tmp_path / "out", data_root, noise_wav,
-                        axes=_grid_axes(source=[str(noise_wav)], reverb_amount=[0.3],
-                                        reverb_type=[3]))
-    assert report.n_failed == 0
-    assert dsp._held == {}
-    assert default_reverbs(48000)[3] is not held
+    for face in (_cached_ir_set, dsp._hold):
+        dsp._hold(("audio", "a"), str, "a")
+        assert face.cache_info().currsize == len(dsp._held) > 0
+        face.cache_clear()
+        assert dsp._held == {} and face.cache_info().currsize == 0
 
 
 def test_run_dataset_cap(tmp_path, data_root, noise_wav, monkeypatch):

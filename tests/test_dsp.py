@@ -393,7 +393,7 @@ def test_reverb_model_transforms_its_ir_once_per_length(monkeypatch):
     assert len(ir_transforms) == 3
     monkeypatch.undo()
     # the kept spectrum gives the bytes a fresh model gives
-    fresh = dsp._default_reverb(48000, 3)
+    fresh = default_reverbs(48000)[3]
     for s, out in zip(sources, outs):
         assert apply_reverb(s, fresh, 0.5).samples.tobytes() == out.tobytes()
     # the cache is not part of the model's value
@@ -624,40 +624,9 @@ def test_a_mix_builds_only_the_reverb_its_wet_tracks_use(lebedev_set, monkeypatc
     assert built == [3]
 
 
-def test_mixes_without_reverbs_share_one_held_default(lebedev_set, monkeypatch):
-    # a mix with reverbs=None takes its reverb from the package's store, so
-    # a second mix at the rate builds nothing and renders the same bytes
-    from binauralkit.mixer import MixConfig, TrackObject, mix_tracks_binaural
-
-    built = []
-    real = dsp.ReverbModel
-    monkeypatch.setattr(dsp, "ReverbModel", lambda rid, *a: built.append(rid) or real(rid, *a))
-    rng = np.random.default_rng(48)
-    wet = TrackObject("wet", AudioBuffer(0.1 * rng.standard_normal(900), 48000), reverb=0.4)
-    cfg = MixConfig("SYN1", 48000)
-    first = mix_tracks_binaural([wet], cfg, lebedev_set)
-    second = mix_tracks_binaural([wet], cfg, lebedev_set)
-    assert built == [1]
-    assert first.audio.samples.tobytes() == second.audio.samples.tobytes()
-
-
-def test_load_reverbs_shares_defaults_and_reads_its_manifest_anew(tmp_path):
-    plain = tmp_path / "plain"
-    assert load_reverbs(plain, 48000)[1] is default_reverbs(48000)[1]
-    assert load_reverbs(plain, 48000)[4] is load_reverbs(plain, 48000)[4]
-    (tmp_path / "reverb").mkdir()
-    (tmp_path / "reverb" / "manifest.tsv").write_text("2\thall.wav\n")
-    write_wav(tmp_path / "reverb" / "hall.wav", 48000, np.ones((32, 1)), encoding="float32")
-    first = load_reverbs(tmp_path, 48000)
-    write_wav(tmp_path / "reverb" / "hall.wav", 48000, np.ones((40, 1)), encoding="float32")
-    again = load_reverbs(tmp_path, 48000)
-    assert (len(first[2].ir), len(again[2].ir)) == (32, 40)
-    assert first[1] is again[1] is default_reverbs(48000)[1]
-
-
 def test_reverb_spectrum_returns_the_size_it_was_asked_for():
     # another caller may store its own size between this call storing its
-    # spectrum and returning it, as threads sharing a default model can
+    # spectrum and returning it, as threads mixing with one model can
     class Interleaved(ReverbModel):
         def __setattr__(self, name, value):
             super().__setattr__(name, value)
@@ -667,49 +636,6 @@ def test_reverb_spectrum_returns_the_size_it_was_asked_for():
     model = Interleaved(9, "Test", 48000, np.ones(100))
     assert model.spectrum(1024).shape == (513, 1)
     assert model._spectrum[0] == 4096
-
-
-def test_threads_share_the_store_and_a_model_spectrum():
-    # mixes with reverbs=None share held models across threads, and a
-    # dataset run empties the store whatever else runs: no step may raise,
-    # hand back another key's value or another size's spectrum
-    import sys
-    import threading
-
-    model = ReverbModel(9, "Test", 48000, np.ones(16))
-    errors, done = [], threading.Event()
-
-    def work(i):
-        nfft = 64 << i
-        try:
-            for j in range(30_000):
-                key = ("test", j % 12)
-                if dsp._hold(key, tuple, key) != key:
-                    errors.append((i, "held value"))
-                if model.spectrum(nfft).shape != (nfft // 2 + 1, 1):
-                    errors.append((i, "spectrum size"))
-        except Exception as e:  # reported below with its thread
-            errors.append((i, e))
-
-    def empty():
-        while not done.is_set():
-            dsp._held.clear()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        emptier = threading.Thread(target=empty)
-        for th in [*workers, emptier]:
-            th.start()
-        for th in workers:
-            th.join(timeout=60)
-    finally:
-        done.set()
-        sys.setswitchinterval(interval)
-    emptier.join(timeout=60)
-    assert not any(th.is_alive() for th in [*workers, emptier])
-    assert errors[:3] == []
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -658,6 +658,8 @@ def test_array_holders_compare_by_identity(lebedev_set):
     a, b = AudioBuffer(np.zeros(8), 48000), AudioBuffer(np.zeros(8), 48000)
     assert (a == b) is False and (a == a) is True and a != b
     assert len({a, b, a}) == 2
+    shared = np.zeros(8)  # one samples array still makes two buffers
+    assert AudioBuffer(shared, 48000) != AudioBuffer(shared, 48000)
     m, n = (ReverbModel(9, "Test", 48000, np.ones(4)) for _ in range(2))
     assert (m == n) is False and (m == m) is True and len({m, n, m}) == 2
     t = TrackObject("t", a)
@@ -668,4 +670,3 @@ def test_array_holders_compare_by_identity(lebedev_set):
     x, y = (mix_tracks_binaural([t], _cfg(), lebedev_set) for _ in range(2))
     assert x == x and x != y and y not in [x]
     assert len({x, y, x}) == 2
-
