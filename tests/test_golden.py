@@ -94,6 +94,26 @@ def _write_inputs(root: Path) -> None:
         config = {"subject": "LEB", "sample_rate": 48000, "layout": layout, "reverb_type": 3}
         (root / f"wet3-{layout or 'free'}.json").write_text(json.dumps(
             {"schema": 1, "config": config, "tracks": tracks}))
+    # 2 s wet tracks, whose 0.3 s reverb output is too long for one
+    # transform: three share the send, and a lone one is reverbed by itself
+    _noise(root / "e.wav", 96000, 8)
+    _noise(root / "f.wav", 90000, 9)
+    long_tracks = {
+        "send": [
+            {"name": "e", "file": "e.wav", "azimuth": 40.0, "level": 0.5, "reverb": 0.4},
+            {"name": "f", "file": "f.wav", "azimuth": 160.0, "elevation": 30.0,
+             "level": 0.5, "reverb": 0.7},
+            {"name": "g", "file": "e.wav", "azimuth": 300.0, "level": 0.4, "reverb": 1.0},
+        ],
+        "track": [
+            {"name": "e", "file": "e.wav", "azimuth": 40.0, "level": 0.6, "reverb": 0.4},
+            {"name": "b", "file": "b.wav", "azimuth": 250.0, "level": 0.5},
+        ],
+    }
+    for path, long in long_tracks.items():
+        config = {"subject": "LEB", "sample_rate": 48000, "reverb_type": 3}
+        (root / f"long-{path}.json").write_text(json.dumps(
+            {"schema": 1, "config": config, "tracks": long}))
 
 
 def _run(root: Path, run: str) -> Path:
