@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BinauralKitError, FormatError, InvalidArgumentError, read_utf8
+from .errors import BinauralKitError, FormatError, InvalidArgumentError, as_rate, read_utf8
 from .geometry import Direction
 from .interpolation import InterpolationMode, InterpolationPlan, blend, plan
 from .ir_store import IRPoint, IRSet
@@ -24,14 +24,17 @@ from .wavio import decode_into, expect_format, read_bytes, read_wav
 
 @dataclass(eq=False)
 class AudioBuffer:
-    """Samples (frames,) for mono or (frames, channels) plus a sample rate.
-    Buffers compare and hash by identity, not by their samples."""
+    """Samples (frames,) for mono or (frames, channels) plus a sample rate,
+    a positive integer. One-column samples (frames, 1) are kept as mono
+    (frames,). Buffers compare and hash by identity, not by their samples."""
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim == 2 and self.samples.shape[1] == 1:
+            self.samples = self.samples[:, 0]
         if self.samples.ndim not in (1, 2):
             raise InvalidArgumentError(
                 f"samples must be 1-D or 2-D, got shape {self.samples.shape}"
@@ -40,11 +43,7 @@ class AudioBuffer:
             raise InvalidArgumentError("audio buffer is empty")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidArgumentError("audio buffer contains non-finite samples")
-        self.sample_rate_hz = int(self.sample_rate_hz)
-        if self.sample_rate_hz <= 0:
-            raise InvalidArgumentError(
-                f"sample rate must be positive, got {self.sample_rate_hz}"
-            )
+        self.sample_rate_hz = as_rate(self.sample_rate_hz, "sample rate", InvalidArgumentError)
 
     @classmethod
     def _finite(cls, samples: np.ndarray, sample_rate_hz: int) -> "AudioBuffer":
@@ -67,8 +66,6 @@ def load_audio(path) -> AudioBuffer:
     """A WAV file as an AudioBuffer, mono files as (frames,); errors name
     the file."""
     rate, samples = read_wav(path)
-    if samples.shape[1] == 1:
-        samples = samples[:, 0]
     try:
         return AudioBuffer(samples, rate)
     except BinauralKitError as e:
@@ -220,17 +217,17 @@ _REVERB_DECAY_S = {1: 2.0, 2: 0.5, 3: 0.3, 4: 0.7}
 
 @dataclass(eq=False)
 class ReverbModel:
-    """A mono reverb IR, energy-normalized so sum(ir**2) == 1. Models
-    compare and hash by identity, not by their IRs."""
+    """A mono reverb IR, energy-normalized so sum(ir**2) == 1, at a
+    positive integer sample rate. Models compare and hash by identity, not
+    by their IRs."""
 
     id: int
     name: str
     sample_rate_hz: int
     ir: np.ndarray
-    # (nfft, spectrum) of the last transform size asked of ``spectrum``
-    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.sample_rate_hz = as_rate(self.sample_rate_hz, "sample rate", InvalidArgumentError)
         self.ir = np.asarray(self.ir, dtype=np.float64)
         if self.ir.ndim != 1 or len(self.ir) == 0:
             raise InvalidArgumentError("reverb IR must be non-empty mono")
@@ -243,17 +240,6 @@ class ReverbModel:
             raise InvalidArgumentError(f"reverb IR {self.id} has no energy")
         self.ir = self.ir / math.sqrt(energy)
         self.ir.flags.writeable = False
-
-    def spectrum(self, nfft: int) -> np.ndarray:
-        """The IR's rfft at ``nfft`` as a read-only (nfft // 2 + 1, 1)
-        column; the last size asked for is kept, since a model is usually
-        applied to signals of one length."""
-        kept = self._spectrum  # another caller may replace it meanwhile
-        if kept is None or kept[0] != nfft:
-            spectra = np.fft.rfft(self.ir, nfft)[:, None]
-            spectra.flags.writeable = False
-            kept = self._spectrum = (nfft, spectra)
-        return kept[1]
 
 
 def _default_reverb(rate: int, rid: int) -> ReverbModel:
@@ -295,9 +281,10 @@ def default_reverbs(sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     always holds ids 1..4; each model is built on its first lookup, so a
     caller pays only for the reverbs it uses. A script that mixes over and
     over at one rate can pass one mapping as every call's ``reverbs``, so
-    each default is built, and transformed at one length, once.
+    each default is synthesized once. A rate that is not a positive integer
+    raises InvalidArgumentError.
     """
-    return _Reverbs(sample_rate_hz, {})
+    return _Reverbs(as_rate(sample_rate_hz, "sample rate", InvalidArgumentError), {})
 
 
 def load_reverbs(data_root, sample_rate_hz: int) -> Mapping[int, ReverbModel]:
@@ -307,8 +294,11 @@ def load_reverbs(data_root, sample_rate_hz: int) -> Mapping[int, ReverbModel]:
     manifest; ids must be in 1..4 (names are fixed), each on one row. The
     manifest and every file it lists are read and checked here, and an
     error about a row names the manifest and its line. Ids the manifest
-    leaves out are ``default_reverbs``', each built on its first lookup.
+    leaves out are ``default_reverbs``', each built on its first lookup. A
+    rate that is not a positive integer raises InvalidArgumentError before
+    anything is read.
     """
+    sample_rate_hz = as_rate(sample_rate_hz, "sample rate", InvalidArgumentError)
     models: dict[int, ReverbModel] = {}
     mpath = Path(data_root) / "reverb" / "manifest.tsv"
     if not mpath.is_file():
@@ -350,14 +340,20 @@ def _reverb_nfft(n: int, taps: int) -> int | None:
     return _smooth_nfft(n_out) if n_out <= _partition_nfft(min(n, taps)) else None
 
 
-def _reverb_wet(x: np.ndarray, model: ReverbModel) -> np.ndarray:
-    """The 1-D signal ``x`` convolved with the model's IR, by the rule
-    ``_reverb_nfft`` picks: one transform with the IR spectrum the model
-    keeps, or ``fft_convolve``. The result is a fresh buffer."""
-    nfft = _reverb_nfft(len(x), len(model.ir))
+def _reverb_wet(x: np.ndarray, ir: np.ndarray) -> np.ndarray:
+    """A signal ``x`` (n,), or each column of ``x`` (n, k), convolved with
+    the reverb IR, as a fresh buffer of x's rank, by the rule
+    ``_reverb_nfft`` picks: one transform of the whole output, with the IR
+    transformed once per call, or ``fft_convolve``. The columns go one at
+    a time, so only one column's block spectra are held at once."""
+    nfft = _reverb_nfft(len(x), len(ir))
+    cols = [x] if x.ndim == 1 else x.T
     if nfft is None:
-        return fft_convolve(x, model.ir)
-    return _overlap_add([(x[:, None], model.spectrum(nfft))], len(model.ir), nfft)[:, 0]
+        wets = [fft_convolve(col, ir) for col in cols]
+    else:
+        spectrum = np.fft.rfft(ir, nfft)[:, None]
+        wets = [_overlap_add([(col[:, None], spectrum)], len(ir), nfft)[:, 0] for col in cols]
+    return wets[0] if x.ndim == 1 else np.column_stack(wets)
 
 
 def _check_reverb_rate(sample_rate_hz: int, model: ReverbModel):
@@ -390,7 +386,7 @@ def apply_reverb(signal: AudioBuffer, model: ReverbModel, amount: float) -> Audi
     x = signal.samples
     if amount == 0.0:
         return AudioBuffer(np.pad(x, (0, len(model.ir) - 1)), signal.sample_rate_hz)
-    out = _reverb_wet(x, model)
+    out = _reverb_wet(x, model.ir)
     # amount * wet + (1 - amount) * dry rounds as the dry-first sum, element
     # by element; the tail's + 0.0 turns a -0.0 the product may round to
     # into +0.0, as adding it to a zeroed dry tail did

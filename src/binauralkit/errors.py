@@ -57,6 +57,15 @@ def as_number(value, where: str, kind=float, error=FormatError):
         raise error(f"{where} must be {what}, got {value!r}") from None
 
 
+def as_rate(value, where: str, error=FormatError) -> int:
+    """``value`` as a sample rate, a positive integer (see ``as_number``);
+    otherwise ``error`` naming ``where`` it came from."""
+    rate = as_number(value, where, int, error)
+    if rate <= 0:
+        raise error(f"{where} must be positive, got {rate}")
+    return rate
+
+
 def read_utf8(path) -> str:
     """The file's text; bytes that are not UTF-8 raise FormatError naming it."""
     try:

@@ -252,14 +252,14 @@ def _send_mix(tracks, irs, model: ReverbModel) -> np.ndarray:
     One ``binaural_sum`` bus of four columns takes each track's own
     samples: the dry pair with its IR scaled by level * (1 - reverb), the
     send pair scaled by level * reverb. The send, cut to the longest wet
-    track's render, is convolved with the model's IR one ear at a time,
-    and the dry pair is added to the head of the longer of the two. By
-    linearity this is the sum of each track's levelled, reverbed render,
-    at the same length."""
+    track's render, is convolved with the model's IR by one ``_reverb_wet``
+    call, which transforms the IR once for both ears, and the dry pair is
+    added to the head of the longer of the two. By linearity this is the
+    sum of each track's levelled, reverbed render, at the same length."""
     bus = binaural_sum([(t.audio.samples, ir) for t, ir in zip(tracks, irs)],
                        [(t.level * (1.0 - t.reverb), t.level * t.reverb) for t in tracks])
     n_send = max(t.audio.n_samples for t in tracks if t.reverb > 0.0) + len(irs[0].left) - 1
-    wet = np.column_stack([_reverb_wet(bus[:n_send, 2 + ear], model) for ear in (0, 1)])
+    wet = _reverb_wet(bus[:n_send, 2:], model.ir)
     dry = bus[:, :2]
     if len(dry) > len(wet):  # a dry track outlasts every wet track's tail
         dry, wet = wet, dry.copy()

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, as_rate
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -171,7 +171,11 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     (±inf clips to full scale); float32 keeps ±inf and NaN. A NaN PCM sample,
     or a finite float32 one beyond its range, raises FormatError and writes no
     file. One buffer holds the file; PCM goes in ``_CHUNK`` samples at a time.
+    A rate that is not a positive integer, or a file whose block align, byte
+    rate or RIFF size overflows its header field, raises FormatError before
+    anything is allocated or opened.
     """
+    rate = as_rate(sample_rate, f"{path}: sample rate")
     check_encoding(encoding)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
@@ -182,11 +186,16 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     tag, bits = (_FMT_FLOAT, 32) if encoding == "float32" else (_FMT_PCM, int(encoding[3:]))
     block = channels * bits // 8
     size = frames * block
-    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, int(sample_rate),
-                                int(sample_rate) * block, block, bits)
+    # "WAVE", then the fmt, fact (float only) and data chunks
+    riff = 36 + 12 * (tag == _FMT_FLOAT) + size + (size & 1)
+    if block >= 1 << 16 or rate * block >= 1 << 32 or riff >= 1 << 32:
+        raise FormatError(f"{path}: too large for a WAV header: block align {block}, byte "
+                          f"rate {rate * block} and RIFF size {riff} must be below 2**16, "
+                          "2**32 and 2**32")
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * block, block, bits)
     fact = b"fact" + struct.pack("<II", 4, frames) if tag == _FMT_FLOAT else b""
-    head = (b"RIFF" + struct.pack("<I", 12 + len(fmt) + len(fact) + size + (size & 1))
-            + b"WAVE" + fmt + fact + b"data" + struct.pack("<I", size))
+    head = (b"RIFF" + struct.pack("<I", riff) + b"WAVE" + fmt + fact + b"data"
+            + struct.pack("<I", size))
     buf = np.zeros(len(head) + size + (size & 1), dtype=np.uint8)
     buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
     data = buf[len(head):]

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -41,6 +40,34 @@ def test_audio_buffer_validation():
     buf = AudioBuffer(np.zeros((16, 6)), 48000)
     assert buf.n_samples == 16 and buf.n_channels == 6
     assert AudioBuffer(np.zeros(16), 48000).n_channels == 1
+
+
+@pytest.mark.parametrize("rate, message", [
+    (48000.5, "sample rate must be an integer, got 48000.5"),
+    (True, "sample rate must be an integer, got True"),
+    (float("nan"), "sample rate must be an integer, got nan"),
+    (float("inf"), "sample rate must be an integer, got inf"),
+    ("x", "sample rate must be an integer, got 'x'"),
+    (0, "sample rate must be positive, got 0"),
+    (-1, "sample rate must be positive, got -1"),
+])
+def test_audio_buffer_rejects_a_rate_that_is_not_a_positive_integer(rate, message):
+    with pytest.raises(InvalidArgumentError) as e:
+        AudioBuffer(np.zeros(8), rate)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("rate", [48000, 48000.0, np.int64(48000)])
+def test_audio_buffer_keeps_an_integral_rate_as_int(rate):
+    buf = AudioBuffer(np.zeros(8), rate)
+    assert type(buf.sample_rate_hz) is int and buf.sample_rate_hz == 48000
+
+
+def test_audio_buffer_keeps_one_column_as_mono():
+    column = np.arange(6.0)[:, None]
+    buf = AudioBuffer(column, 48000)
+    assert buf.samples.shape == (6,) and buf.n_channels == 1
+    assert np.array_equal(buf.samples, column[:, 0])
 
 
 def test_load_audio_squeezes_mono(tmp_path):
@@ -325,8 +352,7 @@ def test_apply_reverb_matches_direct_convolution(nx, nh, one_transform, amount):
         # the tolerance of test_fft_convolve_matches_direct_convolution;
         # the IR is energy-normalized, so its norm is 1
         assert np.max(np.abs(out - ref)) <= max(1e-12 * np.linalg.norm(x), 1e-15)
-        # only the single-transform path keeps the IR spectrum
-        assert (model._spectrum is not None) == one_transform
+        assert (dsp._reverb_nfft(nx, nh) is not None) == one_transform
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,44 +390,6 @@ def test_smooth_nfft_is_the_smallest_235_smooth_length():
         assert got >= n and _is_235_smooth(got)
 
 
-def test_reverb_model_transforms_its_ir_once_per_length(monkeypatch):
-    model = default_reverbs(48000)[3]
-    rfft = np.fft.rfft
-    ir_transforms = []
-
-    def counting_rfft(a, *args, **kwargs):
-        if np.shares_memory(a, model.ir):
-            ir_transforms.append(args or kwargs)
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    rng = np.random.default_rng(39)
-    sources = [AudioBuffer(rng.standard_normal(9000), 48000) for _ in range(3)]
-    outs = [apply_reverb(s, model, 0.5).samples for s in sources]
-    assert len(ir_transforms) == 1
-    spectrum = model._spectrum[1]
-    assert spectrum.shape == (model._spectrum[0] // 2 + 1, 1)
-    assert not spectrum.flags.writeable
-    with pytest.raises(ValueError):
-        spectrum[0, 0] = 0.0
-    # a new length replaces the one entry; the old length transforms again
-    shorter = AudioBuffer(rng.standard_normal(5000), 48000)
-    outs.append(apply_reverb(shorter, model, 0.5).samples)
-    sources.append(shorter)
-    assert len(ir_transforms) == 2
-    apply_reverb(sources[0], model, 0.5)
-    assert len(ir_transforms) == 3
-    monkeypatch.undo()
-    # the kept spectrum gives the bytes a fresh model gives
-    fresh = default_reverbs(48000)[3]
-    for s, out in zip(sources, outs):
-        assert apply_reverb(s, fresh, 0.5).samples.tobytes() == out.tobytes()
-    # the cache is not part of the model's value
-    assert "_spectrum" not in repr(model)
-    assert [f.name for f in dataclasses.fields(model) if f.compare] == [
-        "id", "name", "sample_rate_hz", "ir"]
-
-
 @pytest.mark.parametrize("nx,nh", [(5000, 30), (10, 400), (300, 1), (70_000, 4_000)])
 def test_apply_reverb_fallback_is_fft_convolve(nx, nh):
     rng = np.random.default_rng(nx + nh)
@@ -412,7 +400,7 @@ def test_apply_reverb_fallback_is_fft_convolve(nx, nh):
     ref[:nx] = 0.7 * x
     ref += 0.3 * fft_convolve(x, model.ir)
     assert out.tobytes() == ref.tobytes()
-    assert model._spectrum is None
+    assert dsp._reverb_nfft(nx, nh) is None
 
 
 def _dry_first_reverb(x, model, amount):
@@ -425,12 +413,33 @@ def _dry_first_reverb(x, model, amount):
     if amount > 0.0:
         if n_out <= dsp._partition_nfft(min(len(x), len(model.ir))):
             nfft = dsp._smooth_nfft(n_out)
-            wet = dsp._overlap_add([(x[:, None], model.spectrum(nfft))], len(model.ir),
-                                   nfft)[:, 0]
+            spectrum = np.fft.rfft(model.ir, nfft)[:, None]
+            wet = dsp._overlap_add([(x[:, None], spectrum)], len(model.ir), nfft)[:, 0]
         else:
             wet = fft_convolve(x, model.ir)
         out += amount * wet
     return out
+
+
+def test_apply_reverb_follows_a_write_into_a_used_models_ir():
+    # a model keeps nothing derived from its IR: reused, it gives a fresh
+    # model's bytes, and a write into its IR shows at the length it was last
+    # applied at as at any other, on both branches of _reverb_nfft
+    model = default_reverbs(48000)[3]
+    rng = np.random.default_rng(48)
+    signals = [rng.standard_normal(n) for n in (4_800, 9_000, 96_000)]
+    assert [dsp._reverb_nfft(len(x), len(model.ir)) for x in signals] == [19_200, 24_000, None]
+    first = AudioBuffer(signals[0], 48000)
+    before = apply_reverb(first, model, 0.5).samples
+    again = apply_reverb(first, model, 0.5).samples
+    fresh = apply_reverb(first, default_reverbs(48000)[3], 0.5).samples
+    assert again.tobytes() == fresh.tobytes() == before.tobytes()
+    model.ir.flags.writeable = True
+    model.ir[0] += 5.0
+    for x in signals:
+        got = apply_reverb(AudioBuffer(x, 48000), model, 0.5).samples
+        assert got.tobytes() == _dry_first_reverb(x, model, 0.5).tobytes()
+    assert not np.array_equal(apply_reverb(first, model, 0.5).samples, before)
 
 
 # (signal length, IR length): the smooth-transform branch, then the
@@ -511,7 +520,7 @@ def test_apply_reverb_theatre_matches_scipy():
     assert len(model.ir) == 96_000  # 2 s
     x = np.random.default_rng(41).standard_normal(96_000)
     out = apply_reverb(AudioBuffer(x, 48000), model, 1.0).samples
-    assert model._spectrum[0] == 192_000  # one transform of the whole output
+    assert dsp._reverb_nfft(96_000, 96_000) == 192_000  # one transform of the whole output
     ref = signal.fftconvolve(x, model.ir)
     assert out.shape == ref.shape
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(x)
@@ -534,6 +543,25 @@ def test_load_reverbs_manifest_overrides_and_falls_back(tmp_path):
     # no manifest at all: pure defaults
     plain = load_reverbs(tmp_path / "nowhere", 48000)
     assert np.array_equal(plain[4].ir, default_reverbs(48000)[4].ir)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (-5, "sample rate must be positive, got -5"),
+    (0, "sample rate must be positive, got 0"),
+    (48000.5, "sample rate must be an integer, got 48000.5"),
+    (True, "sample rate must be an integer, got True"),
+    ("x", "sample rate must be an integer, got 'x'"),
+])
+def test_reverbs_reject_a_rate_that_is_not_a_positive_integer(tmp_path, rate, message):
+    # before anything is built or read: the manifest lists a file that is
+    # not there
+    (tmp_path / "reverb").mkdir()
+    (tmp_path / "reverb" / "manifest.tsv").write_text("2\tmissing.wav\n")
+    for make in (lambda: default_reverbs(rate), lambda: load_reverbs(tmp_path, rate),
+                 lambda: ReverbModel(1, "Theatre", rate, np.ones(4))):
+        with pytest.raises(InvalidArgumentError) as e:
+            make()
+        assert str(e.value) == message
 
 
 def test_load_reverbs_rejects_bad_rows(tmp_path):
@@ -622,20 +650,6 @@ def test_a_mix_builds_only_the_reverb_its_wet_tracks_use(lebedev_set, monkeypatc
     wet = TrackObject("wet", AudioBuffer(0.1 * rng.standard_normal(500), 48000), reverb=0.5)
     mix_tracks_binaural([dry, wet], cfg, lebedev_set)
     assert built == [3]
-
-
-def test_reverb_spectrum_returns_the_size_it_was_asked_for():
-    # another caller may store its own size between this call storing its
-    # spectrum and returning it, as threads mixing with one model can
-    class Interleaved(ReverbModel):
-        def __setattr__(self, name, value):
-            super().__setattr__(name, value)
-            if name == "_spectrum" and value is not None and value[0] == 1024:
-                self.spectrum(4096)
-
-    model = Interleaved(9, "Test", 48000, np.ones(100))
-    assert model.spectrum(1024).shape == (513, 1)
-    assert model._spectrum[0] == 4096
 
 
 @pytest.mark.parametrize("bad, message", [

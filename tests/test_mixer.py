@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from binauralkit.dsp import (AudioBuffer, binaural_sum, default_reverbs, fft_convolve,
-                             pan_constant_power)
+from binauralkit.dsp import (AudioBuffer, apply_reverb, binaural_sum, default_reverbs,
+                             fft_convolve, pan_constant_power, render_source_binaural)
 from binauralkit.errors import (
     FormatError,
     InvalidArgumentError,
@@ -491,6 +491,26 @@ def test_stereo_mix_hard_and_center_pans():
     want = (a.audio.samples + b.audio.samples) * 2 ** -0.5
     assert np.allclose(center.audio.samples[:, 0], want, atol=1e-12)
     assert np.allclose(center.audio.samples[:, 1], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry", ["track", "render", "reverb", "stereo"])
+def test_a_one_column_buffer_renders_as_mono(lebedev_set, entry):
+    # a (frames, 1) buffer passed every mono check, then failed inside the
+    # convolutions; it is mono everywhere and renders as its column does
+    cfg = _cfg(reverb_type=3)
+    run = {
+        "track": lambda buf: mix_tracks_binaural([TrackObject("t", buf, reverb=0.3)], cfg,
+                                                 lebedev_set).audio,
+        "render": lambda buf: render_source_binaural(buf, Direction(30.0, 10.0),
+                                                     lebedev_set).audio,
+        "reverb": lambda buf: apply_reverb(buf, default_reverbs(48000)[3], 0.3),
+        "stereo": lambda buf: mix_tracks_stereo([TrackObject("t", buf, reverb=0.3)],
+                                                {"t": 0.2}, cfg).audio,
+    }[entry]
+    x = 0.2 * np.random.default_rng(70).standard_normal(600)
+    column, mono = run(AudioBuffer(x[:, None], 48000)), run(AudioBuffer(x, 48000))
+    assert column.samples.shape == mono.samples.shape
+    assert column.samples.tobytes() == mono.samples.tobytes()
 
 
 def test_stereo_mix_needs_a_track():

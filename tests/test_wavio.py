@@ -161,6 +161,55 @@ def test_write_rejects_a_shape_that_is_not_frames_by_channels(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate, message", [
+    (-1, "sample rate must be positive, got -1"),
+    (0, "sample rate must be positive, got 0"),
+    (1.5, "sample rate must be an integer, got 1.5"),
+    (True, "sample rate must be an integer, got True"),
+    ("x", "sample rate must be an integer, got 'x'"),
+])
+def test_write_rejects_a_rate_that_is_not_a_positive_integer(tmp_path, rate, message):
+    path = tmp_path / "sub" / "x.wav"
+    with pytest.raises(FormatError) as e:
+        write_wav(path, rate, np.zeros(4))
+    assert str(e.value) == f"{path}: {message}"
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("rate, shape, encoding, fields", [
+    (2**33, (4, 1), "pcm24", "block align 3, byte rate 25769803776 and RIFF size 48"),
+    (2**31, (4, 1), "pcm16", "block align 2, byte rate 4294967296 and RIFF size 44"),
+    (48000, (1, 2**15), "pcm16", "block align 65536, byte rate 3145728000 and RIFF size "
+                                 "65572"),
+    (48000, (2**30 + 1, 1), "float32", "block align 4, byte rate 192000 and RIFF size "
+                                       "4294967348"),
+])
+def test_write_rejects_a_file_its_header_fields_cannot_hold(tmp_path, monkeypatch, rate,
+                                                            shape, encoding, fields):
+    # raised before the file's buffer is allocated: a 4 GiB body is never
+    # made, and samples broadcast from one value take no memory
+    samples = np.broadcast_to(np.zeros(1), shape)
+    path = tmp_path / "sub" / "x.wav"
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("allocated the file's buffer")
+
+    monkeypatch.setattr(np, "zeros", no_buffer)
+    with pytest.raises(FormatError) as e:
+        write_wav(path, rate, samples, encoding)
+    assert str(e.value) == (f"{path}: too large for a WAV header: {fields} must be below "
+                            "2**16, 2**32 and 2**32")
+    assert not path.parent.exists()
+
+
+def test_write_takes_the_largest_rate_and_frame_its_header_holds(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, 2**31 - 1, np.zeros(4), "pcm16")
+    assert read_wav(path)[0] == 2**31 - 1
+    write_wav(path, 48000, np.zeros((1, 2**15 - 1)), "pcm16")
+    assert read_wav(path)[1].shape == (1, 2**15 - 1)
+
+
 def test_write_creates_parent_dirs(tmp_path):
     path = tmp_path / "a" / "b" / "c.wav"
     write_wav(path, 48000, np.zeros(4), "pcm16")
