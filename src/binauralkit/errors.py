@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import json
+import numbers
 
 
 class BinauralKitError(Exception):
@@ -49,7 +50,7 @@ def as_number(value, where: str, kind=float, error=FormatError):
         if isinstance(value, bool):
             raise TypeError
         number = kind(value)
-        if kind is int and isinstance(value, float) and number != value:
+        if kind is int and isinstance(value, numbers.Real) and number != value:
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):

@@ -23,7 +23,7 @@ from .dsp import (
     source_ir,
 )
 from .errors import (BinauralKitError, FormatError, InvalidArgumentError, NotFoundError,
-                     as_number)
+                     as_number, as_rate)
 from .geometry import Direction, normalize_direction
 from .interpolation import SNAP_THRESHOLD_DEG, InterpolationMode, InterpolationPlan
 from .ir_store import IRSet, IRType
@@ -111,11 +111,8 @@ class MixConfig:
         """Converts and checks every setting; each error starts with the
         setting's key in CONFIG_FIELDS."""
         self.subject_id = str(self.subject_id)
-        self.sample_rate_hz, self.reverb_type = (
-            as_number(value, key, int, InvalidArgumentError)
-            for key, value in (("sample_rate", self.sample_rate_hz),
-                               ("reverb_type", self.reverb_type))
-        )
+        self.sample_rate_hz = as_rate(self.sample_rate_hz, "sample_rate", InvalidArgumentError)
+        self.reverb_type = as_number(self.reverb_type, "reverb_type", int, InvalidArgumentError)
         if not isinstance(self.keep_tail, bool):
             raise InvalidArgumentError(
                 f"keep_tail must be true or false, got {self.keep_tail!r}"

@@ -177,12 +177,12 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     """
     rate = as_rate(sample_rate, f"{path}: sample rate")
     check_encoding(encoding)
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
-        raise FormatError(f"samples must be (frames, channels), got shape {x.shape}")
-    frames, channels = x.shape
+    shape = np.shape(samples)
+    if len(shape) == 1:
+        shape = (shape[0], 1)
+    if len(shape) != 2 or shape[0] == 0 or shape[1] == 0:
+        raise FormatError(f"samples must be (frames, channels), got shape {shape}")
+    frames, channels = shape
     tag, bits = (_FMT_FLOAT, 32) if encoding == "float32" else (_FMT_PCM, int(encoding[3:]))
     block = channels * bits // 8
     size = frames * block
@@ -199,7 +199,7 @@ def write_wav(path, sample_rate: int, samples: np.ndarray, encoding: str = "pcm2
     buf = np.zeros(len(head) + size + (size & 1), dtype=np.uint8)
     buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
     data = buf[len(head):]
-    flat = x.reshape(-1)
+    flat = np.asarray(samples, dtype=np.float64).reshape(-1)
     if tag == _FMT_FLOAT:
         try:
             with np.errstate(over="raise"):

@@ -44,6 +44,7 @@ def test_audio_buffer_validation():
 
 @pytest.mark.parametrize("rate, message", [
     (48000.5, "sample rate must be an integer, got 48000.5"),
+    (np.float32(44100.5), f"sample rate must be an integer, got {np.float32(44100.5)!r}"),
     (True, "sample rate must be an integer, got True"),
     (float("nan"), "sample rate must be an integer, got nan"),
     (float("inf"), "sample rate must be an integer, got inf"),

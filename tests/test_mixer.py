@@ -217,6 +217,10 @@ def test_mix_config_validation():
         _cfg(reverb_type=2.9)
     with pytest.raises(InvalidArgumentError, match="sample_rate must be an integer"):
         _cfg(sample_rate_hz=48000.5)
+    for rate in (0, -5):
+        with pytest.raises(InvalidArgumentError) as e:
+            _cfg(sample_rate_hz=rate)
+        assert str(e.value) == f"sample_rate must be positive, got {rate}"
     assert _cfg(sample_rate_hz=48000.0, reverb_type=2.0).reverb_type == 2
 
 

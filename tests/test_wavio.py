@@ -186,15 +186,17 @@ def test_write_rejects_a_rate_that_is_not_a_positive_integer(tmp_path, rate, mes
 ])
 def test_write_rejects_a_file_its_header_fields_cannot_hold(tmp_path, monkeypatch, rate,
                                                             shape, encoding, fields):
-    # raised before the file's buffer is allocated: a 4 GiB body is never
-    # made, and samples broadcast from one value take no memory
-    samples = np.broadcast_to(np.zeros(1), shape)
+    # raised before the samples are converted or the file's buffer is
+    # allocated: float32 samples broadcast from one value take no memory,
+    # and neither a float64 copy of them nor a 4 GiB body is ever made
+    samples = np.broadcast_to(np.zeros(1, dtype=np.float32), shape)
     path = tmp_path / "sub" / "x.wav"
 
-    def no_buffer(*args, **kwargs):
-        raise AssertionError("allocated the file's buffer")
+    def no_array(*args, **kwargs):
+        raise AssertionError("made an array")
 
-    monkeypatch.setattr(np, "zeros", no_buffer)
+    monkeypatch.setattr(np, "zeros", no_array)
+    monkeypatch.setattr(np, "asarray", no_array)
     with pytest.raises(FormatError) as e:
         write_wav(path, rate, samples, encoding)
     assert str(e.value) == (f"{path}: too large for a WAV header: {fields} must be below "
