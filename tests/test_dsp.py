@@ -1,4 +1,3 @@
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -486,7 +485,6 @@ def test_apply_reverb_makes_no_output_sized_temporary():
     model = default_reverbs(48000)[1]
     signal = AudioBuffer(np.random.default_rng(47).standard_normal(96_000), 48000)
     n_out = signal.n_samples + len(model.ir) - 1
-    apply_reverb(signal, model, 0.3)  # the model keeps its IR spectrum
 
     def peak_bytes(run):
         tracemalloc.start()
