@@ -8,6 +8,7 @@ manifest rows are reproducible for a given grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import _hold, binaural_sum, load_audio, load_reverbs, source_ir
+from .dsp import binaural_sum, load_audio, load_reverbs, source_ir
 from .errors import (BinauralKitError, FormatError, InvalidArgumentError, as_number,
                      printable, read_json)
 from .ir_store import IRType, load_ir_set
@@ -130,14 +131,34 @@ def job_filename(values: dict, seed: int) -> str:
     return "_" + name[1:] if name.startswith(".") else name
 
 
+# A run's inputs, each kind keeping its 8 most recently used; run_dataset
+# empties them at its start and end, so a rerun reads edited files afresh.
+@functools.lru_cache(maxsize=8)
 def _cached_ir_set(data_root: str, subject: str, ir_type: str, rate: int):
-    args = (data_root, subject, ir_type, rate)
-    return _hold(("ir_set", *args), load_ir_set, *args)
+    return load_ir_set(data_root, subject, ir_type, rate)
 
 
-# the store's face (see dsp._hold) under the name the benchmark's test checks
-_cached_ir_set.cache_clear = _hold.cache_clear
-_cached_ir_set.cache_info = _hold.cache_info
+@functools.lru_cache(maxsize=8)
+def _cached_audio(source_path: str):
+    return load_audio(source_path)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_reverbs(data_root: str, rate: int):
+    return load_reverbs(data_root, rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_source(source_path: str, data_root: str, rate: int, reverb_type: int,
+                   level: float, reverb: float):
+    """The levelled, reverbed source, from a level and reverb already clamped."""
+    track = TrackObject("source", _cached_audio(source_path), level, reverb)
+    return _track_source(track, rate, reverb_type, _cached_reverbs(data_root, rate))
+
+
+def _clear_caches() -> None:
+    for cache in (_cached_ir_set, _cached_audio, _cached_reverbs, _cached_source):
+        cache.cache_clear()
 
 
 def _render_group(group) -> list[dict]:
@@ -159,7 +180,7 @@ def _render_group(group) -> list[dict]:
                                if key in values})
             rate = cfg.sample_rate_hz
             ir_set = _cached_ir_set(data_root, cfg.subject_id, cfg.ir_type.value, rate)
-            audio = _hold(("audio", source_path), load_audio, source_path)
+            audio = _cached_audio(source_path)
             # validates and clamps level and reverb, warning when out of range
             track = TrackObject(
                 "source",
@@ -169,12 +190,8 @@ def _render_group(group) -> list[dict]:
                 _axis_number(values, "azimuth"),
                 _axis_number(values, "elevation"),
             )
-            reverbs = _hold(("reverbs", data_root, rate), load_reverbs, data_root, rate)
-            prepared = _hold(
-                ("prepared", source_path, data_root, rate, cfg.reverb_type,
-                 track.level, track.reverb),
-                _track_source, track, rate, cfg.reverb_type, reverbs,
-            )
+            prepared = _cached_source(source_path, data_root, rate, cfg.reverb_type,
+                                      track.level, track.reverb)
             layout = None if cfg.speaker_layout is None else get_layout(cfg.speaker_layout)
             _, ir = source_ir(track.direction, ir_set, cfg.interpolation_mode, layout)
         except BinauralKitError as e:  # bad rows land in the manifest, run continues
@@ -220,9 +237,10 @@ def run_dataset(
     Manifest rows are in grid order regardless of worker scheduling, and
     reruns of the same grid produce byte-identical outputs.
     Within a run each worker keeps the 8 most recently used IR sets, reverb
-    sets, sources and levelled, reverbed sources, so a grid with at most 8 of
-    each loads or computes each once per worker. Nothing is kept between
-    runs, so a rerun after editing an input renders the new content.
+    sets, sources and levelled, reverbed sources, one ``functools.lru_cache``
+    each, so a grid with at most 8 of each loads or computes each once per
+    worker; a failed load is not kept. The caches are emptied at a run's
+    start and end, so a rerun after editing an input renders the new content.
     Jobs that differ only in mode run as one group on one worker; those
     whose blended IRs are bit-identical share one render and one WAV
     encode, and the others get a copy of its bytes, so every output is
@@ -270,7 +288,7 @@ def run_dataset(
 
     args.sort(key=key)
     groups = [list(group) for _, group in itertools.groupby(args, key)]
-    _hold.cache_clear()  # forked workers start empty too
+    _clear_caches()  # forked workers start empty too
     # the pool starts all its workers at once, so idle ones are never made
     workers = min(jobs, len(groups))
     try:
@@ -280,7 +298,7 @@ def run_dataset(
         else:
             done = [_render_group(group) for group in groups]
     finally:
-        _hold.cache_clear()
+        _clear_caches()
     rows = [row for group in done for row in group]
     rows.sort(key=lambda row: int(row["index"]))
 

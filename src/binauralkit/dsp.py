@@ -10,7 +10,6 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,27 +69,6 @@ def load_audio(path) -> AudioBuffer:
         return AudioBuffer(samples, rate)
     except BinauralKitError as e:
         raise type(e)(f"{path}: {e}") from None
-
-
-def _hold(key, make, *args):
-    """``make(*args)``, made once per ``key`` while it stays among the
-    ``_HELD_PER_KIND`` most recently used keys of its kind. ``key[0]`` names
-    the kind; the rest is every input ``make`` reads."""
-    value = _held.pop(key) if key in _held else make(*args)
-    _held[key] = value  # most recently used last
-    kind = [k for k in _held if k[0] == key[0]]
-    if len(kind) > _HELD_PER_KIND:
-        del _held[kind[0]]
-    return value
-
-
-# Inputs a dataset run loads or derives, emptied by run_dataset at its start
-# and end so a rerun reads edited files afresh. functools' cache interface lets
-# bench/workloads.start_cold find the store, empty it and check it is empty.
-_HELD_PER_KIND = 8
-_held: dict = {}
-_hold.cache_clear = _held.clear
-_hold.cache_info = lambda: SimpleNamespace(currsize=len(_held))
 
 
 # Each batch of blocks is transformed at once; the cap keeps a batch's

@@ -3,6 +3,8 @@
 import json
 import numbers
 
+import numpy as np
+
 
 class BinauralKitError(Exception):
     """Base class for every error raised by this package."""
@@ -43,11 +45,11 @@ def printable(text) -> str:
 
 
 def as_number(value, where: str, kind=float, error=FormatError):
-    """``kind(value)``; a boolean, a value that does not convert, or for
-    ``int`` a number with a fractional part raises ``error`` naming
-    ``where`` it came from."""
+    """``kind(value)``; a boolean (Python's or numpy's), a value that does
+    not convert, or for ``int`` a number with a fractional part raises
+    ``error`` naming ``where`` it came from."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
         number = kind(value)
         if kind is int and isinstance(value, numbers.Real) and number != value:

@@ -227,12 +227,12 @@ def _finish(rendered, n_input: int, cfg: MixConfig, plans=()) -> MixResult:
 
 def _shares_send(tracks, taps: int, reverb_taps: int) -> bool:
     """Whether a mix rendered with taps-sample IRs reverbs its wet tracks
-    with one send. The send's 5 long transforms are fewer than the 2N + 1
-    of reverbing each of N wet tracks only from N = 3, so it needs three or
-    more. It must also transform no more samples, counted as each reverb's
-    output forward and back (once per ear for the send) plus the bus's
-    inputs forward and its longest one back per column (four for the send;
-    two, with the reverb tails, otherwise)."""
+    with one send: 5 long transforms against 3N to reverb N wet tracks
+    each, yet it needs three or more, a rule set and timed (README) when
+    each took 2N + 1. It must also transform no more samples, counted as
+    each reverb's output forward and back (once per ear for the send) plus
+    the bus's inputs forward and its longest one back per column (four for
+    the send; two, with the reverb tails, otherwise)."""
     n = [t.audio.n_samples for t in tracks]
     wet = [k for k, t in zip(n, tracks) if t.reverb > 0.0]
     if len(wet) < 3:

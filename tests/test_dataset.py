@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -306,7 +307,7 @@ def test_rerun_renders_edited_inputs(tmp_path, monkeypatch):
         result = mix_tracks_binaural([track], MixConfig("SYN1", 48000), ir_set, reverbs)
         write_wav(tmp_path / "direct.wav", 48000, result.audio.samples, "pcm24")
         assert (tmp_path / "direct.wav").read_bytes() == (out / row["file"]).read_bytes()
-    assert dsp._held == {}
+    assert _warm_caches() == []
 
     def full_disk(path, *args):
         raise OSError(28, "No space left on device", str(path))
@@ -314,40 +315,59 @@ def test_rerun_renders_edited_inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset, "write_wav", full_disk)
     with pytest.raises(OSError, match="No space left"):
         _run(tmp_path / "third", root, source, axes=axes)
-    assert dsp._held == {}
+    assert _warm_caches() == []
 
 
-def test_held_values_are_bounded_per_kind(monkeypatch):
-    # each kind keeps its own most recently used values, so many levelled
-    # sources never push out the source audio every job reads
-    monkeypatch.setattr(dsp, "_held", {})
-    made = []
-
-    def make(value):
-        made.append(value)
-        return value
-
-    dsp._hold(("audio", "a"), make, "a")
-    for i in range(dsp._HELD_PER_KIND):
-        dsp._hold(("prepared", i), make, i)
-    dsp._hold(("prepared", 0), make, 0)  # now the most recent of its kind
-    dsp._hold(("prepared", "new"), make, "new")
-    assert dsp._hold(("audio", "a"), make, "b") == "a"
-    assert made == ["a", *range(dsp._HELD_PER_KIND), "new"]
-    assert ("prepared", 1) not in dsp._held and ("prepared", 0) in dsp._held
-    assert len(dsp._held) == dsp._HELD_PER_KIND + 1
+def _package_caches() -> dict:
+    """Every module-level functools cache in the binauralkit package, by
+    dotted name, found as the benchmark's cold start finds them."""
+    return {f"{name}.{attr}": value
+            for name, mod in list(sys.modules.items())
+            if name == "binauralkit" or name.startswith("binauralkit.")
+            for attr, value in vars(mod).items()
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info")}
 
 
-def test_cache_clear_empties_the_store():
-    # the benchmark's cold start finds the store's face on dsp._hold and on
-    # dataset._cached_ir_set, empties it through either and checks currsize
-    from binauralkit.dataset import _cached_ir_set
+def _warm_caches() -> list:
+    return sorted(name for name, cache in _package_caches().items()
+                  if cache.cache_info().currsize)
 
-    for face in (_cached_ir_set, dsp._hold):
-        dsp._hold(("audio", "a"), str, "a")
-        assert face.cache_info().currsize == len(dsp._held) > 0
-        face.cache_clear()
-        assert dsp._held == {} and face.cache_info().currsize == 0
+
+def test_held_values_are_bounded_per_kind(tmp_path, data_root, noise_wav, monkeypatch):
+    # nine levelled sources overflow their cache of 8, but each kind is
+    # bounded on its own, so they push out neither the IR set nor the source
+    # audio that every job reads: each loader the caches call runs once
+    import binauralkit.dataset as dataset
+
+    calls = dict.fromkeys(("load_ir_set", "load_audio", "load_reverbs", "_track_source"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(dataset, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dataset, name, counted)
+    levels = [k / 10 for k in range(1, 10)]
+    axes = _grid_axes(source=[str(noise_wav)], level=levels)
+    _, report, _ = _run(tmp_path, data_root, noise_wav, axes=axes)
+    assert report.n_failed == 0 and len(report.rows) == 18
+    assert calls == {"load_ir_set": 1, "load_audio": 1, "load_reverbs": 1, "_track_source": 9}
+
+
+def test_cache_clear_empties_the_store(noise_wav):
+    # the package's caches are the four dataset keeps, 8 values each; the
+    # benchmark's cold start empties each through cache_clear and checks
+    # currsize
+    import binauralkit.dataset as dataset
+
+    caches = _package_caches()
+    names = ("_cached_ir_set", "_cached_audio", "_cached_reverbs", "_cached_source")
+    assert {f"binauralkit.dataset.{n}" for n in names} <= set(caches)
+    assert all(getattr(dataset, n).cache_info().maxsize == 8 for n in names)
+    dataset._cached_audio(str(noise_wav))
+    assert "binauralkit.dataset._cached_audio" in _warm_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    assert _warm_caches() == []
 
 
 def test_run_dataset_cap(tmp_path, data_root, noise_wav, monkeypatch):

@@ -45,6 +45,7 @@ def test_audio_buffer_validation():
     (48000.5, "sample rate must be an integer, got 48000.5"),
     (np.float32(44100.5), f"sample rate must be an integer, got {np.float32(44100.5)!r}"),
     (True, "sample rate must be an integer, got True"),
+    (np.True_, f"sample rate must be an integer, got {np.True_!r}"),
     (float("nan"), "sample rate must be an integer, got nan"),
     (float("inf"), "sample rate must be an integer, got inf"),
     ("x", "sample rate must be an integer, got 'x'"),
@@ -549,6 +550,7 @@ def test_load_reverbs_manifest_overrides_and_falls_back(tmp_path):
     (0, "sample rate must be positive, got 0"),
     (48000.5, "sample rate must be an integer, got 48000.5"),
     (True, "sample rate must be an integer, got True"),
+    (np.True_, f"sample rate must be an integer, got {np.True_!r}"),
     ("x", "sample rate must be an integer, got 'x'"),
 ])
 def test_reverbs_reject_a_rate_that_is_not_a_positive_integer(tmp_path, rate, message):

@@ -193,7 +193,7 @@ def test_track_object_rejects_nan_amounts(field):
 
 
 @pytest.mark.parametrize("field", ["level", "reverb", "azimuth_deg", "elevation_deg"])
-@pytest.mark.parametrize("value", ["x", None, True])
+@pytest.mark.parametrize("value", ["x", None, True, np.True_])
 def test_track_object_rejects_non_numeric_settings(field, value):
     with pytest.raises(InvalidArgumentError) as e:
         TrackObject("a", AudioBuffer(np.ones(8), 48000), **{field: value})
@@ -217,6 +217,9 @@ def test_mix_config_validation():
         _cfg(reverb_type=2.9)
     with pytest.raises(InvalidArgumentError, match="sample_rate must be an integer"):
         _cfg(sample_rate_hz=48000.5)
+    with pytest.raises(InvalidArgumentError) as e:
+        _cfg(reverb_type=np.True_)
+    assert str(e.value) == f"reverb_type must be an integer, got {np.True_!r}"
     for rate in (0, -5):
         with pytest.raises(InvalidArgumentError) as e:
             _cfg(sample_rate_hz=rate)

@@ -166,6 +166,7 @@ def test_write_rejects_a_shape_that_is_not_frames_by_channels(tmp_path, shape):
     (0, "sample rate must be positive, got 0"),
     (1.5, "sample rate must be an integer, got 1.5"),
     (True, "sample rate must be an integer, got True"),
+    (np.True_, f"sample rate must be an integer, got {np.True_!r}"),
     ("x", "sample rate must be an integer, got 'x'"),
 ])
 def test_write_rejects_a_rate_that_is_not_a_positive_integer(tmp_path, rate, message):
