@@ -198,7 +198,7 @@ def _render_group(group) -> list[dict]:
             row.update(status="failed", error=" ".join(str(e).split()))
             continue
         job = (prepared, audio.n_samples, ir, cfg, Path(out_dir), encoding)
-        blends.setdefault((ir.left.tobytes(), ir.right.tobytes()), (job, []))[1].append(row)
+        blends.setdefault(ir.pair.tobytes(), (job, []))[1].append(row)
     for (prepared, n_input, ir, cfg, out_dir, encoding), members in blends.values():
         first = out_dir / members[0]["file"]
         try:

@@ -7,8 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .geometry import Direction, from_cartesian, normalize_direction
+from .errors import InvalidArgumentError, as_number
+from .geometry import MERGE_TOLERANCE_DEG, Direction, from_cartesian, normalize_direction
 
 
 def lebedev50_directions() -> list[Direction]:
@@ -46,14 +46,23 @@ def lebedev50_directions() -> list[Direction]:
 def ring_grid_directions(step_deg: float, elevations: Sequence[float]) -> list[Direction]:
     """Full azimuth rings at the given elevations, sampled every step_deg.
 
-    A ring at +-90 degrees elevation is the pole, emitted once.
+    A ring at +-90 degrees elevation is the pole, emitted once. A step below
+    ``MERGE_TOLERANCE_DEG``, whose neighbours would merge, is refused first.
     """
+    step_deg = as_number(step_deg, "azimuth step", float, InvalidArgumentError)
     if not (0.0 < step_deg <= 180.0):
         raise InvalidArgumentError(f"azimuth step must be in (0, 180], got {step_deg}")
-    if not len(elevations):
+    if step_deg < MERGE_TOLERANCE_DEG:
+        raise InvalidArgumentError(
+            f"azimuth step {step_deg} is below the {MERGE_TOLERANCE_DEG}-degree "
+            "merge tolerance, so no two ring neighbours are distinct"
+        )
+    elevations = [as_number(el, "ring elevation", float, InvalidArgumentError)
+                  for el in elevations]
+    if not elevations:
         raise InvalidArgumentError("at least one ring elevation is required")
     return [
-        normalize_direction(float(az), float(el))
+        normalize_direction(float(az), el)
         for el in elevations
-        for az in ([0.0] if float(el) % 180.0 == 90.0 else np.arange(0.0, 360.0, step_deg))
+        for az in ([0.0] if el % 180.0 == 90.0 else np.arange(0.0, 360.0, step_deg))
     ]

@@ -394,10 +394,7 @@ def resolve_speaker_ir_set(ir_set: IRSet, layout: SpeakerLayout, mode) -> IRSet:
     a stored point takes that point's IR unchanged.
     """
     dirs = layout.speaker_directions()
-    irs = np.empty((len(dirs), ir_set.ir_length, 2))
-    for k, d in enumerate(dirs):
-        src = blend(ir_set, plan(ir_set, d, mode))
-        irs[k, :, 0], irs[k, :, 1] = src.left, src.right
+    irs = np.stack([blend(ir_set, plan(ir_set, d, mode)).pair for d in dirs])
     return IRSet._stacked(f"{ir_set.subject_id}:{layout.name}", ir_set.ir_type,
                           ir_set.sample_rate_hz, dirs, irs)
 
@@ -458,13 +455,13 @@ def _bus_nfft(m: int) -> int:
 
 def binaural_sum(sources, gains=None) -> np.ndarray:
     """The sum over ``(signal, IRPoint)`` pairs of each 1-D signal convolved
-    with its IR's left and right buffers, as ``(max len(signal) + taps - 1,
+    with its IR's ``(taps, 2)`` ``pair``, as ``(max len(signal) + taps - 1,
     2)``; every IR must have the same length.
 
-    A lone source is one ``fft_convolve`` of the stacked ``(taps, 2)`` pair,
-    bit for bit, whichever of signal and IR is longer. Two or more sources
-    form a bus: the IR length sets the partition, as in ``fft_convolve``,
-    each IR pair is transformed once, and every source's block spectra are
+    A lone source is one ``fft_convolve`` of its IR's ``pair``, bit for
+    bit, whichever of signal and IR is longer. Two or more sources form a
+    bus: the IR length sets the partition, as in ``fft_convolve``, each
+    ``pair`` is transformed once, uncopied, and every source's block spectra are
     added before one inverse transform per batch of blocks.
 
     ``gains``, one ``(dry, send)`` pair per source, renders two such sums
@@ -472,8 +469,7 @@ def binaural_sum(sources, gains=None) -> np.ndarray:
     scaled by its dry gain, the second by its send gain. The gains scale
     the IR spectra, so no scaled copy of a signal is made.
     """
-    pairs = [(np.asarray(x, dtype=np.float64), np.column_stack([ir.left, ir.right]))
-             for x, ir in sources]
+    pairs = [(np.asarray(x, dtype=np.float64), ir.pair) for x, ir in sources]
     taps = {len(h) for _, h in pairs}
     if len(taps) != 1 or any(x.ndim != 1 or x.size == 0 for x, _ in pairs):
         raise InvalidArgumentError(

@@ -247,11 +247,10 @@ def plan(ir_set, requested: Direction, mode) -> InterpolationPlan:
 
 def blend(ir_set, plan: InterpolationPlan):
     """Weighted sum of the planned IR pairs at the achieved direction: each
-    entry's ``(taps, 2)`` block of the set's array added onto zeros in turn.
-    Rows of a loaded set not read yet are read first (see ``load_ir_set``)."""
-    irs = ir_set._stack
-    if ir_set._rows is not None:
-        ir_set._read([i for i, _ in plan.entries])
+    entry's ``(taps, 2)`` block of the set's array added onto zeros in turn,
+    kept as the point's ``pair``. Rows of a loaded set not read yet are read
+    first (see ``load_ir_set``)."""
+    irs = ir_set._with_rows(plan.entries)
     out = np.zeros(irs.shape[1:])
     for i, w in plan.entries:
         if not 0 <= i < len(irs):
@@ -260,4 +259,4 @@ def blend(ir_set, plan: InterpolationPlan):
     if not np.isfinite(out).all():
         raise InvalidArgumentError("IR buffers contain non-finite samples")
     out.flags.writeable = False
-    return IRPoint._view(plan.achieved_direction, out[:, 0], out[:, 1])
+    return IRPoint._view(plan.achieved_direction, out)

@@ -32,6 +32,7 @@ from .errors import (
     InvalidArgumentError,
     NotFoundError,
     as_number,
+    as_rate,
     printable,
     read_utf8,
 )
@@ -71,7 +72,7 @@ class IRType(enum.Enum):
 
 
 def _check_rate(rate: int) -> int:
-    rate = int(rate)
+    rate = as_number(rate, "sample rate", int, InvalidArgumentError)
     if rate not in SAMPLE_RATES:
         raise InvalidArgumentError(
             f"unsupported sample rate {rate}; expected one of {SAMPLE_RATES}"
@@ -88,44 +89,46 @@ def _at_points(error: Exception, *indices: int) -> Exception:
 
 @dataclass(eq=False)
 class IRPoint:
-    """A measured or synthetic IR pair at one direction. Points compare,
-    and hash, by identity: their buffers have no one truth value."""
+    """A measured or synthetic IR pair at one direction: ``left`` and ``right``
+    are the columns of one read-only ``(taps, 2)`` float64 array, ``pair``.
+    Points compare, and hash, by identity: buffers have no one truth value."""
 
     direction: Direction
     left: np.ndarray
     right: np.ndarray
 
     def __post_init__(self):
-        # read-only copies: the caller's arrays stay its own, and writable
-        self.left = np.array(self.left, dtype=np.float64)
-        self.right = np.array(self.right, dtype=np.float64)
-        if self.left.ndim != 1 or self.right.ndim != 1:
+        left, right = (np.asarray(a, dtype=np.float64) for a in (self.left, self.right))
+        if left.ndim != 1 or right.ndim != 1:
             raise InvalidArgumentError("IR buffers must be one-dimensional")
-        if len(self.left) != len(self.right) or len(self.left) == 0:
+        if len(left) != len(right) or len(left) == 0:
             raise InvalidArgumentError(
                 f"IR buffers must share a nonzero length, got "
-                f"{len(self.left)} and {len(self.right)}"
+                f"{len(left)} and {len(right)}"
             )
-        if not (np.isfinite(self.left).all() and np.isfinite(self.right).all()):
+        # a read-only copy: the caller's arrays stay its own, and writable
+        pair = np.stack([left, right], axis=1)
+        if not np.isfinite(pair).all():
             raise InvalidArgumentError("IR buffers contain non-finite samples")
-        self.left.flags.writeable = False
-        self.right.flags.writeable = False
+        pair.flags.writeable = False
+        self.pair, self.left, self.right = pair, pair[:, 0], pair[:, 1]
 
     @classmethod
-    def _view(cls, direction: Direction, left: np.ndarray, right: np.ndarray) -> "IRPoint":
-        """A point over checked, read-only buffers, skipping ``__post_init__``."""
+    def _view(cls, direction: Direction, pair: np.ndarray) -> "IRPoint":
+        """A point over a checked, read-only pair, skipping ``__post_init__``."""
         point = cls.__new__(cls)
-        point.direction, point.left, point.right = direction, left, right
+        point.direction, point.pair = direction, pair
+        point.left, point.right = pair[:, 0], pair[:, 1]
         return point
 
     @property
     def ir_length(self) -> int:
-        return len(self.left)
+        return len(self.pair)
 
 
 class IRSet:
     """All IR points for one subject, IR type, and sample rate, held as one
-    ``(rows, taps, 2)`` float64 array: a copy of the IRPoints' buffers, or,
+    ``(rows, taps, 2)`` float64 array: a copy of the IRPoints' pairs, or,
     inside the package, an array already stacked, or the rows of a set on
     disk, each read into its slot when first needed (see
     :func:`load_ir_set`). ``irs`` is the array, read-only, with every row
@@ -136,15 +139,13 @@ class IRSet:
                  points: Iterable[IRPoint]):
         points = tuple(points)
         self._set_header(subject_id, ir_type, sample_rate_hz, len(points))
-        irs = np.empty((len(points), points[0].ir_length, 2))
         for i, p in enumerate(points):
-            if p.ir_length != irs.shape[1]:
+            if p.ir_length != points[0].ir_length:
                 raise _at_points(FormatError(
                     f"IR length mismatch in set {self.subject_id}: "
-                    f"{p.ir_length} != {irs.shape[1]}"
+                    f"{p.ir_length} != {points[0].ir_length}"
                 ), i)
-            irs[i, :, 0], irs[i, :, 1] = p.left, p.right
-        self._set_stack([p.direction for p in points], irs)
+        self._set_stack([p.direction for p in points], np.stack([p.pair for p in points]))
 
     @classmethod
     def _stacked(cls, subject_id: str, ir_type, sample_rate_hz: int,
@@ -190,11 +191,15 @@ class IRSet:
                 f"{MERGE_TOLERANCE_DEG} degrees"
             ), j, i)
 
-    def _read(self, indices: Iterable[int]) -> None:
-        """Read the rows at ``indices`` not read yet; a bad row raises the
-        error that names it, and is read again on the next use."""
+    def _with_rows(self, entries: Iterable[tuple[int, float]] | None = None) -> np.ndarray:
+        """The set's array with the rows of a plan's ``(row, weight)`` entries
+        read, or every row when None; a bad row raises the error that names
+        it, and is read again on the next use."""
         rows = self._rows
-        unread = rows.unread.intersection(indices)
+        if rows is None:
+            return self._stack
+        unread = (rows.unread if entries is None
+                  else rows.unread.intersection(i for i, _ in entries))
         if unread:
             try:
                 rows.read(sorted(unread))
@@ -203,20 +208,17 @@ class IRSet:
             if not rows.unread:
                 self._rows = None
                 self._stack.flags.writeable = False
+        return self._stack
 
     @cached_property
     def irs(self) -> np.ndarray:
         """The set's ``(rows, taps, 2)`` array, every row read; read-only."""
-        if self._rows is not None:
-            self._read(range(len(self._stack)))
-        return self._stack
+        return self._with_rows()
 
     @cached_property
     def points(self) -> tuple[IRPoint, ...]:
-        """The set's points: read-only views of ``irs``."""
-        irs = self.irs
-        return tuple(IRPoint._view(d, irs[i, :, 0], irs[i, :, 1])
-                     for i, d in enumerate(self.directions))
+        """The set's points, each ``pair`` a read-only view of a row of ``irs``."""
+        return tuple(map(IRPoint._view, self.directions, self.irs))
 
     @property
     def triangulation(self) -> Triangulation:
@@ -247,7 +249,8 @@ def manifest_path(root, subject_id: str, ir_type, sample_rate_hz: int) -> Path:
             f"{root}: subject {subject_id!r} must be a relative path with no '..' component"
         )
     ir_type = IRType.parse(ir_type)
-    return Path(root) / subject / ir_type.value / str(int(sample_rate_hz)) / MANIFEST_NAME
+    rate = as_rate(sample_rate_hz, f"{root}: sample rate", InvalidArgumentError)
+    return Path(root) / subject / ir_type.value / str(rate) / MANIFEST_NAME
 
 
 def write_manifest(manifest: IRManifest, path) -> None:
@@ -330,8 +333,8 @@ def load_ir_set(root, subject_id: str, ir_type, sample_rate_hz: int) -> IRSet:
     which fixes the tap count, normalizes every direction, builds the set's
     index from them and checks no two are within ``MERGE_TOLERANCE_DEG``.
     Every other row is read, checked and decoded into its slot of the set's
-    array the first time it is needed: ``interpolation.blend`` reads the
-    rows of its plan, and ``IRSet.irs``, ``IRSet.points`` and
+    array when first needed, by ``IRSet._with_rows``: ``interpolation.blend``
+    reads the rows of its plan, and ``IRSet.irs``, ``IRSet.points`` and
     :func:`save_ir_set` read every row still unread. So a bad row no blend
     touches fails nothing, and a bad row fails its first use, and every
     later one, with the error the load would have given. A set's files must
@@ -555,14 +558,18 @@ def import_sadie(
 # synthetic sets
 
 
-def _woodworth_itd_s(direction: Direction, head_radius_m: float = 0.0875,
-                     speed_of_sound: float = 343.0) -> float:
+# the spherical head of the synthetic sets
+_HEAD_RADIUS_M = 0.0875
+_SPEED_OF_SOUND_M_S = 343.0
+
+
+def _woodworth_itd_s(direction: Direction) -> float:
     """Spherical-head ITD in seconds; positive when the left ear leads."""
     s = math.sin(math.radians(direction.azimuth_deg)) * math.cos(
         math.radians(direction.elevation_deg)
     )
     gamma = math.asin(max(-1.0, min(1.0, s)))
-    return (head_radius_m / speed_of_sound) * (gamma + math.sin(gamma))
+    return (_HEAD_RADIUS_M / _SPEED_OF_SOUND_M_S) * (gamma + math.sin(gamma))
 
 
 def synthesize_ir_set(
@@ -585,9 +592,12 @@ def synthesize_ir_set(
     tail. Identical arguments give bit-identical buffers.
     """
     sample_rate_hz = _check_rate(sample_rate_hz)
-    n = int(ir_length_samples)
+    n = as_number(ir_length_samples, "ir_length_samples", int, InvalidArgumentError)
+    seed = as_number(seed, "seed", int, InvalidArgumentError)
     if n < 32:
         raise InvalidArgumentError(f"ir_length_samples must be >= 32, got {n}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     if isinstance(distribution, str):
         if distribution == "lebedev50":
             dirs = lebedev50_directions()

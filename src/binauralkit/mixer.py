@@ -255,7 +255,7 @@ def _send_mix(tracks, irs, model: ReverbModel) -> np.ndarray:
     sum of each track's levelled, reverbed render, at the same length."""
     bus = binaural_sum([(t.audio.samples, ir) for t, ir in zip(tracks, irs)],
                        [(t.level * (1.0 - t.reverb), t.level * t.reverb) for t in tracks])
-    n_send = max(t.audio.n_samples for t in tracks if t.reverb > 0.0) + len(irs[0].left) - 1
+    n_send = max(t.audio.n_samples for t in tracks if t.reverb > 0.0) + irs[0].ir_length - 1
     wet = _reverb_wet(bus[:n_send, 2:], model.ir)
     dry = bus[:, :2]
     if len(dry) > len(wet):  # a dry track outlasts every wet track's tail
@@ -304,7 +304,7 @@ def mix_tracks_binaural(
     if any(t.reverb > 0.0 for t in tracks):
         model = reverbs[cfg.reverb_type]
         _check_reverb_rate(cfg.sample_rate_hz, model)
-    if model is not None and _shares_send(tracks, len(irs[0].left), len(model.ir)):
+    if model is not None and _shares_send(tracks, irs[0].ir_length, len(model.ir)):
         stereo = _send_mix(tracks, irs, model)
     else:
         stereo = binaural_sum([

@@ -222,6 +222,25 @@ def test_binaural_sum_of_one_source_is_fft_convolve():
         assert binaural_sum([(x, ir)]).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n_sources", [1, 2])
+def test_binaural_sum_transforms_each_pair_uncopied(monkeypatch, n_sources):
+    """The filter transform reads each IR's own ``pair``, not a re-stacked
+    copy, for a lone source and for a bus."""
+    rng = np.random.default_rng(46)
+    sources = [(rng.standard_normal(2400), _ir_point(rng, 256)) for _ in range(n_sources)]
+    want = binaural_sum(sources)
+    real_rfft, read = np.fft.rfft, []
+
+    def spy(a, *args, **kwargs):
+        read.append(a)
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    assert binaural_sum(sources).tobytes() == want.tobytes()
+    for _, ir in sources:
+        assert any(a is ir.pair for a in read)
+
+
 def test_binaural_sum_rejects_mixed_ir_lengths_and_bad_signals():
     rng = np.random.default_rng(45)
     ir8, ir9 = _ir_point(rng, 8), _ir_point(rng, 9)

@@ -1148,6 +1148,108 @@ def test_in_memory_points_keep_their_validation():
     assert not p.left.flags.writeable
 
 
+def test_point_ears_are_columns_of_one_read_only_pair():
+    left, right = np.arange(4.0), np.arange(4.0) + 10.0
+    p = IRPoint(Direction(0, 0), left, right)
+    assert p.pair.shape == (4, 2) and p.pair.dtype == np.float64
+    assert p.pair.tobytes() == np.column_stack([left, right]).tobytes()
+    assert not p.pair.flags.writeable
+    assert np.shares_memory(p.left, p.pair[:, 0]) and np.shares_memory(p.right, p.pair[:, 1])
+    assert p.ir_length == 4
+    # the caller's arrays are copied: unshared, and still writable
+    for buf in (left, right):
+        assert not np.shares_memory(buf, p.pair) and buf.flags.writeable
+    left[0] = 7.0
+    assert p.left[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.left[0] = 1.0
+
+
+def test_set_points_and_blends_hold_pairs(tmp_path, lebedev_set):
+    save_ir_set(lebedev_set, tmp_path)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    for s in (lebedev_set, loaded):
+        for i, p in enumerate(s.points):
+            assert np.shares_memory(p.pair, s.irs[i]) and p.pair.shape == s.irs[i].shape
+            assert p.pair.tobytes() == s.irs[i].tobytes()
+            assert np.shares_memory(p.left, p.pair) and np.shares_memory(p.right, p.pair)
+    b = blend(loaded, plan(loaded, Direction(20.0, 10.0), "three_point"))
+    assert b.pair.shape == (loaded.ir_length, 2) and not b.pair.flags.writeable
+    assert np.shares_memory(b.left, b.pair) and np.shares_memory(b.right, b.pair)
+
+
+def test_the_row_reader_returns_the_array_and_reads_only_the_rows_asked_for(
+        tmp_path, monkeypatch, lebedev_set):
+    mpath = save_ir_set(lebedev_set, tmp_path)
+    wavs = [os.path.realpath(mpath.parent / rel) for _, _, rel in read_manifest(mpath).entries]
+    seen = _counting_opens(monkeypatch)
+    loaded = load_ir_set(tmp_path, "SYN1", "HRIR", 48000)
+    stack = loaded._with_rows([(7, 0.5), (3, 0.25), (7, 0.25)])
+    assert seen == [wavs[0], wavs[3], wavs[7]]
+    assert stack is loaded._with_rows([(3, 1.0)]) and stack.shape == lebedev_set.irs.shape
+    assert seen == [wavs[0], wavs[3], wavs[7]]
+    for k in (0, 3, 7):
+        assert stack[k].tobytes() == lebedev_set.irs[k].tobytes()
+    assert stack.flags.writeable  # rows are still unread
+    assert loaded._with_rows() is stack and not stack.flags.writeable
+    assert sorted(seen) == sorted(wavs)
+    assert loaded.irs is stack and stack.tobytes() == lebedev_set.irs.tobytes()
+
+    class Unread:  # a fully read set returns before it looks at its entries
+        def __iter__(self):
+            raise AssertionError("entries were read")
+
+    assert loaded._with_rows(Unread()) is stack and lebedev_set._with_rows(Unread()) is lebedev_set.irs
+
+
+@pytest.mark.parametrize("rate, message", [
+    (48000.7, "sample rate must be an integer, got 48000.7"),
+    ("abc", "sample rate must be an integer, got 'abc'"),
+    (True, "sample rate must be an integer, got True"),
+    (np.True_, f"sample rate must be an integer, got {np.True_!r}"),
+    (22050, _BAD_RATE),
+    (-48000, "unsupported sample rate -48000; expected one of (44100, 48000, 96000)"),
+])
+def test_ir_store_rates_are_integers(tmp_path, lebedev_set, rate, message):
+    save_ir_set(lebedev_set, tmp_path)
+    calls = [lambda: synthesize_ir_set("lebedev50", rate),
+             lambda: load_ir_set(tmp_path, "SYN1", "HRIR", rate),
+             lambda: IRSet("S", "HRIR", rate, lebedev_set.points)]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError) as e:
+            call()
+        assert str(e.value) == message
+    assert synthesize_ir_set("lebedev50", 48000.0).sample_rate_hz == 48000
+    assert load_ir_set(tmp_path, "SYN1", "HRIR", np.int64(48000)).sample_rate_hz == 48000
+
+
+@pytest.mark.parametrize("rate, message", [
+    (48000.7, "sample rate must be an integer, got 48000.7"),
+    ("abc", "sample rate must be an integer, got 'abc'"),
+    (0, "sample rate must be positive, got 0"),
+])
+def test_manifest_path_takes_an_integer_rate(tmp_path, rate, message):
+    with pytest.raises(InvalidArgumentError) as e:
+        manifest_path(tmp_path, "S", "HRIR", rate)
+    assert str(e.value) == f"{tmp_path}: {message}"
+    assert manifest_path(tmp_path, "S", "HRIR", 48000.0).parent.name == "48000"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ir_length_samples": 256.9}, "ir_length_samples must be an integer, got 256.9"),
+    ({"ir_length_samples": "long"}, "ir_length_samples must be an integer, got 'long'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+])
+def test_synthesis_takes_integer_lengths_and_seeds(kwargs, message):
+    with pytest.raises(InvalidArgumentError) as e:
+        synthesize_ir_set("lebedev50", 48000, **kwargs)
+    assert str(e.value) == message
+    same = synthesize_ir_set("lebedev50", 48000, 256.0, np.int64(3))
+    assert same.irs.tobytes() == synthesize_ir_set("lebedev50", 48000, 256, 3).irs.tobytes()
+
+
 # --- distinctness check ----------------------------------------------------
 
 
