@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, as_number
-from .geometry import MERGE_TOLERANCE_DEG, Direction, from_cartesian, normalize_direction
+from .geometry import MERGE_TOLERANCE_DEG, Direction, from_cartesian, normalize_direction, to_cartesian
 
 
 def lebedev50_directions() -> list[Direction]:
@@ -47,7 +47,7 @@ def ring_grid_directions(step_deg: float, elevations: Sequence[float]) -> list[D
     """Full azimuth rings at the given elevations, sampled every step_deg.
 
     A ring at +-90 degrees elevation is the pole, emitted once. A step below
-    ``MERGE_TOLERANCE_DEG``, whose neighbours would merge, is refused first.
+    ``MERGE_TOLERANCE_DEG``, or a ring with points ``PointIndex`` merges, is refused first.
     """
     step_deg = as_number(step_deg, "azimuth step", float, InvalidArgumentError)
     if not (0.0 < step_deg <= 180.0):
@@ -61,8 +61,13 @@ def ring_grid_directions(step_deg: float, elevations: Sequence[float]) -> list[D
                   for el in elevations]
     if not elevations:
         raise InvalidArgumentError("at least one ring elevation is required")
-    return [
-        normalize_direction(float(az), el)
-        for el in elevations
-        for az in ([0.0] if el % 180.0 == 90.0 else np.arange(0.0, 360.0, step_deg))
-    ]
+    rings = [[0.0] if el % 180.0 == 90.0 else np.arange(0.0, 360.0, step_deg).tolist()
+             for el in elevations]
+    for el, azs in zip(elevations, rings):
+        # point 0's nearest are its neighbour and, across the seam, the last point
+        for az in azs[1:2] + azs[2:][-1:]:
+            u, v = (to_cartesian(normalize_direction(a, el)) for a in (0.0, az))
+            if u @ v > math.cos(math.radians(MERGE_TOLERANCE_DEG)):
+                raise InvalidArgumentError(f"ring at elevation {el:g}: azimuths 0 and {az:g} are "
+                                           f"within the {MERGE_TOLERANCE_DEG}-degree merge tolerance")
+    return [normalize_direction(az, el) for el, azs in zip(elevations, rings) for az in azs]

@@ -106,7 +106,7 @@ def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
         y = long * short[0]
     else:
         nfft = _partition_nfft(len(short))
-        y = _overlap_add([(long, np.fft.rfft(short, nfft, axis=0))], len(short), nfft)
+        y = _overlap_add([(long, np.fft.rfft(short, nfft, axis=0).T)], len(short), nfft)
     return y if h.ndim == 2 else y[:, 0]
 
 
@@ -133,45 +133,51 @@ def _smooth_nfft(n: int) -> int:
 def _overlap_add(pairs, m: int, nfft: int) -> np.ndarray:
     """The sum over ``pairs`` of ``(long, spectra)``: each ``long`` (n, a)
     convolved with an m-tap filter (m, b) whose rfft at ``nfft`` is
-    ``spectra``, where a and b are equal or one of them is 1.
+    ``spectra``, held as (b, F), where a and b are equal or one of them is 1.
 
-    Blocks of nfft - m + 1 samples are transformed in batches; each batch's
-    block spectra are multiplied by their pair's filter spectrum and added
-    into one accumulator, so one inverse transform serves every pair. A pair
-    is skipped once a batch starts past its end. A block must be at least
-    m - 1 samples, so that each output sample sums at most two blocks,
-    unless one block holds every long operand. Returns
+    Blocks of nfft - m + 1 samples are transformed in batches along the last
+    axis, as (blocks, a, F). The first pair's products fill an accumulator
+    and each later pair's are added in list order through a second buffer,
+    both allocated once per call; one inverse transform per column and batch
+    serves every pair. A pair is skipped once a batch starts past its end.
+    A block must be at least m - 1 samples, so that each output sample sums
+    at most two blocks, unless one block holds every long operand. Returns
     (max(n) + m - 1, max(a, b)).
     """
     n = max(len(long) for long, _ in pairs)
-    k = max(max(long.shape[1], spectra.shape[1]) for long, spectra in pairs)
+    k = max(max(long.shape[1], len(spectra)) for long, spectra in pairs)
     block = nfft - m + 1
     n_blocks = -(-n // block)
-    per_batch = max(1, _BATCH_SAMPLES // nfft)
+    per_batch = min(max(1, _BATCH_SAMPLES // nfft), n_blocks)
     y = np.zeros((n_blocks * block + m - 1, k))
+    acc = np.empty((per_batch, k, nfft // 2 + 1), complex)
+    prod = np.empty_like(acc) if len(pairs) > 1 else None
     for first in range(0, n_blocks, per_batch):
         nb = min(per_batch, n_blocks - first)
         start, end = first * block, (first + nb) * block
-        acc = None
+        dst = acc
         for long, spectra in pairs:
             seg = long[start:end]
             if not len(seg):
                 continue
             if len(seg) % block:  # the last, partial block, zero-padded
                 seg = np.pad(seg, ((0, block - len(seg) % block), (0, 0)))
-            prod = np.fft.rfft(seg.reshape(-1, block, seg.shape[1]), nfft, axis=1) * spectra
-            if acc is None or len(acc) < len(prod):  # the taller one accumulates
-                acc, prod = prod, acc
-            if prod is not None:
-                acc[:len(prod)] += prod
-        out = np.fft.irfft(acc, nfft, axis=1)
-        heads = y[start:end].reshape(nb, block, k)
-        heads += out[:, :block]
-        if nb > 1:
-            # block j's tail lands on the head of block j + 1
-            tails = y[start + block:end].reshape(nb - 1, block, k)[:, :m - 1]
-            tails += out[:-1, block:]
-        y[end:end + m - 1] += out[-1, block:]
+            rows = len(seg) // block
+            blocks = seg.reshape(rows, block, seg.shape[1]).transpose(0, 2, 1)
+            np.multiply(np.fft.rfft(blocks, nfft), spectra, out=dst[:rows])
+            if dst is acc:  # blocks past a short first pair's end start at zero
+                acc[rows:nb], dst = 0.0, prod
+            else:
+                acc[:rows] += prod[:rows]
+        for j in range(k):  # one column at a time holds a k-th of the batch's output
+            out = np.fft.irfft(acc[:nb, j], nfft)
+            heads = y[start:end, j].reshape(nb, block)
+            heads += out[:, :block]
+            if nb > 1:
+                # block i's tail lands on the head of block i + 1
+                tails = y[start + block:end, j].reshape(nb - 1, block)[:, :m - 1]
+                tails += out[:-1, block:]
+            y[end:end + m - 1, j] += out[-1, block:]
     return y[:n + m - 1]
 
 
@@ -320,18 +326,23 @@ def _reverb_nfft(n: int, taps: int) -> int | None:
 
 def _reverb_wet(x: np.ndarray, ir: np.ndarray) -> np.ndarray:
     """A signal ``x`` (n,), or each column of ``x`` (n, k), convolved with
-    the reverb IR, as a fresh buffer of x's rank, by the rule
-    ``_reverb_nfft`` picks: one transform of the whole output, with the IR
-    transformed once per call, or ``fft_convolve``. The columns go one at
-    a time, so only one column's block spectra are held at once."""
-    nfft = _reverb_nfft(len(x), len(ir))
-    cols = [x] if x.ndim == 1 else x.T
+    the reverb IR as a fresh buffer of x's rank, by ``_reverb_nfft``'s rule:
+    ``fft_convolve``, or one whole-output transform of the IR per call and of
+    each column in turn, forward and back into its own row of a (k, n_out)
+    buffer returned transposed: a row's pages are first touched when written."""
+    n_out, nfft = len(x) + len(ir) - 1, _reverb_nfft(len(x), len(ir))
+    cols = x.reshape(len(x), -1).T
     if nfft is None:
         wets = [fft_convolve(col, ir) for col in cols]
-    else:
-        spectrum = np.fft.rfft(ir, nfft)[:, None]
-        wets = [_overlap_add([(col[:, None], spectrum)], len(ir), nfft)[:, 0] for col in cols]
-    return wets[0] if x.ndim == 1 else np.column_stack(wets)
+        return wets[0] if x.ndim == 1 else np.column_stack(wets)
+    spectrum = np.fft.rfft(ir, nfft)
+    out = np.empty((len(cols), n_out))
+    for col, wet in zip(cols, out):
+        spec = np.fft.rfft(col, nfft)
+        spec *= spectrum
+        # + 0.0 turns -0.0 into +0.0, as fft_convolve's sum into zeros does
+        np.add(np.fft.irfft(spec, nfft)[:n_out], 0.0, out=wet)
+    return out.T if x.ndim == 2 else out[0]
 
 
 def _check_reverb_rate(sample_rate_hz: int, model: ReverbModel):
@@ -446,13 +457,6 @@ def render_source_binaural(
     return RenderedSource(AudioBuffer(stereo, source.sample_rate_hz), p)
 
 
-def _bus_nfft(m: int) -> int:
-    """binaural_sum's bus transform size for m-tap IRs: ``fft_convolve``'s,
-    except that one tap is a gain, and length-1 transforms are exact, as
-    ``fft_convolve``'s product is."""
-    return _partition_nfft(m) if m > 1 else 1
-
-
 def binaural_sum(sources, gains=None) -> np.ndarray:
     """The sum over ``(signal, IRPoint)`` pairs of each 1-D signal convolved
     with its IR's ``(taps, 2)`` ``pair``, as ``(max len(signal) + taps - 1,
@@ -461,13 +465,13 @@ def binaural_sum(sources, gains=None) -> np.ndarray:
     A lone source is one ``fft_convolve`` of its IR's ``pair``, bit for
     bit, whichever of signal and IR is longer. Two or more sources form a
     bus: the IR length sets the partition, as in ``fft_convolve``, each
-    ``pair`` is transformed once, uncopied, and every source's block spectra are
-    added before one inverse transform per batch of blocks.
+    ``pair`` is transformed once, uncopied, to (2, F), and every source's
+    products are added in list order before one inverse transform per batch.
 
     ``gains``, one ``(dry, send)`` pair per source, renders two such sums
     as one bus of four columns: the first pair takes each source's IR
     scaled by its dry gain, the second by its send gain. The gains scale
-    the IR spectra, so no scaled copy of a signal is made.
+    the IR spectra, (4, F), so no scaled copy of a signal is made.
     """
     pairs = [(np.asarray(x, dtype=np.float64), ir.pair) for x, ir in sources]
     taps = {len(h) for _, h in pairs}
@@ -478,8 +482,9 @@ def binaural_sum(sources, gains=None) -> np.ndarray:
     if len(pairs) == 1 and gains is None:
         return fft_convolve(*pairs[0])
     (m,) = taps
-    nfft = _bus_nfft(m)
-    spectra = [np.fft.rfft(h, nfft, axis=0) for _, h in pairs]
+    # fft_convolve's size, but one tap is a gain: a length-1 transform is exact
+    nfft = _partition_nfft(m) if m > 1 else 1
+    spectra = [np.fft.rfft(h, nfft, axis=0).T for _, h in pairs]
     if gains is not None:
-        spectra = [np.hstack([dry * s, send * s]) for s, (dry, send) in zip(spectra, gains)]
+        spectra = [np.vstack([dry * s, send * s]) for s, (dry, send) in zip(spectra, gains)]
     return _overlap_add([(x[:, None], s) for (x, _), s in zip(pairs, spectra)], m, nfft)

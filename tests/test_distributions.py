@@ -91,3 +91,33 @@ def test_ring_step_and_elevations_are_numbers():
         assert str(e.value) == message
     # the tolerance itself still builds its ring
     assert len(ring_grid_directions(MERGE_TOLERANCE_DEG * 1000, [0])) == 36
+
+
+@pytest.mark.parametrize("step, elevation, near", [
+    (0.0101, 0.0, 359.9943),  # the seam: 360 is not a multiple of the step
+    (1.0, 89.999, 1.0),  # neighbours one step apart, step * cos(el) degrees of arc
+    (1.0, -89.999, 1.0),
+])
+def test_ring_whose_points_merge_is_refused_before_its_directions(monkeypatch, step, elevation,
+                                                                  near):
+    calls = []
+    real = distributions.normalize_direction
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distributions, "normalize_direction", counting)
+    message = (f"ring at elevation {elevation:g}: azimuths 0 and {near:g} are within the "
+               f"{MERGE_TOLERANCE_DEG}-degree merge tolerance")
+    with pytest.raises(InvalidArgumentError) as e:
+        synthesize_ir_set("ring_az_step", 48000, 32, step_deg=step, elevations=[0, elevation])
+    assert str(e.value) == message
+    assert len(calls) <= 8  # the pairs checked, not the rings' directions
+
+
+def test_ring5_grid_still_builds():
+    # the benchmark's dense set: 5-degree rings every 15 degrees from -75 to 75
+    ring5 = synthesize_ir_set("ring_az_step", 48000, 32, step_deg=5.0,
+                              elevations=range(-75, 76, 15))
+    assert len(ring5.points) == 11 * 72

@@ -222,6 +222,53 @@ def test_binaural_sum_of_one_source_is_fft_convolve():
         assert binaural_sum([(x, ir)]).tobytes() == ref.tobytes()
 
 
+def _block_loop_bus(sources, gains=None):
+    """binaural_sum's bus one block at a time: each block's spectra of the
+    sources still running, times their IR spectra, summed in list order, then
+    one irfft per block, overlap-added; the bit-exact reference for the
+    batched bus, as _block_loop_convolve is for one source."""
+    m = len(sources[0][1].pair)
+    nfft = 1 << max(2, (4 * m - 1).bit_length())
+    block = nfft - m + 1
+    spectra = [np.fft.rfft(ir.pair, nfft, axis=0) for _, ir in sources]
+    if gains is not None:
+        spectra = [np.hstack([dry * s, send * s]) for s, (dry, send) in zip(spectra, gains)]
+    n_out = max(len(x) for x, _ in sources) + m - 1
+    y = np.zeros((n_out, spectra[0].shape[1]))
+    for start in range(0, n_out - m + 1, block):
+        acc = None
+        for (x, _), s in zip(sources, spectra):
+            if start < len(x):
+                prod = np.fft.rfft(x[start:start + block], nfft)[:, None] * s
+                acc = prod if acc is None else acc + prod
+        out = np.fft.irfft(acc, nfft, axis=0)
+        stop = min(start + nfft, n_out)
+        y[start:stop] += out[:stop - start]
+    return y
+
+
+@pytest.mark.parametrize("batch_samples", [1, dsp._BATCH_SAMPLES, 1 << 40],
+                         ids=["block_per_batch", "default", "one_batch"])
+def test_convolution_is_the_same_however_blocks_are_batched(monkeypatch, batch_samples):
+    # one block per batch, the default cap, and every block in one batch;
+    # the signals span several default batches, and the bus's shortest
+    # source comes first, so a later, taller one outlasts it
+    rng = np.random.default_rng(47)
+    monkeypatch.setattr(dsp, "_BATCH_SAMPLES", batch_samples)
+    x, hs = rng.standard_normal(30_011), rng.standard_normal((64, 2))
+    x[::7] = 0.0
+    # mono and stacked IRs, each as the filter and as the longer operand
+    for a, b in ((x, hs[:, 0]), (hs[:, 0], x), (x, hs), (hs[:, 0], np.column_stack([x, -x]))):
+        out = fft_convolve(a, b)
+        cols = [b] if b.ndim == 1 else b.T
+        ref = np.column_stack([_block_loop_convolve(a, c) for c in cols])
+        assert _same_bits(out, ref if b.ndim == 2 else ref[:, 0])
+    sources = [(rng.standard_normal(n), _ir_point(rng, 64)) for n in (5_003, 61_007, 30_011)]
+    gains = [(0.7, 0.3), (0.25, 0.5), (1.0, 0.0)]
+    assert _same_bits(binaural_sum(sources), _block_loop_bus(sources))
+    assert _same_bits(binaural_sum(sources, gains), _block_loop_bus(sources, gains))
+
+
 @pytest.mark.parametrize("n_sources", [1, 2])
 def test_binaural_sum_transforms_each_pair_uncopied(monkeypatch, n_sources):
     """The filter transform reads each IR's own ``pair``, not a re-stacked
@@ -433,7 +480,7 @@ def _dry_first_reverb(x, model, amount):
     if amount > 0.0:
         if n_out <= dsp._partition_nfft(min(len(x), len(model.ir))):
             nfft = dsp._smooth_nfft(n_out)
-            spectrum = np.fft.rfft(model.ir, nfft)[:, None]
+            spectrum = np.fft.rfft(model.ir, nfft)[None]
             wet = dsp._overlap_add([(x[:, None], spectrum)], len(model.ir), nfft)[:, 0]
         else:
             wet = fft_convolve(x, model.ir)
