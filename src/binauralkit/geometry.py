@@ -286,44 +286,29 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
             f"all {n} points are collinear in the projection plane"
         )
 
-    # One slot per triangle. A slot freed by a cavity is refilled by the
-    # triangles that replace it, so the prefilter scans live triangles only.
-    cap = 256
-    ccx = np.empty(cap)
-    ccy = np.empty(cap)
-    lim = np.empty(cap)  # prefilter bound on the squared centre distance
-    tris: list[tuple[int, int, int] | None] = []
-    corners: list[tuple[float, ...]] = []  # each triangle's, counter-clockwise
-    free: list[int] = []
+    # Slot t holds triangle t as a counter-clockwise index triple. The cavity
+    # of p is star-shaped from p, so its m triangles give way to m + 2, each
+    # (u, v, p) for a boundary edge (u, v) taken counter-clockwise: they fill
+    # the cavity's slots and slots 2p + 1 and 2p + 2, so 2p + 1 are live
+    # before p is inserted.
+    size = 2 * n + 1
+    ccx = np.empty(size)
+    ccy = np.empty(size)
+    lim = np.empty(size)  # prefilter bound on the squared centre distance
+    tris = [(n, n + 1, n + 2)] * size  # _SUPER is counter-clockwise as listed
+    corners: list[tuple[float, ...]] = [()] * size
 
-    def add_triangle(i: int, j: int, k: int) -> None:
-        nonlocal cap, ccx, ccy, lim
-        ax, ay, bx, by, cx, cy = xs[i], ys[i], xs[j], ys[j], xs[k], ys[k]
-        ux, uy, r2 = circumcircle(ax, ay, bx, by, cx, cy)
-        o = _orient(ax, ay, bx, by, cx, cy, fast)
-        ccw = (ax, ay, bx, by, cx, cy) if o > 0 else (ax, ay, cx, cy, bx, by)
-        if free:
-            t = free.pop()
-            tris[t] = (i, j, k)
-            corners[t] = ccw
-        else:
-            t = len(tris)
-            if t == cap:
-                cap *= 2
-                ccx = np.resize(ccx, cap)
-                ccy = np.resize(ccy, cap)
-                lim = np.resize(lim, cap)
-            tris.append((i, j, k))
-            corners.append(ccw)
-        ccx[t] = ux
-        ccy[t] = uy
+    def put(t: int, i: int, j: int, k: int) -> None:
+        tris[t] = (i, j, k)
+        corners[t] = (xs[i], ys[i], xs[j], ys[j], xs[k], ys[k])
+        ccx[t], ccy[t], r2 = circumcircle(*corners[t])
         lim[t] = r2 * 1.0001 + 1e-4
 
-    add_triangle(n, n + 1, n + 2)
+    put(0, n, n + 1, n + 2)
 
     for p in range(n):
         px, py = xs[p], ys[p]
-        count = len(tris)
+        count = 2 * p + 1
         d2 = (ccx[:count] - px) ** 2 + (ccy[:count] - py) ** 2
         # generous float prefilter; the in-circle test decides each candidate
         bad: list[int] = []
@@ -367,22 +352,12 @@ def _triangulate_plane(coords: np.ndarray) -> list[tuple[int, int, int]]:
                 f"no triangle circumcircle contains point {p}; "
                 "super-triangle too small or duplicate input"
             )
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            i, j, k = tris[t]  # type: ignore[misc]
-            for u, v in ((i, j), (j, k), (k, i)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-            tris[t] = None
-            lim[t] = -math.inf
-        free.extend(bad)
-        for u, v in sorted(e for e, c in edge_count.items() if c == 1):
-            add_triangle(p, u, v)
+        edges = {(tris[t][a - 1], tris[t][a]) for t in bad for a in range(3)}
+        boundary = sorted((u, v) for u, v in edges if (v, u) not in edges)
+        for t, (u, v) in zip(bad + [count, count + 1], boundary, strict=True):
+            put(t, u, v, p)
 
-    result = sorted(
-        tuple(sorted(t)) for t in tris if t is not None and max(t) < n
-    )
-    return result  # type: ignore[return-value]
+    return sorted((a, b, c) for a, b, c in map(sorted, tris) if c < n)
 
 
 def _frame_coords(vertices: Sequence[Direction], rotated_azimuth: bool,

@@ -54,10 +54,12 @@ def read_bytes(path: str) -> bytes:
         fd = os.open(path, os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
-            raw = os.read(fd, size + 1)
-            # a short read of a regular file is its end; a longer one is not
-            while len(raw) > size and (more := os.read(fd, 1 << 20)):
-                raw += more
+            chunks = [os.read(fd, size + 1)]
+            # Linux reads at most 0x7ffff000 bytes a call, and a pipe's stat
+            # size is 0: read on to the end unless one read got the stat size
+            while len(chunks[0]) != size and (more := os.read(fd, 1 << 20)):
+                chunks.append(more)
+            raw = b"".join(chunks)
         finally:
             os.close(fd)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path

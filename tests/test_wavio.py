@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binauralkit import wavio
 from binauralkit.errors import FormatError
 from binauralkit.wavio import _CHUNK, read_wav, write_wav
 
@@ -504,5 +505,17 @@ def test_read_reads_on_past_a_size_of_zero(tmp_path):
     finally:
         writer.join(10.0)
     assert not writer.is_alive()
+    assert rate == 48000
+    assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
+
+
+def test_read_reads_on_after_a_capped_read(tmp_path, monkeypatch):
+    # Linux returns at most 0x7ffff000 bytes a read, so a file over about
+    # 2 GiB arrives in several reads; capped at 4,096 bytes, so does this one
+    want = 0.25 * np.random.default_rng(8).standard_normal((1000, 2))
+    write_wav(tmp_path / "x.wav", 48000, want, "float32")
+    read = os.read
+    monkeypatch.setattr(wavio.os, "read", lambda fd, n: read(fd, min(n, 4096)))
+    rate, got = read_wav(tmp_path / "x.wav")
     assert rate == 48000
     assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
